@@ -1,6 +1,8 @@
 """Experiment spec parsing, artifact generation, exit codes."""
 
+import hashlib
 import json
+import shlex
 from dataclasses import replace
 
 import pytest
@@ -279,3 +281,34 @@ class TestDeterminism:
             assert code == 0
             bodies.append((out / "relgrowth.csv").read_bytes())
         assert bodies[0] == bodies[1]
+
+
+# SHA-256 of the artifact of each README command line. A refactor that
+# changes a single byte of any of them fails here.
+README_ARTIFACTS = [
+    ("growth --group free:2 --max-radius 10", "growth.csv",
+     "663d59e45b27be2cb3d000b6119bbb022e1193b35d427fdc750c0a85c1c2e762"),
+    ('relgrowth --group free:2 --subgroup "aa,bb" --max-radius 8', "relgrowth.csv",
+     "b840ad9d0fe2ed6e03221a3e6ed39a999052987df86d0f3f8b7f3889cef151c0"),
+    ("relgrowth --group free:2 --subgroup cyclic:a --max-radius 3", "relgrowth.csv",
+     "bbe8e13b27f36d7067f69bc5644a82e19b1356811672996d01ae3fb03f45932f"),
+    ("distortion --group free:2 --subgroup aa --max-radius 12", "distortion.csv",
+     "c595620224e7a92622d767b78ed91a2e5c838f2f9fa9829b3ba0eedb04a85581"),
+    ("delta --group free:2 --max-radius 3", "delta.json",
+     "2c00bb25ecba923419b7160847352ae1371571ae770b9211f3c9a09242b9b437"),
+    ("delta --group free:2 --max-radius 4 --mode random --trials 20000 --seed 7", "delta.json",
+     "34a72e5bde961d210ee47a8a1382865bcab00b28b418039682d79e9204374170"),
+    ("acyl --group free:2 --x 1 --y aaaaa --epsilon 1", "acyl.json",
+     "d3724c217cb068041b883deccf453c634d1e3fbcf6517ac33e9bd5013085ea14"),
+    ('ambiguity --group "product(free:2,free:2)" --g "(a,a)" --h "(b,b)" -n 2 --smax 3 --tmax 3',
+     "ambiguity.json",
+     "2e3c6784b896418e35b75f976b01e017184c06e79fca96faca9036be73120b3a"),
+    ("rate --group free:2 --max-radius 14 --epsilon 4 --shift 0", "rate.json",
+     "df0481dc1ba650ee42658ce2141e7c526d0b3d1c1c02c2f162e435bfb0e43e2c"),
+]
+
+
+@pytest.mark.parametrize("line,name,digest", README_ARTIFACTS)
+def test_readme_artifact_digest(tmp_path, line, name, digest):
+    assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
