@@ -40,6 +40,7 @@ from .errors import (
     GrowthlabError,
     HypothesisViolationError,
     InvariantViolationError,
+    OracleBudgetError,
     ParseError,
     SearchDepthError,
     TupleBudgetError,

@@ -1,12 +1,13 @@
-"""Deterministic work partitioning.
+"""Deterministic work partitioning for the exhaustive four-point delta scan.
 
-Heavy scans (ball expansion, membership filtering, fiber counting) may be
-split across worker processes. Work is cut into contiguous chunks and the
-chunk results are consumed in chunk order, so concatenating them reproduces
-the sequential order exactly; downstream code only ever merges chunk output
-by order-insensitive set/sum/max operations or re-sorts. Either way the
-worker count can never change a result, which is what the determinism
-guarantee of the CLI rests on.
+That scan is the one place where a fork pool pays on a 2-core machine:
+it runs about 1.8x faster at two workers, while ball generation, oracle
+filtering and ambiguity grids run slower in a pool than in one process,
+so they never fork. Work is cut into contiguous chunks and the chunk
+results are consumed in chunk order, so concatenating them reproduces the
+sequential order exactly, and the delta scan merges them by a max whose
+ties go to the earliest chunk. So the worker count can never change a
+result, which is what the determinism guarantee of the CLI rests on.
 """
 
 from __future__ import annotations

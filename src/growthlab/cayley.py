@@ -1,11 +1,13 @@
 """Cayley ball enumeration, growth tables, and subgroup distortion.
 
-Balls are enumerated breadth-first, sphere by sphere. Every product of a
-sphere element with a generator changes length by exactly one, so the next
-sphere is the set of length-increasing products, deduplicated; nothing can
-collide with earlier spheres. Elements are kept in packed byte form and the
-finished ball is sorted shortlex, which makes every ball of smaller radius
-a prefix slice.
+Balls are generated from structure, not searched. A free factor's Cayley
+graph is a tree: its sphere n+1 is every sphere-n word extended by each
+letter that does not cancel the word's last letter, and generated parent
+by parent in letter order it comes out shortlex sorted. A product's
+sphere n is the union over i_1 + ... + i_m = n of the products of factor
+spheres, which are disjoint, so the only work left is one sort per
+sphere. Elements are kept in packed byte form; the finished ball is
+shortlex sorted, which makes every ball of smaller radius a prefix slice.
 
 Relative balls of a subgroup are computed by filtering whole-group balls
 through a membership oracle, never by searching in subgroup generators:
@@ -17,20 +19,21 @@ the ball and tallied separately so no count silently pretends precision.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
-from ._parallel import parallel_map, partition
+from .counting import ball_counts
 from .errors import BallBudgetError, InvariantViolationError, SearchDepthError
 from .subgroups import BudgetedEnumerationOracle, StallingsOracle, SubgroupOracle
 from .words import (
     SEP,
     Element,
     GroupDescriptor,
+    inverse_byte,
     invert_packed,
     multiply_packed,
-    multiply_words,
     packed_length,
 )
 
@@ -107,26 +110,19 @@ class Ball:
         )
 
 
-def _expand_chunk(args: tuple[Sequence[bytes], list[bytes], int]) -> list[bytes]:
-    """Length-increasing products of chunk elements with all generators."""
-    chunk, gens, nf = args
-    out = []
-    if nf == 1:
-        # single free factor: append or cancel one letter, no separators
-        for u in chunk:
-            n = len(u)
-            for g in gens:
-                v = multiply_words(u, g)
-                if len(v) > n:
-                    out.append(v)
-    else:
-        for u in chunk:
-            n = len(u)
-            for g in gens:
-                v = multiply_packed(u, g, nf)
-                if len(v) > n:
-                    out.append(v)
-    return out
+def _free_spheres(rank: int, radius: int) -> list[list[bytes]]:
+    """Spheres 0..radius of F_rank, each in shortlex order.
+
+    Sphere n+1 extends every sphere-n word, in order, by each letter that
+    does not cancel its last letter, in letter order; that is already
+    shortlex.
+    """
+    letters = [bytes([b]) for b in range(1, 2 * rank + 1)]
+    follow = {x[0]: [y for y in letters if y[0] != inverse_byte(x[0])] for x in letters}
+    spheres = [[b""], letters][: radius + 1]
+    for _ in range(radius - 1):
+        spheres.append([w + y for w in spheres[-1] for y in follow[w[-1]]])
+    return spheres
 
 
 def enumerate_ball(
@@ -134,53 +130,40 @@ def enumerate_ball(
     radius: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> Ball:
-    """Exact ball of the whole group, breadth-first with deduplication."""
+    """Exact ball of the whole group, generated from the factor trees.
+
+    The budget is checked against the closed-form ball sizes before any
+    element is built; radius_reached is the last radius that fits.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    gens = [g.packed for g in group.symmetric_generators()]
-    nf = group.num_factors
-    identity = group.identity().packed
-    if budget < 1:
-        raise BallBudgetError(radius_reached=-1, target_radius=radius, budget=budget)
-    elems: list[bytes] = [identity]
-    frontier: list[bytes] = [identity]
-    total = 1
-    for r in range(radius):
-        chunks = partition(frontier, workers)
-        results = parallel_map(_expand_chunk, [(c, gens, nf) for c in chunks], workers)
-        sphere_seen: set[bytes] = set()
-        sphere: list[bytes] = []
-        for res in results:
-            for cand in res:
-                if cand not in sphere_seen:
-                    sphere_seen.add(cand)
-                    sphere.append(cand)
-                    total += 1
-                    if total > budget:
-                        raise BallBudgetError(
-                            radius_reached=r, target_radius=radius, budget=budget
-                        )
-        elems.extend(sphere)
-        frontier = sphere
-    elems.sort(key=lambda p: (len(p), p))
-    return Ball(group, radius, tuple(elems))
-
-
-def _filter_chunk(
-    args: tuple[Sequence[bytes], SubgroupOracle, int]
-) -> tuple[list[bytes], list[int]]:
-    chunk, oracle, offset = args
-    kept: list[bytes] = []
-    unknown_lengths: list[int] = []
-    for p in chunk:
-        got = oracle.contains_packed(p)
-        if got is True:
-            kept.append(p)
-        elif got is None:
-            unknown_lengths.append(len(p) - offset)
-    return kept, unknown_lengths
+    # Counting a product's balls costs about radius^2 big-integer products,
+    # so count to doubling horizons: an overflowing request stops near the
+    # radius where it overflows, not at the radius it asked for.
+    horizon = 0
+    while True:
+        sizes = ball_counts(group, horizon)
+        if sizes[-1] > budget:
+            raise BallBudgetError(
+                radius_reached=bisect.bisect_right(sizes, budget) - 1,
+                target_radius=radius,
+                budget=budget,
+            )
+        if horizon == radius:
+            break
+        horizon = min(2 * horizon + 1, radius)
+    spheres = _free_spheres(group.ranks[0], radius)
+    for rank in group.ranks[1:]:
+        factor = _free_spheres(rank, radius)
+        spheres = [
+            [u + SEP + v for i in range(n + 1) for u in spheres[i] for v in factor[n - i]]
+            for n in range(radius + 1)
+        ]
+    if group.num_factors > 1:
+        for sphere in spheres:
+            sphere.sort()
+    return Ball(group, radius, tuple(chain.from_iterable(spheres)))
 
 
 def relative_ball(
@@ -189,7 +172,6 @@ def relative_ball(
     radius: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     ambient: Ball | None = None,
 ) -> Ball:
     """Subgroup elements of ambient length <= radius, by filtering the ball.
@@ -200,28 +182,21 @@ def relative_ball(
     if oracle.group != group:
         raise ValueError("oracle is over a different group")
     if ambient is None:
-        ambient = enumerate_ball(group, radius, budget=budget, workers=workers)
+        ambient = enumerate_ball(group, radius, budget=budget)
     elif ambient.group != group or ambient.radius < radius:
         raise ValueError("supplied ambient ball does not cover the request")
     if ambient.radius > radius:
         ambient = ambient.up_to(radius)
     offset = group.num_factors - 1
-    chunks = partition(ambient.packed, workers)
-    results = parallel_map(
-        _filter_chunk, [(c, oracle, offset) for c in chunks], workers
-    )
     kept: list[bytes] = []
     unknown = [0] * (radius + 1)
-    for chunk_kept, unknown_lengths in results:
-        kept.extend(chunk_kept)
-        for n in unknown_lengths:
-            unknown[n] += 1
-    cumulative = []
-    running = 0
-    for c in unknown:
-        running += c
-        cumulative.append(running)
-    return Ball(group, radius, tuple(kept), tuple(cumulative))
+    for p in ambient.packed:
+        got = oracle.contains_packed(p)
+        if got is True:
+            kept.append(p)
+        elif got is None:
+            unknown[len(p) - offset] += 1
+    return Ball(group, radius, tuple(kept), tuple(accumulate(unknown)))
 
 
 @dataclass(frozen=True)
@@ -261,7 +236,6 @@ def growth_sequence(
     *,
     oracle: SubgroupOracle | None = None,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     ambient: Ball | None = None,
 ) -> GrowthTable:
     """Growth table via enumeration (and filtering, when an oracle is given).
@@ -271,7 +245,7 @@ def growth_sequence(
     violation means the enumeration itself is broken, so it raises.
     """
     if oracle is None:
-        ball = enumerate_ball(group, radius, budget=budget, workers=workers)
+        ball = enumerate_ball(group, radius, budget=budget)
         counts = ball.counts_by_radius
         bad = submultiplicativity_violations(counts)
         if bad:
@@ -279,9 +253,7 @@ def growth_sequence(
                 f"ball counts fail submultiplicativity at (m, n) = {bad[:3]}"
             )
         return GrowthTable(group, counts)
-    rel = relative_ball(
-        group, oracle, radius, budget=budget, workers=workers, ambient=ambient
-    )
+    rel = relative_ball(group, oracle, radius, budget=budget, ambient=ambient)
     return GrowthTable(
         group,
         rel.counts_by_radius,
@@ -358,7 +330,6 @@ def distortion(
     *,
     budget: int = DEFAULT_BUDGET,
     depth_cap: int = 64,
-    workers: int = 1,
     oracle: SubgroupOracle | None = None,
 ) -> DistortionTable:
     """Distortion of H = <generators> inside its ambient group.
@@ -379,7 +350,7 @@ def distortion(
             oracle = StallingsOracle(group, generators)
         else:
             oracle = BudgetedEnumerationOracle(group, generators, radius=radius)
-    rel = relative_ball(group, oracle, radius, budget=budget, workers=workers)
+    rel = relative_ball(group, oracle, radius, budget=budget)
     offset = group.num_factors - 1
     values = [0] * (radius + 1)
     for p in rel.packed:

@@ -8,6 +8,8 @@ bytes depend only on the logical spec: CSV for tables, JSON for reports,
 each embedding the canonical spec and the tool version. Worker count
 and output directory are execution knobs and are excluded from the
 embedded spec, which is what makes artifacts comparable across runs.
+The worker count sizes the process pool of the exhaustive delta scan;
+every other command accepts it and runs in one process.
 
 Exit codes: 0 success, 2 budget exceeded, 3 hypothesis or invariant
 violation detected, 64 spec parse error, 1 other failures. Errors are
@@ -443,27 +445,22 @@ def _execute(spec: ExperimentSpec) -> tuple[int, str]:
     oracle = parse_subgroup(group, spec.subgroup) if spec.subgroup is not None else None
 
     if spec.command == "growth":
-        ball = enumerate_ball(group, spec.max_radius, budget=spec.budget, workers=spec.workers)
+        ball = enumerate_ball(group, spec.max_radius, budget=spec.budget)
         return 0, _table_payload(spec, list(enumerate(ball.counts_by_radius)))
 
     if spec.command == "relgrowth":
-        ball = relative_ball(group, oracle, spec.max_radius, budget=spec.budget, workers=spec.workers)
+        ball = relative_ball(group, oracle, spec.max_radius, budget=spec.budget)
         rows = list(enumerate(ball.counts_by_radius))
         return 0, _table_payload(spec, rows, unknown=ball.unknown_by_radius)
 
     if spec.command == "distortion":
         table = distortion(
-            group,
-            oracle.generators,
-            spec.max_radius,
-            budget=spec.budget,
-            workers=spec.workers,
-            oracle=oracle,
+            group, oracle.generators, spec.max_radius, budget=spec.budget, oracle=oracle
         )
         return 0, _table_payload(spec, table.rows(), unknown=table.unknown)
 
     if spec.command == "delta":
-        ball = enumerate_ball(group, spec.max_radius, workers=spec.workers)
+        ball = enumerate_ball(group, spec.max_radius)
         metric = FiniteMetric.from_ball(ball)
         estimate = estimate_delta(
             metric,
@@ -509,9 +506,7 @@ def _execute(spec: ExperimentSpec) -> tuple[int, str]:
         )
         domain = oracle if oracle is not None else group
         try:
-            report = measure_ambiguity(
-                kit, domain, spec.smax, spec.tmax, budget=spec.budget, workers=spec.workers
-            )
+            report = measure_ambiguity(kit, domain, spec.smax, spec.tmax, budget=spec.budget)
         except AmbiguityBudgetError as exc:
             if exc.partial is not None:
                 # keep the truncated grid on disk next to the diagnostic
@@ -587,6 +582,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         _diagnose(exc)
         return 64
+    except BudgetError as exc:
+        # a budgeted subgroup oracle is built while its spec is canonicalized
+        _diagnose(exc)
+        return 2
     return run(spec)
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._parallel import parallel_map, partition
 from .cayley import DEFAULT_BUDGET, Ball, GrowthTable, enumerate_ball, relative_ball
 from .errors import (
     AmbiguityBudgetError,
@@ -140,27 +139,35 @@ def build_connector_kit(
     return ConnectorKit(group, g, h, n, pieces, c)
 
 
-def _doubled_scores(kit: ConnectorKit, u: bytes, v: bytes, nf: int) -> list[int]:
-    """2 max((u^-1.x)_1, (v.x^-1)_1) per piece; doubled values stay integral."""
-    lu = packed_length(u, nf)
-    lv = packed_length(v, nf)
-    out = []
+def _junction_scores(
+    kit: ConnectorKit, w: bytes, nf: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Doubled junction cancellation of w against each piece x, in order.
+
+    The first tuple holds 2 (w^-1 . x)_1 = |w| + |x| - |wx|, for w on the
+    left of x; the second holds 2 (w . x^-1)_1 = |w| + |x| - |xw|, for w on
+    the right. Doubled values stay integral.
+    """
+    lw = packed_length(w, nf)
+    left = []
+    right = []
     for piece in kit.pieces:
         x = piece.packed
         lx = packed_length(x, nf)
-        left = lu + lx - packed_length(multiply_packed(u, x, nf), nf)
-        right = lv + lx - packed_length(multiply_packed(x, v, nf), nf)
-        out.append(left if left > right else right)
-    return out
+        left.append(lw + lx - packed_length(multiply_packed(w, x, nf), nf))
+        right.append(lw + lx - packed_length(multiply_packed(x, w, nf), nf))
+    return tuple(left), tuple(right)
 
 
-def _select_index(kit: ConnectorKit, u: bytes, v: bytes, nf: int) -> int:
-    scores = _doubled_scores(kit, u, v, nf)
-    best = 0
-    for p in range(1, 4):
-        if scores[p] < scores[best]:
-            best = p
-    return best
+def _select(left: Sequence[int], right: Sequence[int]) -> tuple[int, int]:
+    """Index and doubled score of the piece whose worse junction cancels least.
+
+    left are u's scores, right are v's; ties go to the earliest piece in
+    the fixed order, which makes the concatenation map a function of (u, v).
+    """
+    scores = [a if a > b else b for a, b in zip(left, right)]
+    best = min(scores)
+    return scores.index(best), best
 
 
 def select_connector(kit: ConnectorKit, u: Element, v: Element) -> tuple[Element, float]:
@@ -172,12 +179,10 @@ def select_connector(kit: ConnectorKit, u: Element, v: Element) -> tuple[Element
     if u.group != kit.group or v.group != kit.group:
         raise GroupMismatchError("arguments must live in the kit's group")
     nf = kit.group.num_factors
-    scores = _doubled_scores(kit, u.packed, v.packed, nf)
-    best = 0
-    for p in range(1, 4):
-        if scores[p] < scores[best]:
-            best = p
-    return kit.pieces[best], scores[best] / 2
+    best, score = _select(
+        _junction_scores(kit, u.packed, nf)[0], _junction_scores(kit, v.packed, nf)[1]
+    )
+    return kit.pieces[best], score / 2
 
 
 def concat_apply(kit: ConnectorKit, u: Element, v: Element) -> Element:
@@ -221,27 +226,15 @@ def _resolve_domain(
     radius: int,
     *,
     ball_budget: int,
-    workers: int,
     ambient: Ball | None,
 ) -> tuple[GroupDescriptor, str, Ball]:
     """Group, printable name, and the ball of the domain up to the radius."""
     if isinstance(domain, GroupDescriptor):
         if ambient is not None and ambient.group == domain and ambient.radius >= radius:
             return domain, domain.spec(), ambient.up_to(radius)
-        return (
-            domain,
-            domain.spec(),
-            enumerate_ball(domain, radius, budget=ball_budget, workers=workers),
-        )
+        return domain, domain.spec(), enumerate_ball(domain, radius, budget=ball_budget)
     oracle = domain
-    ball = relative_ball(
-        oracle.group,
-        oracle,
-        radius,
-        budget=ball_budget,
-        workers=workers,
-        ambient=ambient,
-    )
+    ball = relative_ball(oracle.group, oracle, radius, budget=ball_budget, ambient=ambient)
     return oracle.group, oracle.spec_string(), ball
 
 
@@ -294,29 +287,6 @@ class AmbiguityReport:
         return out
 
 
-def _kit_cell_worker(
-    args: tuple[Sequence[tuple[tuple[bytes, ...], tuple[int, ...]]], Sequence[bytes], Sequence[tuple[int, ...]], int]
-) -> list[bytes]:
-    u_rows, vs, v_scores, nf = args
-    images = []
-    for ux, us in u_rows:
-        for j, vp in enumerate(vs):
-            vsj = v_scores[j]
-            best = 0
-            best_score = us[0] if us[0] > vsj[0] else vsj[0]
-            for p in (1, 2, 3):
-                score = us[p] if us[p] > vsj[p] else vsj[p]
-                if score < best_score:
-                    best_score, best = score, p
-            images.append(multiply_packed(ux[best], vp, nf))
-    return images
-
-
-def _naive_cell_worker(args: tuple[Sequence[bytes], Sequence[bytes], int]) -> list[bytes]:
-    us, vs, nf = args
-    return [multiply_packed(up, vp, nf) for up in us for vp in vs]
-
-
 def _max_fiber(images: list[bytes], max_len: int) -> tuple[int, bytes]:
     """Largest run in the sorted image list; ties pick the shortlex-least key."""
     images.sort()
@@ -367,7 +337,6 @@ def measure_ambiguity(
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
     fit_t: int | None = None,
-    workers: int = 1,
     ball_budget: int = DEFAULT_BUDGET,
     ambient: Ball | None = None,
 ) -> AmbiguityReport:
@@ -380,7 +349,7 @@ def measure_ambiguity(
     with the partial report attached.
     """
     group, name, ball = _resolve_domain(
-        domain, max(s_max, t_max), ball_budget=ball_budget, workers=workers, ambient=ambient
+        domain, max(s_max, t_max), ball_budget=ball_budget, ambient=ambient
     )
     if kit is not None and kit.group != group:
         raise GroupMismatchError("kit and domain groups differ")
@@ -394,21 +363,14 @@ def measure_ambiguity(
 
     if kit is not None:
         xs = [p.packed for p in kit.pieces]
-        lxs = [packed_length(x, nf) for x in xs]
-        u_rows = []
-        v_scores = []
-        for up in packed:
-            lu = packed_length(up, nf)
-            ux = tuple(multiply_packed(up, x, nf) for x in xs)
-            u_rows.append(
-                (ux, tuple(lu + lxs[p] - packed_length(ux[p], nf) for p in range(4)))
-            )
-            v_scores.append(
-                tuple(
-                    lu + lxs[p] - packed_length(multiply_packed(xs[p], up, nf), nf)
-                    for p in range(4)
-                )
-            )
+        u_pieces = [[multiply_packed(up, x, nf) for x in xs] for up in packed]
+        scores = [_junction_scores(kit, up, nf) for up in packed]
+        # the choice depends on u only through its left scores, which
+        # take few distinct values: one row of choices over all v each
+        picks: dict[tuple[int, ...], list[int]] = {}
+        for left, _ in scores:
+            if left not in picks:
+                picks[left] = [_select(left, right)[0] for _, right in scores]
 
     cells: list[CellStats] = []
     used = 0
@@ -426,23 +388,14 @@ def measure_ambiguity(
                 raise AmbiguityBudgetError(used + pairs, budget, partial)
             used += pairs
             vs = packed[:n_v]
-            if kit is not None:
-                chunks = partition(u_rows[:n_u], workers)
-                results = parallel_map(
-                    _kit_cell_worker,
-                    [(chunk, vs, v_scores[:n_v], nf) for chunk in chunks],
-                    workers,
-                )
+            if kit is None:
+                images = [multiply_packed(up, vp, nf) for up in packed[:n_u] for vp in vs]
             else:
-                chunks = partition(packed[:n_u], workers)
-                results = parallel_map(
-                    _naive_cell_worker,
-                    [(chunk, vs, nf) for chunk in chunks],
-                    workers,
-                )
-            images: list[bytes] = []
-            for res in results:
-                images.extend(res)
+                images = []
+                for ux, (left, _) in zip(u_pieces[:n_u], scores):
+                    images += [
+                        multiply_packed(ux[k], vp, nf) for k, vp in zip(picks[left], vs)
+                    ]
             fiber, key = _max_fiber(images, s + t + c + off)
             cells.append(
                 CellStats(s, t, s + t + c, pairs, fiber, Element(group, key))
@@ -463,7 +416,6 @@ def fiber_size(
     target: Element,
     *,
     ball_budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     ambient: Ball | None = None,
 ) -> int:
     """Exact fiber cardinality of one target over B(s) x B(t).
@@ -472,9 +424,7 @@ def fiber_size(
     u = target v^-1 x^-1 is the only candidate, kept when it fits in B(s),
     lies in the domain, and the selection rule actually picks x for it.
     """
-    group, _, ball = _resolve_domain(
-        domain, t, ball_budget=ball_budget, workers=workers, ambient=ambient
-    )
+    group, _, ball = _resolve_domain(domain, t, ball_budget=ball_budget, ambient=ambient)
     if target.group != group:
         raise GroupMismatchError("target outside the domain group")
     if kit is not None and kit.group != group:
@@ -492,13 +442,14 @@ def fiber_size(
                 continue
             count += 1
             continue
+        right = _junction_scores(kit, vp, nf)[1]
         for p, piece in enumerate(kit.pieces):
             up = multiply_packed(tv, invert_packed(piece.packed, nf), nf)
             if packed_length(up, nf) > s:
                 continue
             if oracle is not None and oracle.contains_packed(up) is not True:
                 continue
-            if _select_index(kit, up, vp, nf) == p:
+            if _select(_junction_scores(kit, up, nf)[0], right)[0] == p:
                 count += 1
     return count
 
@@ -508,7 +459,6 @@ def max_connector_score(
     domain: int | Ball,
     *,
     ball_budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> float:
     """Largest selected junction score over all pairs of a ball.
 
@@ -520,32 +470,10 @@ def max_connector_score(
         if ball.group != kit.group:
             raise GroupMismatchError("ball and kit groups differ")
     else:
-        ball = enumerate_ball(kit.group, domain, budget=ball_budget, workers=workers)
+        ball = enumerate_ball(kit.group, domain, budget=ball_budget)
     nf = kit.group.num_factors
-    xs = [p.packed for p in kit.pieces]
-    lxs = [packed_length(x, nf) for x in xs]
-    left_scores = []
-    right_scores = []
-    for up in ball.packed:
-        lu = packed_length(up, nf)
-        left_scores.append(
-            tuple(
-                lu + lxs[p] - packed_length(multiply_packed(up, xs[p], nf), nf)
-                for p in range(4)
-            )
-        )
-        right_scores.append(
-            tuple(
-                lu + lxs[p] - packed_length(multiply_packed(xs[p], up, nf), nf)
-                for p in range(4)
-            )
-        )
-    best = 0
-    for us in left_scores:
-        for vs in right_scores:
-            chosen = min(max(us[p], vs[p]) for p in range(4))
-            if chosen > best:
-                best = chosen
+    scores = [_junction_scores(kit, up, nf) for up in ball.packed]
+    best = max(_select(left, right)[1] for left, _ in scores for _, right in scores)
     return best / 2
 
 

@@ -11,6 +11,8 @@ budget (supermultiplicativity checks need balls of radius s+t+c).
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .errors import UnsupportedConfigurationError
 from .subgroups import (
@@ -21,9 +23,9 @@ from .subgroups import (
     StallingsGraph,
     StallingsOracle,
     SubgroupOracle,
-    cyclic_core,
+    power_lengths,
 )
-from .words import SEP, Element, GroupDescriptor, inverse_byte
+from .words import Element, GroupDescriptor, inverse_byte
 
 
 def free_sphere_counts(rank: int, n_max: int) -> list[int]:
@@ -37,19 +39,13 @@ def free_sphere_counts(rank: int, n_max: int) -> list[int]:
 
 
 def free_ball_counts(rank: int, n_max: int) -> list[int]:
-    out = []
-    total = 0
-    for s in free_sphere_counts(rank, n_max):
-        total += s
-        out.append(total)
-    return out
+    return list(accumulate(free_sphere_counts(rank, n_max)))
 
 
-def product_sphere_counts(ranks: tuple[int, ...], n_max: int) -> list[int]:
-    """Sphere sizes of a product: convolution of factor spheres."""
+def _convolve(factor_spheres: Iterable[Sequence[int]], n_max: int) -> list[int]:
+    """Sphere sizes of a product from the sphere sizes of its factors."""
     spheres = [1] + [0] * n_max
-    for rank in ranks:
-        factor = free_sphere_counts(rank, n_max)
+    for factor in factor_spheres:
         merged = [0] * (n_max + 1)
         for i, a in enumerate(spheres):
             if a:
@@ -59,14 +55,14 @@ def product_sphere_counts(ranks: tuple[int, ...], n_max: int) -> list[int]:
     return spheres
 
 
+def product_sphere_counts(ranks: tuple[int, ...], n_max: int) -> list[int]:
+    """Sphere sizes of a product: convolution of factor spheres."""
+    return _convolve((free_sphere_counts(rank, n_max) for rank in ranks), n_max)
+
+
 def ball_counts(group: GroupDescriptor, n_max: int) -> list[int]:
     """|B(n)| for the whole group, exact for any product of free factors."""
-    out = []
-    total = 0
-    for s in product_sphere_counts(group.ranks, n_max):
-        total += s
-        out.append(total)
-    return out
+    return list(accumulate(product_sphere_counts(group.ranks, n_max)))
 
 
 def stallings_ball_counts(graph: StallingsGraph, n_max: int) -> list[int]:
@@ -93,12 +89,7 @@ def stallings_ball_counts(graph: StallingsGraph, n_max: int) -> list[int]:
 
 def cyclic_ball_counts(generator: Element, n_max: int) -> list[int]:
     """|{k : |g^k| <= n}| per n, via |g^k| = tails + |k| * core."""
-    tails = 0
-    core = 0
-    for part in generator.packed.split(SEP):
-        z, c = cyclic_core(part)
-        tails += 2 * len(z)
-        core += len(c)
+    tails, core = power_lengths(generator)
     if core == 0:
         return [1] * (n_max + 1)
     return [1 + 2 * max(0, (n - tails) // core) for n in range(n_max + 1)]
@@ -115,23 +106,11 @@ def relative_ball_counts(oracle: SubgroupOracle, n_max: int) -> list[int]:
     if isinstance(oracle, CyclicOracle):
         return cyclic_ball_counts(oracle.generator, n_max)
     if isinstance(oracle, ProductOracle):
-        ball_lists = [
-            relative_ball_counts(sub, n_max) for sub in oracle.factor_oracles
-        ]
-        spheres = [1] + [0] * n_max
-        for balls in ball_lists:
-            factor = [balls[0]] + [balls[i] - balls[i - 1] for i in range(1, n_max + 1)]
-            merged = [0] * (n_max + 1)
-            for i, a in enumerate(spheres):
-                if a:
-                    for j in range(n_max + 1 - i):
-                        merged[i + j] += a * factor[j]
-            spheres = merged
-        out, total = [], 0
-        for s in spheres:
-            total += s
-            out.append(total)
-        return out
+        factor_spheres = []
+        for sub in oracle.factor_oracles:
+            balls = relative_ball_counts(sub, n_max)
+            factor_spheres.append([b - a for a, b in zip([0] + balls, balls)])
+        return list(accumulate(_convolve(factor_spheres, n_max)))
     if isinstance(oracle, PullbackOracle):
         if oracle._identity_maps and oracle.base is None:
             # |(w, ..., w)| = m |w|

@@ -42,6 +42,22 @@ class BallBudgetError(BudgetError):
         )
 
 
+class OracleBudgetError(BudgetError):
+    """Budgeted subgroup enumeration passed its element cap.
+
+    radius_reached is the last generator-word radius fully enumerated.
+    """
+
+    def __init__(self, cap: int, radius_reached: int, target_radius: int):
+        self.cap = cap
+        self.radius_reached = radius_reached
+        self.target_radius = target_radius
+        super().__init__(
+            f"budgeted oracle exceeded element cap {cap} after radius "
+            f"{radius_reached} of {target_radius}"
+        )
+
+
 class SearchDepthError(BudgetError):
     """Iterative-deepening word search exceeded its depth cap."""
 

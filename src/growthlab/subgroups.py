@@ -22,7 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import GroupMismatchError, ParseError, UnsupportedConfigurationError
+from .errors import (
+    GroupMismatchError,
+    OracleBudgetError,
+    ParseError,
+    UnsupportedConfigurationError,
+)
 from .words import (
     SEP,
     Element,
@@ -227,6 +232,21 @@ def cyclic_core(data: bytes) -> tuple[bytes, bytes]:
     return data[:i], data[i:j]
 
 
+def power_lengths(g: Element) -> tuple[int, int]:
+    """(tails, core) with |g^k| = tails + |k| core for every k != 0.
+
+    With g_i = z_i c_i z_i^-1 and c_i cyclically reduced per factor, tails
+    is sum_i 2|z_i| and core is sum_i |c_i|; core is 0 iff g is trivial.
+    """
+    tails = 0
+    core = 0
+    for part in g.packed.split(SEP):
+        z, c = cyclic_core(part)
+        tails += 2 * len(z)
+        core += len(c)
+    return tails, core
+
+
 class CyclicOracle(SubgroupOracle):
     """Membership in <g> for one element g of the ambient product.
 
@@ -244,14 +264,7 @@ class CyclicOracle(SubgroupOracle):
         self.group = group
         self.generator = generator
         self.generators = (generator,)
-        tails = 0
-        core = 0
-        for part in generator.packed.split(SEP):
-            z, c = cyclic_core(part)
-            tails += 2 * len(z)
-            core += len(c)
-        self._tail_len = tails
-        self._core_len = core  # 0 iff g is the identity
+        self._tail_len, self._core_len = power_lengths(generator)
 
     def contains_packed(self, packed: bytes) -> bool:
         nf = self.group.num_factors
@@ -411,7 +424,10 @@ def diagonal_oracle(group: GroupDescriptor) -> PullbackOracle:
 
 
 class BudgetedEnumerationOracle(SubgroupOracle):
-    """Enumerate products of at most `radius` generators; True or unknown."""
+    """Enumerate products of at most `radius` generators; True or unknown.
+
+    Passing element_cap distinct elements raises OracleBudgetError.
+    """
 
     kind = "budgeted"
 
@@ -431,18 +447,16 @@ class BudgetedEnumerationOracle(SubgroupOracle):
         ]
         seen = {group.identity().packed}
         frontier = list(seen)
-        for _ in range(radius):
+        for r in range(radius):
             new = []
             for u in frontier:
                 for s in step:
                     v = multiply_packed(u, s, nf)
                     if v not in seen:
+                        if len(seen) == element_cap:
+                            raise OracleBudgetError(element_cap, r, radius)
                         seen.add(v)
                         new.append(v)
-            if len(seen) > element_cap:
-                raise UnsupportedConfigurationError(
-                    f"budgeted oracle exceeded element cap {element_cap}"
-                )
             frontier = new
         self.known = frozenset(seen)
 

@@ -28,7 +28,7 @@ inputs and are shared by the enumeration-heavy modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GroupMismatchError, ParseError
 
@@ -446,10 +446,3 @@ def parse_element(group: GroupDescriptor, text: str) -> Element:
             parse_word_bytes(part, group.ranks[i]) for i, part in enumerate(parts)
         ),
     )
-
-
-def iter_letter_bytes(packed: bytes) -> Iterator[int]:
-    """Letters of a packed element, skipping factor separators."""
-    for b in packed:
-        if b:
-            yield b

@@ -1,5 +1,7 @@
 """Ball enumeration, growth tables, and distortion."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +15,18 @@ from growthlab.cayley import (
     submultiplicativity_violations,
     subgroup_word_length,
 )
+from growthlab.counting import ball_counts
 from growthlab.errors import BallBudgetError, SearchDepthError
 from growthlab.subgroups import CyclicOracle, StallingsOracle, diagonal_oracle, parse_subgroup
-from growthlab.words import Element, free_group, parse_element, product_group
+from growthlab.words import (
+    SEP,
+    Element,
+    GroupDescriptor,
+    free_group,
+    parse_element,
+    product_group,
+    reduce_letter_bytes,
+)
 
 F1 = free_group(1)
 F2 = free_group(2)
@@ -24,6 +35,32 @@ F2xF2 = product_group(2, 2)
 
 def el(text, group=F2):
     return parse_element(group, text)
+
+
+def brute_force_ball(group, radius):
+    """Reduce every letter string of length <= radius, factor by factor."""
+    letters = [
+        (i, b) for i, rank in enumerate(group.ranks) for b in range(1, 2 * rank + 1)
+    ]
+    seen = set()
+    for n in range(radius + 1):
+        for string in product(letters, repeat=n):
+            seen.add(
+                SEP.join(
+                    reduce_letter_bytes(b for j, b in string if j == i)
+                    for i in range(group.num_factors)
+                )
+            )
+    return sorted(seen, key=lambda p: (len(p), p))
+
+
+@st.composite
+def small_balls(draw):
+    """A product of one to three free factors of rank 1..3, and a radius."""
+    ranks = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    # keep the brute force to a few thousand letter strings
+    radius = draw(st.integers(0, 4 if 2 * sum(ranks) <= 8 else 3))
+    return GroupDescriptor(ranks), radius
 
 
 class TestEnumerateBall:
@@ -72,10 +109,31 @@ class TestEnumerateBall:
         assert exc.value.radius_reached < 10
         assert exc.value.budget == 100
 
-    def test_worker_counts_agree(self):
-        base = enumerate_ball(F2xF2, 3, workers=1)
-        for w in (2, 4, 8):
-            assert enumerate_ball(F2xF2, 3, workers=w).packed == base.packed
+    def test_budget_error_at_huge_radius_stops_counting_early(self):
+        # |B(4)| = 713 and |B(5)| = 2305 in F2 x F2; counting to radius
+        # 10^4 would take minutes
+        with pytest.raises(BallBudgetError) as exc:
+            enumerate_ball(F2xF2, 10_000, budget=1000)
+        assert exc.value.radius_reached == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_balls())
+    def test_matches_brute_force_reduction(self, case):
+        group, radius = case
+        assert list(enumerate_ball(group, radius).packed) == brute_force_ball(group, radius)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_balls(), st.integers(min_value=0, max_value=2000))
+    def test_budget_error_reports_last_radius_that_fits(self, case, budget):
+        group, radius = case
+        counts = ball_counts(group, radius)
+        fits = [n for n, size in enumerate(counts) if size <= budget]
+        if len(fits) == radius + 1:
+            assert len(enumerate_ball(group, radius, budget=budget)) == counts[-1]
+            return
+        with pytest.raises(BallBudgetError) as exc:
+            enumerate_ball(group, radius, budget=budget)
+        assert exc.value.radius_reached == (fits[-1] if fits else -1)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=4))

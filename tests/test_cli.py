@@ -214,6 +214,21 @@ class TestExitCodes:
         assert diag["error"] == "BallBudgetError"
         assert diag["radius_reached"] == 3
 
+    def test_budgeted_oracle_cap_is_2(self, tmp_path, capsys):
+        # the oracle is built while the spec is canonicalized, before any run
+        code = main(
+            [
+                "relgrowth", "--group", "product(free:2,free:2)",
+                "--subgroup", "(ab,a),(ba,b),(a,bb),(b,ab)", "--max-radius", "4",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "OracleBudgetError"
+        assert diag["cap"] == 1_000_000
+        assert diag["radius_reached"] < diag["target_radius"]
+
     def test_delta_tuple_cap_is_2(self, tmp_path, capsys):
         code = main(
             [

@@ -276,11 +276,6 @@ class TestMeasureAmbiguity:
         rep = measure_ambiguity(kit, diag, 4, 4)
         assert rep.max_fiber_by_t() == [1, 1, 2, 2, 3]
 
-    def test_worker_counts_agree(self, kit2):
-        base = measure_ambiguity(kit2, F2, 2, 2, workers=1)
-        for w in (2, 4):
-            assert measure_ambiguity(kit2, F2, 2, 2, workers=w) == base
-
     def test_budget_carries_partial_report(self, kit2):
         with pytest.raises(AmbiguityBudgetError) as exc:
             measure_ambiguity(kit2, F2, 2, 2, budget=30)

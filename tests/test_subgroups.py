@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab.errors import GroupMismatchError, UnsupportedConfigurationError
+from growthlab.errors import (
+    BudgetError,
+    GroupMismatchError,
+    OracleBudgetError,
+    UnsupportedConfigurationError,
+)
 from growthlab.subgroups import (
     BudgetedEnumerationOracle,
     CyclicOracle,
@@ -282,6 +287,14 @@ class TestBudgeted:
         assert orc.contains(el("aabb")) is True
         assert orc.contains(el("AAbb")) is True
         assert orc.contains(el("a")) is None
+
+    def test_element_cap_is_a_budget_error(self):
+        # radius 1 holds 5 elements of <aa,bb>, radius 2 another 12
+        with pytest.raises(OracleBudgetError) as exc:
+            BudgetedEnumerationOracle(F2, [el("aa"), el("bb")], radius=4, element_cap=10)
+        assert isinstance(exc.value, BudgetError)
+        assert (exc.value.cap, exc.value.radius_reached, exc.value.target_radius) == (10, 1, 4)
+        assert len(BudgetedEnumerationOracle(F2, [el("aa"), el("bb")], radius=2, element_cap=17).known) == 17
 
     def test_mixed_factor_generators_supported(self):
         orc = BudgetedEnumerationOracle(
