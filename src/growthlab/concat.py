@@ -140,23 +140,21 @@ def build_connector_kit(
 
 
 def _junction_scores(
-    kit: ConnectorKit, w: bytes, nf: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    kit: ConnectorKit, w: bytes, nf: int, *, left: bool
+) -> tuple[int, ...]:
     """Doubled junction cancellation of w against each piece x, in order.
 
-    The first tuple holds 2 (w^-1 . x)_1 = |w| + |x| - |wx|, for w on the
-    left of x; the second holds 2 (w . x^-1)_1 = |w| + |x| - |xw|, for w on
-    the right. Doubled values stay integral.
+    With w on the left of x this is 2 (w^-1 . x)_1 = |w| + |x| - |wx|; on
+    the right, 2 (w . x^-1)_1 = |w| + |x| - |xw|. Doubled values stay
+    integral.
     """
     lw = packed_length(w, nf)
-    left = []
-    right = []
+    out = []
     for piece in kit.pieces:
         x = piece.packed
-        lx = packed_length(x, nf)
-        left.append(lw + lx - packed_length(multiply_packed(w, x, nf), nf))
-        right.append(lw + lx - packed_length(multiply_packed(x, w, nf), nf))
-    return tuple(left), tuple(right)
+        joined = multiply_packed(w, x, nf) if left else multiply_packed(x, w, nf)
+        out.append(lw + packed_length(x, nf) - packed_length(joined, nf))
+    return tuple(out)
 
 
 def _select(left: Sequence[int], right: Sequence[int]) -> tuple[int, int]:
@@ -180,7 +178,8 @@ def select_connector(kit: ConnectorKit, u: Element, v: Element) -> tuple[Element
         raise GroupMismatchError("arguments must live in the kit's group")
     nf = kit.group.num_factors
     best, score = _select(
-        _junction_scores(kit, u.packed, nf)[0], _junction_scores(kit, v.packed, nf)[1]
+        _junction_scores(kit, u.packed, nf, left=True),
+        _junction_scores(kit, v.packed, nf, left=False),
     )
     return kit.pieces[best], score / 2
 
@@ -363,14 +362,19 @@ def measure_ambiguity(
 
     if kit is not None:
         xs = [p.packed for p in kit.pieces]
-        u_pieces = [[multiply_packed(up, x, nf) for x in xs] for up in packed]
-        scores = [_junction_scores(kit, up, nf) for up in packed]
-        # the choice depends on u only through its left scores, which
-        # take few distinct values: one row of choices over all v each
+        us = packed[: counts[s_max]]
+        u_pieces = [[multiply_packed(up, x, nf) for x in xs] for up in us]
+        lefts = [_junction_scores(kit, up, nf, left=True) for up in us]
+        rights = [
+            _junction_scores(kit, vp, nf, left=False) for vp in packed[: counts[t_max]]
+        ]
+        # the choice depends on u only through its left scores, so one row
+        # of choices per distinct left vector; the rows never hold more
+        # entries than the grid's top cell has pairs
         picks: dict[tuple[int, ...], list[int]] = {}
-        for left, _ in scores:
+        for left in lefts:
             if left not in picks:
-                picks[left] = [_select(left, right)[0] for _, right in scores]
+                picks[left] = [_select(left, right)[0] for right in rights]
 
     cells: list[CellStats] = []
     used = 0
@@ -392,7 +396,7 @@ def measure_ambiguity(
                 images = [multiply_packed(up, vp, nf) for up in packed[:n_u] for vp in vs]
             else:
                 images = []
-                for ux, (left, _) in zip(u_pieces[:n_u], scores):
+                for ux, left in zip(u_pieces[:n_u], lefts):
                     images += [
                         multiply_packed(ux[k], vp, nf) for k, vp in zip(picks[left], vs)
                     ]
@@ -442,14 +446,14 @@ def fiber_size(
                 continue
             count += 1
             continue
-        right = _junction_scores(kit, vp, nf)[1]
+        right = _junction_scores(kit, vp, nf, left=False)
         for p, piece in enumerate(kit.pieces):
             up = multiply_packed(tv, invert_packed(piece.packed, nf), nf)
             if packed_length(up, nf) > s:
                 continue
             if oracle is not None and oracle.contains_packed(up) is not True:
                 continue
-            if _select(_junction_scores(kit, up, nf)[0], right)[0] == p:
+            if _select(_junction_scores(kit, up, nf, left=True), right)[0] == p:
                 count += 1
     return count
 
@@ -472,8 +476,9 @@ def max_connector_score(
     else:
         ball = enumerate_ball(kit.group, domain, budget=ball_budget)
     nf = kit.group.num_factors
-    scores = [_junction_scores(kit, up, nf) for up in ball.packed]
-    best = max(_select(left, right)[1] for left, _ in scores for _, right in scores)
+    lefts = [_junction_scores(kit, up, nf, left=True) for up in ball.packed]
+    rights = [_junction_scores(kit, vp, nf, left=False) for vp in ball.packed]
+    best = max(_select(left, right)[1] for left in lefts for right in rights)
     return best / 2
 
 

@@ -453,7 +453,7 @@ class BudgetedEnumerationOracle(SubgroupOracle):
                 for s in step:
                     v = multiply_packed(u, s, nf)
                     if v not in seen:
-                        if len(seen) == element_cap:
+                        if len(seen) >= element_cap:
                             raise OracleBudgetError(element_cap, r, radius)
                         seen.add(v)
                         new.append(v)

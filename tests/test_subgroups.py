@@ -294,6 +294,8 @@ class TestBudgeted:
             BudgetedEnumerationOracle(F2, [el("aa"), el("bb")], radius=4, element_cap=10)
         assert isinstance(exc.value, BudgetError)
         assert (exc.value.cap, exc.value.radius_reached, exc.value.target_radius) == (10, 1, 4)
+        with pytest.raises(OracleBudgetError):
+            BudgetedEnumerationOracle(F2, [el("aa"), el("bb")], radius=4, element_cap=0)
         assert len(BudgetedEnumerationOracle(F2, [el("aa"), el("bb")], radius=2, element_cap=17).known) == 17
 
     def test_mixed_factor_generators_supported(self):
