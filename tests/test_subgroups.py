@@ -147,7 +147,81 @@ class TestStallings:
         assert orc.contains(el("(a,b)", F2xF2)) is False
 
 
+# Pinned fold_graph results as canonical_key() parts:
+# (rank, generator words, vertex count, edges as (from, letter byte, to)).
+FOLD_GOLDEN = [
+    (2, [], 1, ()),
+    (2, ["aa", "aaa"], 1, (
+        (0, 1, 0), (0, 2, 0),
+    )),
+    (2, ["abAB", "baBA"], 4, (
+        (0, 1, 1), (0, 3, 2), (1, 2, 0), (1, 3, 3), (2, 1, 3), (2, 4, 0), (3, 2, 2),
+        (3, 4, 1),
+    )),
+    (2, ["baB"], 2, (
+        (0, 3, 1), (1, 1, 1), (1, 2, 1), (1, 4, 0),
+    )),
+    (2, ["ab", "ab"], 2, (
+        (0, 1, 1), (0, 4, 1), (1, 2, 0), (1, 3, 0),
+    )),
+    (2, ["a", "b"], 1, (
+        (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0),
+    )),
+    (3, ["a", "b", "c"], 1, (
+        (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (0, 5, 0), (0, 6, 0),
+    )),
+    (2, ["aa", "bb", "ab"], 2, (
+        (0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (1, 1, 0), (1, 2, 0), (1, 3, 0),
+        (1, 4, 0),
+    )),
+    (2, ["aabA", "bbaB"], 5, (
+        (0, 1, 1), (0, 3, 2), (1, 1, 3), (1, 2, 0), (1, 4, 3), (2, 2, 4), (2, 3, 4),
+        (2, 4, 0), (3, 2, 1), (3, 3, 1), (4, 1, 2), (4, 4, 2),
+    )),
+    (2, ["abab", "bAbA"], 6, (
+        (0, 1, 1), (0, 3, 2), (0, 4, 3), (1, 2, 0), (1, 3, 4), (1, 4, 5), (2, 2, 5),
+        (2, 4, 0), (3, 2, 4), (3, 3, 0), (4, 1, 3), (4, 4, 1), (5, 1, 2), (5, 3, 1),
+    )),
+    (2, ["abbaB"], 5, (
+        (0, 1, 1), (0, 3, 2), (1, 2, 0), (1, 3, 3), (2, 2, 4), (2, 4, 0), (3, 3, 4),
+        (3, 4, 1), (4, 1, 2), (4, 4, 3),
+    )),
+    (2, ["aaBBa", "abAB"], 7, (
+        (0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 1, 4), (1, 2, 0), (1, 3, 5), (2, 1, 0),
+        (2, 3, 6), (3, 1, 5), (3, 4, 0), (4, 2, 1), (4, 4, 6), (5, 2, 3), (5, 4, 1),
+        (6, 3, 4), (6, 4, 2),
+    )),
+    (3, ["abcABC"], 6, (
+        (0, 1, 1), (0, 5, 2), (1, 2, 0), (1, 3, 3), (2, 3, 4), (2, 6, 0), (3, 4, 1),
+        (3, 5, 5), (4, 1, 5), (4, 4, 2), (5, 2, 4), (5, 6, 3),
+    )),
+    (3, ["aBcb", "cabC"], 6, (
+        (0, 1, 1), (0, 4, 2), (0, 5, 3), (1, 2, 0), (1, 4, 4), (2, 3, 0), (2, 6, 4),
+        (3, 1, 5), (3, 4, 5), (3, 6, 0), (4, 3, 1), (4, 5, 2), (5, 2, 3), (5, 3, 3),
+    )),
+    (2, ["aabb", "abab", "bbaa"], 8, (
+        (0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 4), (1, 1, 5), (1, 2, 0), (1, 3, 6),
+        (2, 1, 0), (2, 2, 7), (3, 3, 7), (3, 4, 0), (4, 2, 6), (4, 3, 0), (4, 4, 5),
+        (5, 2, 1), (5, 3, 4), (6, 1, 4), (6, 4, 1), (7, 1, 2), (7, 4, 3),
+    )),
+    (2, ["abaB", "aba"], 3, (
+        (0, 1, 1), (0, 2, 2), (0, 3, 0), (0, 4, 0), (1, 2, 0), (1, 3, 2), (2, 1, 0),
+        (2, 4, 1),
+    )),
+]
+
+
 class TestFoldingConfluence:
+    @pytest.mark.parametrize(
+        "rank,words,vertices,edges",
+        FOLD_GOLDEN,
+        ids=[",".join(words) or "empty" for _, words, _, _ in FOLD_GOLDEN],
+    )
+    def test_folded_graph_is_pinned(self, rank, words, vertices, edges):
+        graph = fold_graph([parse_word_bytes(w, rank) for w in words])
+        assert graph.num_vertices == vertices
+        assert graph.canonical_key() == (vertices, edges)
+
     def test_generator_order_is_irrelevant(self):
         rng = random.Random(23)
         for _ in range(15):
