@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .counting import ball_counts
 from .errors import BallBudgetError, InvariantViolationError, SearchDepthError
-from .subgroups import BudgetedEnumerationOracle, StallingsOracle, SubgroupOracle
+from .subgroups import SubgroupOracle, oracle_for_generators
 from .words import (
     SEP,
     Element,
@@ -340,16 +340,7 @@ def distortion(
     cannot certify are excluded but tallied in `unknown`.
     """
     if oracle is None:
-        supports = {
-            i
-            for g in generators
-            for i, p in enumerate(g.packed.split(SEP))
-            if p
-        }
-        if len(supports) <= 1:
-            oracle = StallingsOracle(group, generators)
-        else:
-            oracle = BudgetedEnumerationOracle(group, generators, radius=radius)
+        oracle = oracle_for_generators(group, generators, budget_radius=radius)
     rel = relative_ball(group, oracle, radius, budget=budget)
     offset = group.num_factors - 1
     values = [0] * (radius + 1)

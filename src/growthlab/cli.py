@@ -3,11 +3,13 @@
 An experiment is a one-line spec: a subcommand followed by flags.
 parse_spec canonicalizes it (group specs, subgroup specs, elements and
 function specs are reparsed and re-rendered, defaults are resolved), so
-render(parse(s)) is a normal form. Execution writes artifacts whose
-bytes depend only on the logical spec: CSV for tables, JSON for reports,
-each embedding the canonical spec and the tool version. Worker count
-and output directory are execution knobs and are excluded from the
-embedded spec, which is what makes artifacts comparable across runs.
+render(parse(s)) is a normal form. It canonicalizes a subgroup spec
+without enumerating anything; the subgroup's oracle is built once, when
+the experiment runs. Execution writes artifacts whose bytes depend only
+on the logical spec: CSV for tables, JSON for reports, each embedding
+the canonical spec and the tool version. Worker count and output
+directory are execution knobs and are excluded from the embedded spec,
+which is what makes artifacts comparable across runs.
 The worker count sizes the process pool of the exhaustive delta scan;
 every other command accepts it and runs in one process.
 
@@ -290,7 +292,10 @@ def parse_spec(text: str) -> ExperimentSpec:
 
     group_spec = canonical("group", lambda s: parse_group(s).spec())
     group = parse_group(group_spec)
-    subgroup = canonical("subgroup", lambda s: parse_subgroup(group, s).spec_string())
+    # radius 0 enumerates nothing; _execute builds the real oracle once
+    subgroup = canonical(
+        "subgroup", lambda s: parse_subgroup(group, s, budget_radius=0).spec_string()
+    )
 
     spec = ExperimentSpec(
         command=command,
@@ -582,10 +587,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         _diagnose(exc)
         return 64
-    except BudgetError as exc:
-        # a budgeted subgroup oracle is built while its spec is canonicalized
-        _diagnose(exc)
-        return 2
     return run(spec)
 
 

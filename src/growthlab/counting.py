@@ -112,7 +112,7 @@ def relative_ball_counts(oracle: SubgroupOracle, n_max: int) -> list[int]:
             factor_spheres.append([b - a for a, b in zip([0] + balls, balls)])
         return list(accumulate(_convolve(factor_spheres, n_max)))
     if isinstance(oracle, PullbackOracle):
-        if oracle._identity_maps and oracle.base is None:
+        if oracle.is_diagonal:
             # |(w, ..., w)| = m |w|
             m = oracle.group.num_factors
             base = free_ball_counts(oracle.group.ranks[0], n_max // m)

@@ -250,9 +250,6 @@ class DiscretePath:
     def stop(self) -> int:
         return self.start + len(self.points) - 1
 
-    def params(self) -> range:
-        return range(self.start, self.stop + 1)
-
     def point(self, t: int) -> Element:
         if not self.start <= t <= self.stop:
             raise ValueError(f"parameter {t} outside [{self.start}, {self.stop}]")

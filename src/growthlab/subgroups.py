@@ -88,26 +88,32 @@ class StallingsGraph:
 
 
 def fold_graph(loops: Sequence[bytes]) -> StallingsGraph:
-    """Wedge the generator loops at a basepoint and fold to a fixed point.
+    """Wedge the generator loops at a basepoint and fold (Stallings).
 
-    Folding merges the targets of equally labeled edges at a vertex. Merges
-    keep the lowest vertex id, so a run is deterministic; the folded graph
-    itself is independent of merge order (folding is confluent).
+    Every vertex keeps one target per letter. An edge whose letter is
+    already used at its source is not stored; its target and the existing
+    one are queued for a merge instead, and a merge pools the two vertices'
+    edges, which may queue more merges. One union-find records the merges.
+    A merge keeps the lower vertex id, so the basepoint stays 0 and a run
+    is deterministic; the folded graph itself is independent of merge
+    order (folding is confluent).
     """
-    # adjacency with multi-edges: vertex -> letter byte -> list of targets
-    adj: list[dict[int, list[int]]] = [{}]
+    adj: list[dict[int, int]] = [{}]
+    pending: list[tuple[int, int]] = []
 
     def add_edge(u: int, b: int, v: int) -> None:
-        adj[u].setdefault(b, []).append(v)
-        adj[v].setdefault(inverse_byte(b), []).append(u)
+        w = adj[u].setdefault(b, v)
+        if w != v:
+            pending.append((w, v))
 
     for loop in loops:
         prev = 0
         for i, b in enumerate(loop):
             nxt = 0 if i == len(loop) - 1 else len(adj)
-            if nxt == len(adj):
+            if nxt:
                 adj.append({})
             add_edge(prev, b, nxt)
+            add_edge(nxt, inverse_byte(b), prev)
             prev = nxt
 
     parent = list(range(len(adj)))
@@ -118,49 +124,21 @@ def fold_graph(loops: Sequence[bytes]) -> StallingsGraph:
             v = parent[v]
         return v
 
-    def union(a: int, b: int) -> int:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return ra
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
+    while pending:
+        lo, hi = sorted(map(find, pending.pop()))
+        if lo == hi:
+            continue
         parent[hi] = lo
-        merged = adj[lo]
-        for byte, targets in adj[hi].items():
-            merged.setdefault(byte, []).extend(targets)
+        # the reverse edges into hi stay put; find() sends them to lo
+        for b, v in adj[hi].items():
+            add_edge(lo, b, v)
         adj[hi] = {}
-        return lo
 
-    work = list(range(len(adj)))
-    while work:
-        v = find(work.pop())
-        revisit = False
-        for byte in sorted(adj[v]):
-            targets = adj[v].get(byte)
-            if not targets:
-                continue
-            roots = sorted({find(t) for t in targets})
-            adj[v][byte] = [roots[0]]
-            if len(roots) > 1:
-                merged = roots[0]
-                for other in roots[1:]:
-                    merged = union(merged, other)
-                work.append(merged)
-                revisit = True
-                if find(v) != v:
-                    # v itself was merged away; its root is already queued
-                    revisit = False
-                    break
-        if revisit:
-            work.append(v)
-
-    roots = sorted({find(v) for v in range(len(adj))})
-    base = find(0)
-    order = [base] + [r for r in roots if r != base]
-    index = {r: i for i, r in enumerate(order)}
-    transitions = tuple(
-        {byte: index[find(ts[0])] for byte, ts in adj[r].items() if ts} for r in order
+    roots = [v for v in range(len(adj)) if parent[v] == v]
+    index = {r: i for i, r in enumerate(roots)}
+    return StallingsGraph(
+        tuple({b: index[find(v)] for b, v in adj[r].items()} for r in roots)
     )
-    return StallingsGraph(transitions)
 
 
 class SubgroupOracle:
@@ -185,6 +163,11 @@ class SubgroupOracle:
         raise NotImplementedError
 
 
+def factor_support(generators: Sequence[Element]) -> set[int]:
+    """Indices of the factors on which some generator is nontrivial."""
+    return {i for g in generators for i, p in enumerate(g.packed.split(SEP)) if p}
+
+
 class StallingsOracle(SubgroupOracle):
     """Exact membership in a subgroup of one free factor."""
 
@@ -193,22 +176,15 @@ class StallingsOracle(SubgroupOracle):
     def __init__(self, group: GroupDescriptor, generators: Sequence[Element]):
         self.group = group
         self.generators = tuple(generators)
-        seen_factors: set[int] = set()
-        words: list[bytes] = []
-        for g in self.generators:
-            if g.group != group:
-                raise UnsupportedConfigurationError("generator outside the group")
-            parts = g.packed.split(SEP)
-            nontrivial = [i for i, p in enumerate(parts) if p]
-            seen_factors.update(nontrivial)
-            if len(seen_factors) > 1:
-                raise UnsupportedConfigurationError(
-                    "Stallings oracle needs generators inside a single free factor"
-                )
-            if nontrivial:
-                words.append(parts[nontrivial[0]])
-        self.factor = next(iter(seen_factors)) if seen_factors else 0
-        self.graph = fold_graph(words)
+        if any(g.group != group for g in self.generators):
+            raise UnsupportedConfigurationError("generator outside the group")
+        support = factor_support(self.generators)
+        if len(support) > 1:
+            raise UnsupportedConfigurationError(
+                "Stallings oracle needs generators inside a single free factor"
+            )
+        self.factor = min(support, default=0)
+        self.graph = fold_graph([g.packed.split(SEP)[self.factor] for g in self.generators])
 
     def contains_packed(self, packed: bytes) -> bool:
         if self.group.num_factors == 1:
@@ -377,6 +353,11 @@ class PullbackOracle(SubgroupOracle):
             for w in base_words
         )
 
+    @property
+    def is_diagonal(self) -> bool:
+        """Identity maps on all of factor 0: the diagonal {(w, ..., w)}."""
+        return self._identity_maps and self.base is None
+
     def _apply(self, image_index: int, data: bytes) -> bytes:
         imgs = self.images[image_index]
         out = b""
@@ -400,7 +381,7 @@ class PullbackOracle(SubgroupOracle):
         return self.base.contains_packed(w)
 
     def spec_string(self) -> str:
-        if self._identity_maps and self.base is None:
+        if self.is_diagonal:
             return "diag"
         imgs = ";".join(
             ",".join(render_word_bytes(w.data) for w in image) for image in self.images
@@ -502,6 +483,23 @@ def embed(g: Element, factors: Sequence[int], target: GroupDescriptor) -> Elemen
     return Element(target, SEP.join(out))
 
 
+def oracle_for_generators(
+    group: GroupDescriptor,
+    generators: Sequence[Element],
+    *,
+    budget_radius: int,
+) -> SubgroupOracle:
+    """The oracle for <generators>: exact on one free factor, else budgeted.
+
+    Generators supported on one free factor give a Stallings oracle.
+    Across factors exact membership is not available in general, so the
+    oracle enumerates products of at most budget_radius generators.
+    """
+    if len(factor_support(generators)) <= 1:
+        return StallingsOracle(group, generators)
+    return BudgetedEnumerationOracle(group, generators, radius=budget_radius)
+
+
 def _split_top_level(text: str, sep: str) -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in text:
@@ -527,10 +525,9 @@ def parse_subgroup(
     """Parse a subgroup spec against an ambient group.
 
     Forms: "aa,bb" (generator list), cyclic:<element>, diag, and
-    prod(<spec>;<spec>;...). A generator list supported on one free factor
-    becomes a Stallings oracle; anything spread across factors becomes a
-    budgeted enumeration oracle, since exact membership is not available
-    there in general.
+    prod(<spec>;<spec>;...). A generator list gets its oracle from
+    oracle_for_generators. spec_string() does not depend on budget_radius,
+    and budget_radius=0 enumerates nothing.
     """
     text = text.strip()
     if not text:
@@ -560,7 +557,4 @@ def parse_subgroup(
     if any(not p for p in gen_texts):
         raise ParseError(f"empty generator in subgroup spec {text!r}")
     gens = [group.parse(p) for p in gen_texts]
-    supports = {i for g in gens for i, p in enumerate(g.packed.split(SEP)) if p}
-    if len(supports) <= 1:
-        return StallingsOracle(group, gens)
-    return BudgetedEnumerationOracle(group, gens, radius=budget_radius)
+    return oracle_for_generators(group, gens, budget_radius=budget_radius)

@@ -163,10 +163,6 @@ class Word:
     def render(self) -> str:
         return render_word_bytes(self.data)
 
-    @classmethod
-    def from_text(cls, text: str, rank: int = MAX_RANK) -> "Word":
-        return cls(parse_word_bytes(text, rank))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Word({self.render()!r})"
 
@@ -290,16 +286,6 @@ class Element:
             )
         for i, part in enumerate(parts):
             _check_word_bytes(part, self.group.ranks[i], f"factor {i} word")
-
-    @classmethod
-    def from_words(cls, group: GroupDescriptor, words: Sequence[Word]) -> "Element":
-        if len(words) != group.num_factors:
-            raise ValueError("one word per factor required")
-        return cls(group, SEP.join(w.data for w in words))
-
-    @property
-    def components(self) -> tuple[Word, ...]:
-        return tuple(Word(part) for part in self.packed.split(SEP))
 
     def component(self, factor: int) -> Word:
         return Word(self.packed.split(SEP)[factor])

@@ -9,6 +9,7 @@ import pytest
 
 from growthlab.cli import ExperimentSpec, main, parse_spec, run
 from growthlab.errors import ParseError
+from growthlab.subgroups import BudgetedEnumerationOracle
 
 
 def run_into(tmp_path, text):
@@ -215,7 +216,7 @@ class TestExitCodes:
         assert diag["radius_reached"] == 3
 
     def test_budgeted_oracle_cap_is_2(self, tmp_path, capsys):
-        # the oracle is built while the spec is canonicalized, before any run
+        # the oracle is built once, when the run starts, before any ball
         code = main(
             [
                 "relgrowth", "--group", "product(free:2,free:2)",
@@ -251,6 +252,27 @@ class TestExitCodes:
 
     def test_success_is_0(self, tmp_path):
         assert main(["growth", "--group", "free:2", "--max-radius", "2", "--out", str(tmp_path)]) == 0
+
+
+def test_budgeted_oracle_is_built_once_per_run(tmp_path, monkeypatch):
+    # radius 0 enumerates nothing, so only radius > 0 counts as a build
+    builds = []
+    init = BudgetedEnumerationOracle.__init__
+
+    def counting_init(self, group, generators, radius=8, element_cap=1_000_000):
+        if radius > 0:
+            builds.append(radius)
+        init(self, group, generators, radius, element_cap)
+
+    monkeypatch.setattr(BudgetedEnumerationOracle, "__init__", counting_init)
+    code = main(
+        [
+            "relgrowth", "--group", "product(free:2,free:2)",
+            "--subgroup", "(a,a),(b,b)", "--max-radius", "2", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    assert len(builds) == 1
 
 
 class TestDeterminism:
