@@ -10,8 +10,9 @@ on the logical spec: CSV for tables, JSON for reports, each embedding
 the canonical spec and the tool version. Worker count and output
 directory are execution knobs and are excluded from the embedded spec,
 which is what makes artifacts comparable across runs.
-The worker count sizes the process pool of the exhaustive delta scan;
-every other command accepts it and runs in one process.
+Every command accepts the worker count and runs in one process; no
+command forks. A budgeted subgroup oracle may enumerate at most
+min(1,000,000, --budget-elements) elements.
 
 Exit codes: 0 success, 2 budget exceeded, 3 hypothesis or invariant
 violation detected, 64 spec parse error, 1 other failures. Errors are
@@ -50,7 +51,7 @@ from .hyperbolic import (
     estimate_delta,
 )
 from .rate import RateHypothesis, default_growth_bound, fekete_lower_bound, parse_funcspec
-from .subgroups import parse_subgroup
+from .subgroups import DEFAULT_ELEMENT_CAP, parse_subgroup
 from .words import GroupDescriptor, parse_element, parse_group
 
 __all__ = ["ExperimentSpec", "parse_spec", "run", "main"]
@@ -447,7 +448,10 @@ def _ambiguity_payload(spec, report):
 def _execute(spec: ExperimentSpec) -> tuple[int, str]:
     """Run one experiment; returns (exit_code, artifact_text)."""
     group = parse_group(spec.group)
-    oracle = parse_subgroup(group, spec.subgroup) if spec.subgroup is not None else None
+    oracle = None
+    if spec.subgroup is not None:
+        cap = min(DEFAULT_ELEMENT_CAP, spec.budget or DEFAULT_ELEMENT_CAP)
+        oracle = parse_subgroup(group, spec.subgroup, element_cap=cap)
 
     if spec.command == "growth":
         ball = enumerate_ball(group, spec.max_radius, budget=spec.budget)
@@ -473,7 +477,6 @@ def _execute(spec: ExperimentSpec) -> tuple[int, str]:
             trials=spec.trials,
             seed=spec.seed,
             tuple_cap=spec.budget,
-            workers=spec.workers,
         )
         report = {
             "delta": estimate.delta,

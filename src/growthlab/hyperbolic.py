@@ -14,17 +14,18 @@ of the ambient space, never an upper bound.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map, partition
 from .cayley import Ball, enumerate_ball
 from .errors import GroupMismatchError, ParseError, TupleBudgetError, UnsupportedConfigurationError
-from .words import Element, GroupDescriptor, distance, multiply_words
+from .words import SEP, Element, GroupDescriptor, distance, multiply_words
 
 DEFAULT_TUPLE_CAP = 200_000_000
+_TRIAL_CHUNK = 1 << 14  # random-mode trials evaluated per numpy batch
 
 
 def gromov_product(x: Element, y: Element, o: Element) -> float:
@@ -67,6 +68,9 @@ class FiniteMetric:
         off = d + np.eye(n, dtype=d.dtype)
         if (off == 0).any():
             raise ValueError("distinct points at distance zero")
+        # sums of two entries fit the narrowest unsigned type holding 2 max(d)
+        if d.dtype.kind in "iu":
+            d = d.astype(np.min_scalar_type(2 * int(d.max())))
         for j in range(n):
             if (np.add.outer(d[:, j], d[j, :]) < d).any():
                 raise ValueError(f"triangle inequality fails through point {j}")
@@ -80,7 +84,14 @@ class FiniteMetric:
 
     @classmethod
     def from_elements(cls, elements: Sequence[Element]) -> "FiniteMetric":
-        """Word-metric sample on the given elements."""
+        """Word-metric sample on the given elements.
+
+        In a product of free groups d(u, v) is the sum over factors of
+        |u_i| + |v_i| - 2 lcp(u_i, v_i), lcp being the longest common
+        prefix of the reduced factor words. Each factor's words are laid
+        out as an n x width letter array padded with zero bytes (no letter
+        byte is zero), so the common prefixes are one column scan.
+        """
         elems = tuple(elements)
         if not elems:
             raise ValueError("empty sample")
@@ -88,13 +99,20 @@ class FiniteMetric:
         if any(g.group != group for g in elems):
             raise GroupMismatchError("sample mixes groups")
         n = len(elems)
-        inv = [g.inverse() for g in elems]
-        d2 = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = (inv[i] * elems[j]).length()
-                d2[i, j] = d2[j, i] = 2 * d
-        return cls(elems, d2)
+        d = np.zeros((n, n), dtype=np.int64)
+        for words in zip(*(g.packed.split(SEP) for g in elems)):
+            lengths = np.array([len(w) for w in words], dtype=np.int64)
+            width = int(lengths.max())
+            letters = np.frombuffer(
+                b"".join(w.ljust(width, b"\0") for w in words), dtype=np.uint8
+            ).reshape(n, width)
+            common = np.ones((n, n), dtype=bool)
+            lcp = np.zeros((n, n), dtype=np.int64)
+            for col in letters.T:
+                common &= (col[:, None] == col) & (col != 0)[:, None]
+                lcp += common
+            d += lengths[:, None] + lengths - 2 * lcp
+        return cls(elems, 2 * d)
 
     @classmethod
     def from_ball(cls, ball: Ball) -> "FiniteMetric":
@@ -157,23 +175,44 @@ class DeltaEstimate:
         return self.delta
 
 
-def _scan_basepoints(args: tuple[Sequence[int], np.ndarray]) -> tuple[int, tuple[int, int, int, int]]:
-    """Max defect 4((x.z)_o ^ (z.y)_o - (x.y)_o) over o in the chunk."""
-    basepoints, d2 = args
-    best = 0
-    witness = (0, 0, 0, 0)
-    for o in basepoints:
-        g4 = np.add.outer(d2[:, o], d2[:, o]) - d2
-        for x in range(d2.shape[0]):
-            row = g4[x]
-            maxmin = np.minimum(row[:, None], g4).max(axis=0)
-            defects = maxmin - row
-            y = int(defects.argmax())
-            if defects[y] > best:
-                best = int(defects[y])
-                z = int(np.minimum(row, g4[:, y]).argmax())
-                witness = (o, x, y, z)
-    return best, witness
+def _block_defect(g4: np.ndarray, above: int) -> int:
+    """max over x, y of max_z min(g4[x,z], g4[z,y]) - g4[x,y], if above `above`.
+
+    max_z min(g4[x,z], g4[z,y]) >= t exactly when (A @ A)[x,y] > 0 for the
+    0/1 matrix A = (g4 >= t): a sum of 0/1 products with a positive term
+    never rounds to 0 in float32. So each distinct value t of g4 gives the
+    candidate t - min{g4[x,y] : (A @ A)[x,y] > 0}, and the largest
+    candidate is the defect. Row x of A is zero unless g4[x,x] >= t
+    (g4[x,x] bounds its row), so the product runs over those rows only.
+    The block's first point is its basepoint, whose row of g4 is 0, so a
+    candidate is at most t and values t <= above are skipped. Returns
+    `above` when the defect does not exceed it.
+    """
+    best = above
+    diag = np.diag(g4)
+    values = np.sort(g4, axis=None)
+    for t in values[1:][values[1:] != values[:-1]]:
+        if t <= best:
+            continue
+        far = np.flatnonzero(diag >= t)
+        sub = g4[np.ix_(far, far)]
+        a = (sub >= t).astype(np.float32)
+        best = max(best, int(t - sub[(a @ a) > 0].min()))
+    return best
+
+
+def _first_witness(sample: FiniteMetric, o: int, target: int) -> tuple[int, int, int, int]:
+    """The first (o, x, y, z) at basepoint o whose defect is target, in
+    x order, then first argmax y, then first argmax z."""
+    g4 = sample.gromov4(o)
+    for x in range(sample.size):
+        row = g4[x]
+        defects = np.minimum(row[:, None], g4).max(axis=0) - row
+        y = int(defects.argmax())
+        if defects[y] == target:
+            z = int(np.minimum(row, g4[:, y]).argmax())
+            return (o, x, y, z)
+    raise AssertionError("target defect not found at its basepoint")
 
 
 def estimate_delta(
@@ -183,44 +222,50 @@ def estimate_delta(
     trials: int = 10_000,
     seed: int = 0,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
-    workers: int = 1,
 ) -> DeltaEstimate:
     """Smallest delta making the four-point condition hold on the sample.
 
-    Exhaustive mode scans all ordered quadruples (cost grows with the
-    fourth power of the sample; refuses beyond tuple_cap). Random mode
-    samples quadruples reproducibly from the seed and yields a lower
-    bound for the exhaustive answer.
+    Exhaustive mode covers all n^4 ordered quadruples and refuses beyond
+    tuple_cap. The defect 4(min((x.z)_o, (z.y)_o) - (x.y)_o) equals
+    d(x,y) + d(z,o) - max(d(x,z) + d(y,o), d(y,z) + d(x,o)) (doubled),
+    which the 8 permutations keeping the pairing {{x,y},{z,o}} leave
+    unchanged; they move any point to the basepoint slot, so basepoint o
+    only needs the points o..n-1. Each basepoint costs one float32 matrix
+    product per distinct Gromov product above the best defect so far: at
+    most 4r+1 of them on a word-metric ball of radius r, but up to n^2 on
+    an arbitrary metric (from_csv). The witness is the first quadruple in
+    (o, x) order with the largest defect, first argmax y, first argmax z.
+
+    Random mode draws the four indices of each trial from
+    random.Random(seed).randrange(n) in o, x, y, z order and yields a
+    lower bound for the exhaustive answer; its witness is the first trial
+    with the largest positive defect.
     """
     n = sample.size
     if mode == "exhaustive":
         needed = n**4
         if needed > tuple_cap:
             raise TupleBudgetError(needed=needed, cap=tuple_cap)
-        chunks = partition(range(n), workers)
-        results = parallel_map(
-            _scan_basepoints, [(c, sample.dist2) for c in chunks], workers
-        )
-        best, witness = 0, (0, 0, 0, 0)
-        for got, wit in results:
+        best, first = 0, 0
+        for o in range(n):
+            got = _block_defect(sample.gromov4(o)[o:, o:], best)
             if got > best:
-                best, witness = got, wit
+                best, first = got, o
+        witness = _first_witness(sample, first, best) if best else (0, 0, 0, 0)
         checked = needed
     elif mode == "random":
-        import random as _random
-
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         d2 = sample.dist2
-
-        def g4(o: int, i: int, j: int) -> int:
-            return int(d2[i, o]) + int(d2[j, o]) - int(d2[i, j])
-
         best, witness = 0, (0, 0, 0, 0)
-        for _ in range(trials):
-            o, x, y, z = (rng.randrange(n) for _ in range(4))
-            defect = min(g4(o, x, z), g4(o, z, y)) - g4(o, x, y)
-            if defect > best:
-                best, witness = defect, (o, x, y, z)
+        for start in range(0, trials, _TRIAL_CHUNK):
+            m = min(_TRIAL_CHUNK, trials - start)
+            quads = np.array([rng.randrange(n) for _ in range(4 * m)]).reshape(m, 4)
+            o, x, y, z = quads.T
+            xo, yo, zo = d2[x, o], d2[y, o], d2[z, o]
+            defects = np.minimum(xo + zo - d2[x, z], zo + yo - d2[z, y]) - (xo + yo - d2[x, y])
+            i = int(defects.argmax())
+            if defects[i] > best:
+                best, witness = int(defects[i]), tuple(int(v) for v in quads[i])
         checked = trials
     else:
         raise ValueError(f"unknown mode {mode!r}")

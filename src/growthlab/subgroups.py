@@ -404,6 +404,9 @@ def diagonal_oracle(group: GroupDescriptor) -> PullbackOracle:
     return PullbackOracle(group, identity_images)
 
 
+DEFAULT_ELEMENT_CAP = 1_000_000
+
+
 class BudgetedEnumerationOracle(SubgroupOracle):
     """Enumerate products of at most `radius` generators; True or unknown.
 
@@ -417,7 +420,7 @@ class BudgetedEnumerationOracle(SubgroupOracle):
         group: GroupDescriptor,
         generators: Sequence[Element],
         radius: int = 8,
-        element_cap: int = 1_000_000,
+        element_cap: int = DEFAULT_ELEMENT_CAP,
     ):
         self.group = group
         self.generators = tuple(generators)
@@ -488,16 +491,20 @@ def oracle_for_generators(
     generators: Sequence[Element],
     *,
     budget_radius: int,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> SubgroupOracle:
     """The oracle for <generators>: exact on one free factor, else budgeted.
 
     Generators supported on one free factor give a Stallings oracle.
     Across factors exact membership is not available in general, so the
-    oracle enumerates products of at most budget_radius generators.
+    oracle enumerates products of at most budget_radius generators, and
+    at most element_cap distinct elements.
     """
     if len(factor_support(generators)) <= 1:
         return StallingsOracle(group, generators)
-    return BudgetedEnumerationOracle(group, generators, radius=budget_radius)
+    return BudgetedEnumerationOracle(
+        group, generators, radius=budget_radius, element_cap=element_cap
+    )
 
 
 def _split_top_level(text: str, sep: str) -> list[str]:
@@ -521,13 +528,15 @@ def parse_subgroup(
     text: str,
     *,
     budget_radius: int = 8,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> SubgroupOracle:
     """Parse a subgroup spec against an ambient group.
 
     Forms: "aa,bb" (generator list), cyclic:<element>, diag, and
     prod(<spec>;<spec>;...). A generator list gets its oracle from
-    oracle_for_generators. spec_string() does not depend on budget_radius,
-    and budget_radius=0 enumerates nothing.
+    oracle_for_generators, with budget_radius and element_cap.
+    spec_string() does not depend on either, and budget_radius=0
+    enumerates nothing.
     """
     text = text.strip()
     if not text:
@@ -548,7 +557,10 @@ def parse_subgroup(
             group,
             [
                 parse_subgroup(
-                    free_group(group.ranks[i]), piece, budget_radius=budget_radius
+                    free_group(group.ranks[i]),
+                    piece,
+                    budget_radius=budget_radius,
+                    element_cap=element_cap,
                 )
                 for i, piece in enumerate(pieces)
             ],
@@ -557,4 +569,6 @@ def parse_subgroup(
     if any(not p for p in gen_texts):
         raise ParseError(f"empty generator in subgroup spec {text!r}")
     gens = [group.parse(p) for p in gen_texts]
-    return oracle_for_generators(group, gens, budget_radius=budget_radius)
+    return oracle_for_generators(
+        group, gens, budget_radius=budget_radius, element_cap=element_cap
+    )

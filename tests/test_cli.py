@@ -230,6 +230,22 @@ class TestExitCodes:
         assert diag["cap"] == 1_000_000
         assert diag["radius_reached"] < diag["target_radius"]
 
+    def test_budgeted_oracle_cap_follows_budget(self, tmp_path, capsys):
+        # the element budget lowers the cap, so the overrun stops at 5000
+        # elements instead of 1,000,000
+        code = main(
+            [
+                "relgrowth", "--group", "product(free:2,free:2)",
+                "--subgroup", "(ab,a),(ba,b),(a,bb),(b,ab)", "--max-radius", "4",
+                "--budget-elements", "5000", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "OracleBudgetError"
+        assert diag["cap"] == 5000
+        assert diag["radius_reached"] < diag["target_radius"]
+
     def test_delta_tuple_cap_is_2(self, tmp_path, capsys):
         code = main(
             [

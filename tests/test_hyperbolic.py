@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthlab import hyperbolic
 from growthlab.cayley import enumerate_ball
 from growthlab.errors import (
     GroupMismatchError,
@@ -44,6 +45,58 @@ def random_element(rng, group, max_len=6):
     for _ in range(rng.randrange(max_len + 1)):
         g = g * rng.choice(gens)
     return g
+
+
+def reference_scan(d2):
+    """Every ordered quadruple, basepoint by basepoint: the largest defect
+    4((x.z)_o ^ (z.y)_o - (x.y)_o), witnessed by the first (o, x) that
+    reaches it, its first argmax y and first argmax z."""
+    best = 0
+    witness = (0, 0, 0, 0)
+    for o in range(d2.shape[0]):
+        g4 = np.add.outer(d2[:, o], d2[:, o]) - d2
+        for x in range(d2.shape[0]):
+            row = g4[x]
+            maxmin = np.minimum(row[:, None], g4).max(axis=0)
+            defects = maxmin - row
+            y = int(defects.argmax())
+            if defects[y] > best:
+                best = int(defects[y])
+                z = int(np.minimum(row, g4[:, y]).argmax())
+                witness = (o, x, y, z)
+    return best, witness
+
+
+def reference_random(d2, trials, seed):
+    """One trial at a time: the first trial with the largest positive defect."""
+    rng = random.Random(seed)
+    n = d2.shape[0]
+
+    def g4(o, i, j):
+        return int(d2[i, o]) + int(d2[j, o]) - int(d2[i, j])
+
+    best, witness = 0, (0, 0, 0, 0)
+    for _ in range(trials):
+        o, x, y, z = (rng.randrange(n) for _ in range(4))
+        defect = min(g4(o, x, z), g4(o, z, y)) - g4(o, x, y)
+        if defect > best:
+            best, witness = defect, (o, x, y, z)
+    return best, witness
+
+
+@st.composite
+def finite_metrics(draw):
+    """Shortest-path metrics of complete graphs with doubled edge weights
+    1..9 (odd ones are half-integer distances), sometimes scaled so the
+    doubled distances need more than 8 bits."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n * n, max_size=n * n))
+    d = np.array(weights, dtype=np.int64).reshape(n, n)
+    d = np.minimum(d, d.T) * draw(st.sampled_from([1, 1, 100]))
+    np.fill_diagonal(d, 0)
+    for k in range(n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return FiniteMetric(tuple(f"p{i}" for i in range(n)), d)
 
 
 def c4_metric():
@@ -109,6 +162,37 @@ class TestFiniteMetric:
         with pytest.raises(ValueError, match="triangle"):
             FiniteMetric(("x", "y", "z"), d)
 
+    def test_rejects_triangle_violation_past_eight_bits(self):
+        # 2 max(d) = 2000 needs 16 bits; a near-miss must still be caught
+        d = 2 * np.array([[0, 250, 501], [250, 0, 250], [501, 250, 0]], dtype=np.int64)
+        with pytest.raises(ValueError, match="triangle"):
+            FiniteMetric(("x", "y", "z"), d)
+        d[0, 2] = d[2, 0] = 1000
+        assert FiniteMetric(("x", "y", "z"), d).distance(0, 2) == 500
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 1, 2), (1, 3), (2, 2)]),
+        st.integers(0, 10**6),
+    )
+    def test_from_elements_matches_pairwise_distance(self, ranks, seed):
+        # random samples, not balls: words of mixed lengths in any order
+        rng = random.Random(seed)
+        group = product_group(*ranks)
+        elems = list(dict.fromkeys(random_element(rng, group, 7) for _ in range(rng.randrange(1, 25))))
+        rng.shuffle(elems)
+        m = FiniteMetric.from_elements(elems)
+        assert m.dist2.dtype == np.int64
+        for i, g in enumerate(elems):
+            for j, h in enumerate(elems):
+                assert m.dist2[i, j] == 2 * distance(g, h)
+
+    def test_from_elements_rejects_empty_and_mixed(self):
+        with pytest.raises(ValueError, match="empty"):
+            FiniteMetric.from_elements([])
+        with pytest.raises(GroupMismatchError):
+            FiniteMetric.from_elements([ONE, F2xF1.identity()])
+
     def test_rejects_indiscernible_points(self):
         d = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(ValueError, match="distance zero"):
@@ -167,11 +251,39 @@ class TestEstimateDelta:
         assert r1 == r2
         assert r1.delta <= exact
 
-    def test_worker_counts_agree(self):
-        m = FiniteMetric.from_ball(enumerate_ball(F2, 2))
-        base = estimate_delta(m, workers=1)
-        for w in (2, 4):
-            assert estimate_delta(m, workers=w) == base
+    @settings(max_examples=60, deadline=None)
+    @given(finite_metrics())
+    def test_exhaustive_matches_reference_scan(self, m):
+        best, witness = reference_scan(m.dist2)
+        est = estimate_delta(m)
+        assert est.delta == best / 4
+        assert est.witness == tuple(m.labels[i] for i in witness)
+        assert est.tuples_checked == m.size**4
+
+    def test_exhaustive_matches_reference_scan_on_balls(self):
+        for group, r in ((F2, 2), (F2xF1, 2), (product_group(1, 1, 1), 2)):
+            m = FiniteMetric.from_ball(enumerate_ball(group, r))
+            best, witness = reference_scan(m.dist2)
+            est = estimate_delta(m)
+            assert (est.delta, est.witness) == (best / 4, tuple(m.labels[i] for i in witness))
+
+    @settings(max_examples=40, deadline=None)
+    @given(finite_metrics(), st.integers(1, 400), st.integers(0, 2**62))
+    def test_random_matches_reference_loop(self, m, trials, seed):
+        best, witness = reference_random(m.dist2, trials, seed)
+        est = estimate_delta(m, "random", trials=trials, seed=seed)
+        assert est.delta == best / 4
+        assert est.witness == tuple(m.labels[i] for i in witness)
+        assert est.tuples_checked == trials
+
+    def test_random_batches_keep_the_first_largest_trial(self, monkeypatch):
+        # batches of 7 trials: a later batch must not take over a tie
+        m = FiniteMetric.from_ball(enumerate_ball(F2xF1, 2))
+        monkeypatch.setattr(hyperbolic, "_TRIAL_CHUNK", 7)
+        for seed in range(20):
+            best, witness = reference_random(m.dist2, 50, seed)
+            est = estimate_delta(m, "random", trials=50, seed=seed)
+            assert (est.delta, est.witness) == (best / 4, tuple(m.labels[i] for i in witness))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
