@@ -99,7 +99,7 @@ _ALLOWED = {
     "relgrowth": {"group", "subgroup", "max_radius", "budget"},
     "distortion": {"group", "subgroup", "max_radius", "budget"},
     "delta": {"group", "max_radius", "budget", "mode", "trials", "seed"},
-    "acyl": {"group", "x", "y", "epsilon"},
+    "acyl": {"group", "x", "y", "epsilon", "budget"},
     "ambiguity": {"group", "subgroup", "g", "h", "power", "smax", "tmax", "budget"},
     "rate": {"group", "subgroup", "max_radius", "epsilon", "shift", "threshold", "growth_bound"},
 }
@@ -494,7 +494,7 @@ def _execute(spec: ExperimentSpec) -> tuple[int, str]:
     if spec.command == "acyl":
         x = parse_element(group, spec.x)
         y = parse_element(group, spec.y)
-        acyl_report = acylindricity_witnesses(group, x, y, int(spec.epsilon))
+        acyl_report = acylindricity_witnesses(group, x, y, int(spec.epsilon), budget=spec.budget)
         payload = {
             "x": x.render(),
             "y": y.render(),

@@ -20,9 +20,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cayley import Ball, enumerate_ball
+from .cayley import DEFAULT_BUDGET, Ball, enumerate_ball
 from .errors import GroupMismatchError, ParseError, TupleBudgetError, UnsupportedConfigurationError
-from .words import SEP, Element, GroupDescriptor, distance, multiply_words
+from .words import (
+    SEP,
+    Element,
+    GroupDescriptor,
+    distance,
+    invert_packed,
+    multiply_packed,
+    multiply_words,
+    packed_length,
+)
 
 DEFAULT_TUPLE_CAP = 200_000_000
 _TRIAL_CHUNK = 1 << 14  # random-mode trials evaluated per numpy batch
@@ -389,25 +398,39 @@ class AcylindricityReport:
 
 
 def acylindricity_witnesses(
-    group: GroupDescriptor, x: Element, y: Element, epsilon: int
+    group: GroupDescriptor,
+    x: Element,
+    y: Element,
+    epsilon: int,
+    *,
+    budget: int | None = None,
 ) -> AcylindricityReport:
     """All g with d(x, gx) <= epsilon and d(y, gy) <= epsilon, exactly.
 
-    Any such g satisfies g = x w x^-1 with |w| = d(x, gx) <= epsilon, so
-    conjugating the epsilon-ball by x enumerates every candidate; the
-    first condition holds by construction and the second is checked
-    directly. No search budget is involved.
+    Any such g is x w x^-1 with |w| = d(x, gx) <= epsilon, so the
+    epsilon-ball holds every candidate w and the first condition holds by
+    construction. Left translation is an isometry, so d(y, gy) =
+    |c^-1 w c| with c = x^-1 y: the second condition is tested on packed
+    words, and only the kept w become elements. The ball is enumerated
+    under an element budget (cayley.DEFAULT_BUDGET when budget is None),
+    so a too-large epsilon raises BallBudgetError before any work.
     """
     if x.group != group or y.group != group:
         raise GroupMismatchError("basepoints must live in the given group")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    ball = enumerate_ball(group, epsilon)
-    x_inv = x.inverse()
-    found = []
-    for w in ball:
-        g = x * w * x_inv
-        if distance(y, g * y) <= epsilon:
-            found.append(g)
-    found.sort(key=lambda g: g.sort_key())
-    return AcylindricityReport(x, y, epsilon, tuple(found))
+    nf = group.num_factors
+    ball = enumerate_ball(group, epsilon, budget=DEFAULT_BUDGET if budget is None else budget)
+    x_inv = invert_packed(x.packed, nf)
+    c = multiply_packed(x_inv, y.packed, nf)
+    c_inv = invert_packed(c, nf)
+    kept = [
+        w
+        for w in ball.packed
+        if packed_length(multiply_packed(c_inv, multiply_packed(w, c, nf), nf), nf) <= epsilon
+    ]
+    found = sorted(
+        (multiply_packed(multiply_packed(x.packed, w, nf), x_inv, nf) for w in kept),
+        key=lambda g: (len(g), g),
+    )
+    return AcylindricityReport(x, y, epsilon, tuple(Element(group, g) for g in found))

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import growthlab
 from growthlab.cli import ExperimentSpec, main, parse_spec, run
 from growthlab.errors import ParseError
 from growthlab.subgroups import BudgetedEnumerationOracle
@@ -246,6 +251,22 @@ class TestExitCodes:
         assert diag["cap"] == 5000
         assert diag["radius_reached"] < diag["target_radius"]
 
+    def test_acyl_budget_is_2(self, tmp_path, capsys):
+        # B(13) of F2 has 3,188,645 elements; the closed form refuses it
+        code = main(
+            [
+                "acyl", "--group", "free:2", "--x", "ab", "--y", "b", "--epsilon", "13",
+                "--budget-elements", "1000", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "BallBudgetError"
+        assert diag["budget"] == 1000
+        assert diag["radius_reached"] == 5
+        assert diag["target_radius"] == 13
+        assert not (tmp_path / "acyl.json").exists()
+
     def test_delta_tuple_cap_is_2(self, tmp_path, capsys):
         code = main(
             [
@@ -364,4 +385,17 @@ README_ARTIFACTS = [
 @pytest.mark.parametrize("line,name,digest", README_ARTIFACTS)
 def test_readme_artifact_digest(tmp_path, line, name, digest):
     assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_python_dash_m_runs_readme_command(tmp_path):
+    line, name, digest = next(a for a in README_ARTIFACTS if a[1] == "acyl.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(growthlab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "growthlab", *shlex.split(line), "--out", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from growthlab import hyperbolic
 from growthlab.cayley import enumerate_ball
 from growthlab.errors import (
+    BallBudgetError,
     GroupMismatchError,
     ParseError,
     TupleBudgetError,
@@ -82,6 +83,31 @@ def reference_random(d2, trials, seed):
         if defect > best:
             best, witness = defect, (o, x, y, z)
     return best, witness
+
+
+def reference_witnesses(group, x, y, epsilon):
+    """Every w in B(epsilon) conjugated by x as elements, kept when
+    d(y, gy) <= epsilon by a direct distance, in shortlex order."""
+    x_inv = x.inverse()
+    found = [x * w * x_inv for w in enumerate_ball(group, epsilon)]
+    found = [g for g in found if distance(y, g * y) <= epsilon]
+    return tuple(sorted(found, key=lambda g: g.sort_key()))
+
+
+@st.composite
+def acyl_cases(draw):
+    """A free group of rank 1-3 with epsilon <= 4, or a product of up to
+    three factors with epsilon <= 3, and two random basepoints of length
+    at most 6."""
+    ranks = draw(
+        st.sampled_from(
+            [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1), (2, 1, 1), (1, 2, 1)]
+        )
+    )
+    group = product_group(*ranks)
+    epsilon = draw(st.integers(0, 4 if len(ranks) == 1 else 3))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return group, random_element(rng, group), random_element(rng, group), epsilon
 
 
 @st.composite
@@ -440,3 +466,21 @@ class TestAcylindricity:
             F2xF1, F2xF1.identity(), el("(aaaa,1)", F2xF1), 1
         )
         assert rep.count >= 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(acyl_cases())
+    def test_matches_reference_loop(self, case):
+        group, x, y, epsilon = case
+        rep = acylindricity_witnesses(group, x, y, epsilon)
+        assert rep.witnesses == reference_witnesses(group, x, y, epsilon)
+        found = set(rep.witnesses)
+        assert group.identity() in found
+        assert {g.inverse() for g in found} == found
+        if epsilon:
+            assert set(acylindricity_witnesses(group, x, y, epsilon - 1).witnesses) <= found
+
+    def test_budget_refuses_before_enumerating(self):
+        with pytest.raises(BallBudgetError) as info:
+            acylindricity_witnesses(F2, el("ab"), el("b"), 13, budget=1000)
+        assert info.value.radius_reached == 5
+        assert acylindricity_witnesses(F2, el("ab"), el("b"), 4, budget=161).count >= 1
