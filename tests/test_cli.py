@@ -388,6 +388,30 @@ def test_readme_artifact_digest(tmp_path, line, name, digest):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 and exit code of more rate artifacts: combine violations, bound
+# violations under an affine epsilon and shift, a table epsilon, and a
+# subgroup table with fractional epsilon and growth bound.
+RATE_ARTIFACTS = [
+    ("rate --group free:2 --max-radius 30 --epsilon 1", 3,
+     "8edd006d502f81a124a6729251288e8a2728e17c352457802d8058bd4528b204"),
+    ("rate --group free:2 --max-radius 30 --epsilon 1+1/2n --shift 2 --threshold 3"
+     " --growth-bound 3", 3,
+     "aa40cf9c641d940986a528cb95b41da8f2e52ab126e26565f944e13240be9801"),
+    ("rate --group free:2 --max-radius 12"
+     " --epsilon table:1,3/2,2,5/2,3,7/2,4,9/2,5,11/2,6,13/2,7", 3,
+     "6004a4ada4eb98deae8d439c180d5e981bd483ddb58ac8cf4a8951ba8909a8ee"),
+    ('rate --group "product(free:2,free:2)" --subgroup diag --max-radius 40'
+     " --epsilon 7/3 --growth-bound 5/2", 0,
+     "c120bb5171bdeb2aabe94fc149504538179f2a8390bb32c6ca2496a3beb2e5c4"),
+]
+
+
+@pytest.mark.parametrize("line,code,digest", RATE_ARTIFACTS)
+def test_rate_artifact_digest(tmp_path, line, code, digest):
+    assert main(shlex.split(line) + ["--out", str(tmp_path)]) == code
+    assert hashlib.sha256((tmp_path / "rate.json").read_bytes()).hexdigest() == digest
+
+
 def test_python_dash_m_runs_readme_command(tmp_path):
     line, name, digest = next(a for a in README_ARTIFACTS if a[1] == "acyl.json")
     env = dict(os.environ, PYTHONPATH=str(Path(growthlab.__file__).parents[1]))

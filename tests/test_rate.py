@@ -1,5 +1,6 @@
 """Root sequences, hypothesis checks, and growth-rate bracketing."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from growthlab.counting import free_ball_counts
 from growthlab.errors import ParseError
 from growthlab.rate import (
     FuncSpec,
+    HypothesisCheck,
+    HypothesisViolation,
     RateHypothesis,
     check_hypothesis,
     default_growth_bound,
@@ -276,3 +279,165 @@ class TestMeasuredHypothesis:
             hypothesis_from_growth(free_ball_counts(2, 6), 2, s_max=4, t_max=4)
         with pytest.raises(ValueError):
             hypothesis_from_growth(F2_14, 2, s_max=4, t_max=None)
+
+
+# Reference implementations: the pair loops as first written, one Fraction
+# per pair. The package's checks must agree with them exactly.
+
+
+def reference_check_hypothesis(counts, hyp, m_max=None, n_max=None):
+    top = len(counts) - 1
+    violations = []
+    checked = 0
+    for n in range(top + 1):
+        checked += 1
+        if counts[n] < 1:
+            violations.append(
+                HypothesisViolation("positive", None, n, Fraction(1), Fraction(counts[n]))
+            )
+        if n > 0:
+            checked += 1
+            if counts[n - 1] > counts[n]:
+                violations.append(
+                    HypothesisViolation(
+                        "monotone", None, n, Fraction(counts[n - 1]), Fraction(counts[n])
+                    )
+                )
+        if hyp.growth_bound is not None:
+            checked += 1
+            envelope = hyp.growth_bound**n
+            if counts[n] > envelope:
+                violations.append(
+                    HypothesisViolation("bound", None, n, Fraction(counts[n]), envelope)
+                )
+    n_top = top if n_max is None else n_max
+    pairs = 0
+    for n in range(hyp.threshold, n_top + 1):
+        if n > top:
+            raise ValueError("n_max past the table")
+        shift_n = hyp.shift_at(n)
+        eps_n = hyp.epsilon_at(n)
+        m_top = top - n - shift_n if m_max is None else m_max
+        for m in range(0, m_top + 1):
+            index = m + n + shift_n
+            if index > top:
+                raise ValueError("pair past the table")
+            checked += 1
+            pairs += 1
+            lhs = Fraction(counts[m] * counts[n])
+            rhs = eps_n * counts[index]
+            if lhs > rhs:
+                violations.append(HypothesisViolation("combine", m, n, lhs, rhs))
+    if pairs == 0:
+        raise ValueError("no combination pair")
+    return HypothesisCheck(not violations, checked, tuple(violations))
+
+
+def reference_worst_ratio(counts, c, s_max=None, t_max=None):
+    if c < 0:
+        raise ValueError("negative connector length")
+    if (s_max is None) != (t_max is None):
+        raise ValueError("one bound given")
+    top = len(counts) - 1
+    if s_max is not None and s_max + t_max + c > top:
+        raise ValueError("grid past the table")
+    worst = Fraction(1)
+    seen = False
+    s_top = top if s_max is None else s_max
+    for s in range(0, s_top + 1):
+        t_top = (top - c - s) if t_max is None else t_max
+        for t in range(0, t_top + 1):
+            if s + t + c > top:
+                break
+            seen = True
+            ratio = Fraction(counts[s] * counts[t], counts[s + t + c])
+            if ratio > worst:
+                worst = ratio
+    if not seen:
+        raise ValueError("no measurement pair")
+    return worst
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or ValueError (the class) when it raises one."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def count_tables(draw, max_size=14):
+    """Positive tables: arbitrary, monotone, or geometric b*r^n (equality cases)."""
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    kind = draw(st.sampled_from(["arbitrary", "monotone", "geometric"]))
+    if kind == "geometric":
+        b, r = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+        return [b * r**n for n in range(size)]
+    entry = st.one_of(st.integers(1, 60), st.integers(1, 3**200))
+    values = draw(st.lists(entry, min_size=size, max_size=size))
+    return list(itertools.accumulate(values)) if kind == "monotone" else values
+
+
+VALUES = st.one_of(
+    st.integers(1, 3).map(Fraction),
+    st.fractions(min_value=Fraction(1, 2), max_value=6, max_denominator=7),
+)
+
+
+@st.composite
+def funcspecs(draw, values=VALUES, table_min=6):
+    """Constant, affine or table function specs over the given values."""
+    kind = draw(st.sampled_from(["constant", "affine", "table"]))
+    if kind == "constant":
+        return FuncSpec.constant(draw(values))
+    if kind == "affine":
+        slope = draw(st.fractions(min_value=-1, max_value=2, max_denominator=4))
+        return FuncSpec.affine(draw(values), slope)
+    return FuncSpec.table(draw(st.lists(values, min_size=table_min, max_size=18)))
+
+
+SHIFTS = st.one_of(
+    st.integers(0, 3).map(FuncSpec.constant),
+    st.lists(st.integers(0, 2), min_size=6, max_size=18).map(FuncSpec.table),
+    st.tuples(st.integers(0, 2), st.sampled_from([Fraction(1, 2), Fraction(1)])).map(
+        lambda ab: FuncSpec.affine(*ab)
+    ),
+)
+BOUNDS = st.one_of(st.none(), st.integers(0, 8))
+
+
+class TestAgainstReference:
+    @given(
+        count_tables(),
+        funcspecs(),
+        SHIFTS,
+        st.integers(0, 4),
+        st.one_of(st.none(), st.integers(1, 5), st.fractions(Fraction(1, 2), 5, max_denominator=6)),
+        BOUNDS,
+        BOUNDS,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_check_hypothesis(self, counts, eps, shift, threshold, bound, m_max, n_max):
+        hyp = RateHypothesis(eps, shift, threshold, None if bound is None else Fraction(bound))
+        want = outcome(reference_check_hypothesis, counts, hyp, m_max, n_max)
+        got = outcome(check_hypothesis, counts, hyp, m_max=m_max, n_max=n_max)
+        if want is ValueError:
+            assert got is ValueError
+        else:
+            assert (got.ok, got.checked, got.violations) == (
+                want.ok, want.checked, want.violations
+            )
+
+    @given(count_tables(), st.integers(-1, 3), BOUNDS, BOUNDS, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_from_growth(self, counts, c, s_max, t_max, bounded):
+        if not bounded:
+            s_max = t_max = None
+        want = outcome(reference_worst_ratio, counts, c, s_max, t_max)
+        got = outcome(hypothesis_from_growth, counts, c, s_max=s_max, t_max=t_max)
+        if want is ValueError:
+            assert got is ValueError
+        else:
+            assert got.epsilon == FuncSpec.constant(want)
+            assert got.shift == FuncSpec.constant(c)
