@@ -572,7 +572,7 @@ def run(spec: ExperimentSpec) -> int:
     except (HypothesisViolationError, InvariantViolationError) as exc:
         _diagnose(exc)
         return 3
-    except GrowthlabError as exc:
+    except (GrowthlabError, ValueError) as exc:
         _diagnose(exc)
         return 1
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cayley import DEFAULT_BUDGET, Ball, GrowthTable, enumerate_ball, relative_ball
+from .cayley import Ball, GrowthTable, enumerate_ball, relative_ball
 from .errors import (
     AmbiguityBudgetError,
     DependenceError,
     GroupMismatchError,
     InvariantViolationError,
 )
+from .rate import HypothesisCheck, _as_counts, _combine_violations
 from .subgroups import SubgroupOracle, cyclic_core
 from .words import (
     SEP,
@@ -221,19 +222,15 @@ def product_concat_apply(
 
 
 def _resolve_domain(
-    domain: GroupDescriptor | SubgroupOracle,
-    radius: int,
-    *,
-    ball_budget: int,
-    ambient: Ball | None,
+    domain: GroupDescriptor | SubgroupOracle, radius: int, ambient: Ball | None
 ) -> tuple[GroupDescriptor, str, Ball]:
     """Group, printable name, and the ball of the domain up to the radius."""
     if isinstance(domain, GroupDescriptor):
         if ambient is not None and ambient.group == domain and ambient.radius >= radius:
             return domain, domain.spec(), ambient.up_to(radius)
-        return domain, domain.spec(), enumerate_ball(domain, radius, budget=ball_budget)
+        return domain, domain.spec(), enumerate_ball(domain, radius)
     oracle = domain
-    ball = relative_ball(oracle.group, oracle, radius, budget=ball_budget, ambient=ambient)
+    ball = relative_ball(oracle.group, oracle, radius, ambient=ambient)
     return oracle.group, oracle.spec_string(), ball
 
 
@@ -310,7 +307,7 @@ def _max_fiber(images: list[bytes], max_len: int) -> tuple[int, bytes]:
 
 
 def _fit_envelope(
-    cells: Sequence[CellStats], t_max: int, fit_t: int
+    cells: Sequence[CellStats], fit_t: int
 ) -> tuple[Fraction, int, tuple[tuple[int, int], ...]]:
     by_t: dict[int, int] = {}
     for cell in cells:
@@ -335,8 +332,6 @@ def measure_ambiguity(
     t_max: int,
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
-    fit_t: int | None = None,
-    ball_budget: int = DEFAULT_BUDGET,
     ambient: Ball | None = None,
 ) -> AmbiguityReport:
     """Fiber statistics of the concatenation map over B(s) x B(t) grids.
@@ -345,18 +340,15 @@ def measure_ambiguity(
     c = 0). The domain is a whole group or a subgroup oracle; relative
     domains use ambient-length balls of the subgroup. budget caps the
     total number of (u, v) pairs across the grid; exceeding it raises
-    with the partial report attached.
+    with the partial report attached. The envelope is fitted on t <= 3.
     """
-    group, name, ball = _resolve_domain(
-        domain, max(s_max, t_max), ball_budget=ball_budget, ambient=ambient
-    )
+    group, name, ball = _resolve_domain(domain, max(s_max, t_max), ambient)
     if kit is not None and kit.group != group:
         raise GroupMismatchError("kit and domain groups differ")
     nf = group.num_factors
     c = kit.c if kit is not None else 0
     connector = kit.spec_string() if kit is not None else "naive"
-    if fit_t is None:
-        fit_t = min(3, t_max)
+    fit_t = min(3, t_max)
     counts = ball.counts_by_radius
     packed = ball.packed
 
@@ -384,7 +376,7 @@ def measure_ambiguity(
             n_u, n_v = counts[s], counts[t]
             pairs = n_u * n_v
             if used + pairs > budget:
-                slope, intercept, violations = _fit_envelope(cells, t_max, fit_t)
+                slope, intercept, violations = _fit_envelope(cells, fit_t)
                 partial = AmbiguityReport(
                     name, connector, c, s_max, t_max, fit_t,
                     tuple(cells), slope, intercept, violations, complete=False,
@@ -405,7 +397,7 @@ def measure_ambiguity(
                 CellStats(s, t, s + t + c, pairs, fiber, Element(group, key))
             )
 
-    slope, intercept, violations = _fit_envelope(cells, t_max, fit_t)
+    slope, intercept, violations = _fit_envelope(cells, fit_t)
     return AmbiguityReport(
         name, connector, c, s_max, t_max, fit_t,
         tuple(cells), slope, intercept, violations,
@@ -419,7 +411,6 @@ def fiber_size(
     t: int,
     target: Element,
     *,
-    ball_budget: int = DEFAULT_BUDGET,
     ambient: Ball | None = None,
 ) -> int:
     """Exact fiber cardinality of one target over B(s) x B(t).
@@ -428,7 +419,7 @@ def fiber_size(
     u = target v^-1 x^-1 is the only candidate, kept when it fits in B(s),
     lies in the domain, and the selection rule actually picks x for it.
     """
-    group, _, ball = _resolve_domain(domain, t, ball_budget=ball_budget, ambient=ambient)
+    group, _, ball = _resolve_domain(domain, t, ambient)
     if target.group != group:
         raise GroupMismatchError("target outside the domain group")
     if kit is not None and kit.group != group:
@@ -458,12 +449,7 @@ def fiber_size(
     return count
 
 
-def max_connector_score(
-    kit: ConnectorKit,
-    domain: int | Ball,
-    *,
-    ball_budget: int = DEFAULT_BUDGET,
-) -> float:
+def max_connector_score(kit: ConnectorKit, domain: int | Ball) -> float:
     """Largest selected junction score over all pairs of a ball.
 
     An empirical stand-in for the selection lemma's constant A: the
@@ -474,7 +460,7 @@ def max_connector_score(
         if ball.group != kit.group:
             raise GroupMismatchError("ball and kit groups differ")
     else:
-        ball = enumerate_ball(kit.group, domain, budget=ball_budget)
+        ball = enumerate_ball(kit.group, domain)
     nf = kit.group.num_factors
     lefts = [_junction_scores(kit, up, nf, left=True) for up in ball.packed]
     rights = [_junction_scores(kit, vp, nf, left=False) for vp in ball.packed]
@@ -500,24 +486,6 @@ def sweep_exponents(
     )
 
 
-@dataclass(frozen=True)
-class SupermultiplicativityViolation:
-    s: int
-    t: int
-    lhs: int
-    bound: Fraction
-
-
-@dataclass(frozen=True)
-class SupermultiplicativityResult:
-    ok: bool
-    checked: int
-    violations: tuple[SupermultiplicativityViolation, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def verify_supermultiplicativity(
     growth: GrowthTable,
     c: int,
@@ -525,41 +493,20 @@ def verify_supermultiplicativity(
     *,
     s_max: int | None = None,
     t_max: int | None = None,
-) -> SupermultiplicativityResult:
+) -> HypothesisCheck:
     """Check beta(s) beta(t) <= l(t) beta(s+t+c) over the covered grid.
 
+    This is rate's combination inequality with epsilon = l and the constant
+    shift c, from t = 0 and without the unary table checks; l may be a
+    callable or a number, below 1 included, and is evaluated once per t.
     Without explicit bounds every (s, t) with s + t + c inside the table
     is checked; with bounds the table must cover s_max + t_max + c.
-    Comparisons are exact (integer and rational arithmetic).
+    Violations come as ("combine", s, t, lhs, rhs), t-major.
     """
-    counts = (
-        tuple(growth.counts)
-        if hasattr(growth, "counts")
-        else tuple(int(x) for x in growth)
-    )
-    top = len(counts) - 1
+    if (s_max is None) != (t_max is None):
+        raise ValueError("give both bounds or neither")
     bound_of = l if callable(l) else (lambda t: l)
-    if s_max is not None or t_max is not None:
-        if s_max is None or t_max is None:
-            raise ValueError("give both bounds or neither")
-        if s_max + t_max + c > top:
-            raise ValueError(
-                f"table covers radius {top}, need {s_max + t_max + c}"
-            )
-        s_range = range(s_max + 1)
-        t_of = lambda s: range(t_max + 1)
-    else:
-        s_range = range(max(top - c + 1, 0))
-        t_of = lambda s: range(max(top - c - s + 1, 0))
-    violations = []
-    checked = 0
-    for s in s_range:
-        for t in t_of(s):
-            checked += 1
-            lhs = counts[s] * counts[t]
-            bound = Fraction(bound_of(t)) * counts[s + t + c]
-            if lhs > bound:
-                violations.append(
-                    SupermultiplicativityViolation(s, t, lhs, bound)
-                )
-    return SupermultiplicativityResult(not violations, checked, tuple(violations))
+    checked, violations = _combine_violations(
+        _as_counts(growth), lambda t: Fraction(bound_of(t)), lambda t: c, 0, s_max, t_max
+    )
+    return HypothesisCheck(not violations, checked, tuple(violations))

@@ -19,11 +19,14 @@ monotone envelope min_n max_{m >= n} a_m of the root sequence
 a_n = f(n)^{1/n}, which for genuinely submultiplicative tables is itself
 an upper bound for the limit.
 
-Arithmetic policy: counts, epsilons and comparison checks are exact
-(integers and fractions).  Roots are presentation-layer: when f(s) /
-epsilon(s) is a perfect power its root is returned exactly, otherwise
-roots are evaluated as exp(ln(x) / d) in 64-bit floating point with
-relative error below 2**-40 per operation.
+Arithmetic policy: counts are integers and epsilons and growth bounds
+exact fractions p/q.  Every comparison is an integer cross-multiplication:
+f(m)f(n) > (p/q) f(k) is tested as q f(m)f(n) > p f(k), and f(n) > B^n as
+q^n f(n) > p^n.  A Fraction is built only for what a report shows: a
+violation's two sides, or a measured epsilon.  Roots are presentation-layer:
+when f(s) / epsilon(s) is a perfect power its root is returned exactly,
+otherwise roots are evaluated as exp(ln(x) / d) in 64-bit floating point
+with relative error below 2**-40 per operation.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
 from .words import GroupDescriptor
@@ -343,6 +346,55 @@ def root_sequence(f, *, max_radius: int | None = None) -> tuple[float, ...]:
     return tuple(roots)
 
 
+def _pair_grid(
+    top: int, threshold: int, shift_at, s_max: int | None, t_max: int | None
+) -> Iterator[tuple[int, int, range]]:
+    """Rows of the triples (s, t, s + t + shift(t)) an inequality covers.
+
+    Yields (t, shift(t), range of s) for t = threshold..t_max and
+    s = 0..s_max on a table to radius top; shift_at runs once for every t.
+    A missing bound takes every pair whose index the table covers; an
+    explicit bound that needs an index past the table raises ValueError.
+    """
+    for t in range(threshold, (top if t_max is None else t_max) + 1):
+        if t > top:
+            raise ValueError(f"table covers radius {top}, t = {t} requested")
+        shift = shift_at(t)
+        s_top = top - t - shift if s_max is None else s_max
+        if s_top >= 0 and s_top + t + shift > top:
+            raise ValueError(
+                f"table covers radius {top}, pair (s={s_top}, t={t}) "
+                f"needs index {s_top + t + shift}"
+            )
+        yield t, shift, range(s_top + 1)
+
+
+def _combine_violations(
+    counts: Sequence[int],
+    epsilon_at,
+    shift_at,
+    threshold: int,
+    s_max: int | None,
+    t_max: int | None,
+) -> tuple[int, list[HypothesisViolation]]:
+    """Pairs checked and violations of f(s)f(t) <= epsilon(t) f(s+t+shift(t)).
+
+    epsilon_at(t) = p/q runs once for every t of the grid, and each pair is
+    compared as q f(s)f(t) > p f(k) in integers.
+    """
+    checked = 0
+    violations = []
+    for t, shift, s_range in _pair_grid(len(counts) - 1, threshold, shift_at, s_max, t_max):
+        eps = epsilon_at(t)
+        p, q, ft = eps.numerator, eps.denominator, counts[t]
+        checked += len(s_range)
+        for s in s_range:
+            lhs, fk = counts[s] * ft, counts[s + t + shift]
+            if q * lhs > p * fk:
+                violations.append(HypothesisViolation("combine", s, t, Fraction(lhs), eps * fk))
+    return checked, violations
+
+
 def check_hypothesis(
     f,
     hyp: RateHypothesis,
@@ -361,11 +413,10 @@ def check_hypothesis(
     that fits.
     """
     counts = _as_counts(f, max_radius)
-    top = len(counts) - 1
     violations: list[HypothesisViolation] = []
     checked = 0
 
-    for n in range(top + 1):
+    for n in range(len(counts)):
         checked += 1
         if counts[n] < 1:
             violations.append(
@@ -381,35 +432,19 @@ def check_hypothesis(
                 )
         if hyp.growth_bound is not None:
             checked += 1
-            envelope = hyp.growth_bound**n
-            if counts[n] > envelope:
+            p, q = hyp.growth_bound.numerator**n, hyp.growth_bound.denominator**n
+            if counts[n] * q > p:
                 violations.append(
-                    HypothesisViolation("bound", None, n, Fraction(counts[n]), envelope)
+                    HypothesisViolation("bound", None, n, Fraction(counts[n]), Fraction(p, q))
                 )
 
-    n_top = top if n_max is None else n_max
-    pairs = 0
-    for n in range(hyp.threshold, n_top + 1):
-        if n > top:
-            raise ValueError(f"table covers radius {top}, n_max {n_max} requested")
-        shift_n = hyp.shift_at(n)
-        eps_n = hyp.epsilon_at(n)
-        m_top = top - n - shift_n if m_max is None else m_max
-        for m in range(0, m_top + 1):
-            index = m + n + shift_n
-            if index > top:
-                raise ValueError(
-                    f"table covers radius {top}, pair (m={m}, n={n}) needs index {index}"
-                )
-            checked += 1
-            pairs += 1
-            lhs = Fraction(counts[m] * counts[n])
-            rhs = eps_n * counts[index]
-            if lhs > rhs:
-                violations.append(HypothesisViolation("combine", m, n, lhs, rhs))
+    pairs, combine = _combine_violations(
+        counts, hyp.epsilon_at, hyp.shift_at, hyp.threshold, m_max, n_max
+    )
     if pairs == 0:
         raise ValueError("table range admits no combination pair at this threshold")
-    return HypothesisCheck(not violations, checked, tuple(violations))
+    violations += combine
+    return HypothesisCheck(not violations, checked + pairs, tuple(violations))
 
 
 def fekete_lower_bound(
@@ -489,24 +524,15 @@ def hypothesis_from_growth(
     if (s_max is None) != (t_max is None):
         raise ValueError("pass both s_max and t_max or neither")
     counts = _as_counts(f)
-    top = len(counts) - 1
-    if s_max is not None and s_max + t_max + c > top:
-        raise ValueError(
-            f"table covers radius {top}, grid needs {s_max + t_max + c}"
-        )
     worst = Fraction(1)
-    seen = False
-    s_top = top if s_max is None else s_max
-    for s in range(0, s_top + 1):
-        t_top = (top - c - s) if t_max is None else t_max
-        for t in range(0, t_top + 1):
-            if s + t + c > top:
-                break
-            seen = True
-            ratio = Fraction(counts[s] * counts[t], counts[s + t + c])
-            if ratio > worst:
-                worst = ratio
-    if not seen:
+    pairs = 0
+    for t, _, s_range in _pair_grid(len(counts) - 1, 0, lambda t: c, s_max, t_max):
+        pairs += len(s_range)
+        for s in s_range:
+            lhs, fk = counts[s] * counts[t], counts[s + t + c]
+            if worst.denominator * lhs > worst.numerator * fk:
+                worst = Fraction(lhs, fk)
+    if pairs == 0:
         raise ValueError("table range admits no measurement pair")
     group = getattr(f, "group", None)
     bound = default_growth_bound(group) if group is not None else None

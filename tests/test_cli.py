@@ -287,6 +287,24 @@ class TestExitCodes:
         assert code == 3
         assert (tmp_path / "rate.json").exists()
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "rate --group free:2 --max-radius 0",
+            "rate --group free:2 --max-radius 5 --epsilon 1/2",
+            "rate --group free:2 --max-radius 5 --shift 1/2",
+            "rate --group free:2 --max-radius 5 --epsilon table:1,2",
+            "rate --group free:2 --max-radius 5 --growth-bound 0",
+            "ambiguity --group free:2 --g 1 --h a --smax 1 --tmax 1",
+        ],
+    )
+    def test_value_error_is_1(self, tmp_path, capsys, line):
+        assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (diag_line,) = err.splitlines()
+        assert json.loads(diag_line)["error"] == "ValueError"
+
     def test_success_is_0(self, tmp_path):
         assert main(["growth", "--group", "free:2", "--max-radius", "2", "--out", str(tmp_path)]) == 0
 

@@ -326,8 +326,8 @@ class TestSupermultiplicativity:
         res = verify_supermultiplicativity(table, 0, 1)
         assert not res.ok
         first = res.violations[0]
-        assert (first.s, first.t) == (1, 1)
-        assert first.lhs == 25 and first.bound == 17
+        assert (first.m, first.n) == (1, 1)
+        assert first.lhs == 25 and first.rhs == 17
 
     def test_shifted_form_holds_on_free_group(self):
         table = GrowthTable(F2, tuple(free_ball_counts(2, 18)))

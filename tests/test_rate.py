@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab.cayley import GrowthTable
+from growthlab.concat import verify_supermultiplicativity
 from growthlab.counting import free_ball_counts
 from growthlab.errors import ParseError
 from growthlab.rate import (
@@ -358,6 +359,32 @@ def reference_worst_ratio(counts, c, s_max=None, t_max=None):
     return worst
 
 
+def reference_verify(counts, c, l, s_max=None, t_max=None):
+    """(ok, checked, sorted (s, t, lhs, bound)) of the supermultiplicativity loop."""
+    top = len(counts) - 1
+    bound_of = l if callable(l) else (lambda t: l)
+    if s_max is not None or t_max is not None:
+        if s_max is None or t_max is None:
+            raise ValueError("one bound given")
+        if s_max + t_max + c > top:
+            raise ValueError("grid past the table")
+        s_range = range(s_max + 1)
+        t_of = lambda s: range(t_max + 1)
+    else:
+        s_range = range(max(top - c + 1, 0))
+        t_of = lambda s: range(max(top - c - s + 1, 0))
+    violations = []
+    checked = 0
+    for s in s_range:
+        for t in t_of(s):
+            checked += 1
+            lhs = counts[s] * counts[t]
+            bound = Fraction(bound_of(t)) * counts[s + t + c]
+            if lhs > bound:
+                violations.append((s, t, lhs, bound))
+    return not violations, checked, sorted(violations)
+
+
 def outcome(fn, *args, **kwargs):
     """fn's result, or ValueError (the class) when it raises one."""
     try:
@@ -441,3 +468,30 @@ class TestAgainstReference:
         else:
             assert got.epsilon == FuncSpec.constant(want)
             assert got.shift == FuncSpec.constant(c)
+
+    @given(
+        count_tables(),
+        st.integers(0, 3),
+        st.one_of(
+            st.integers(0, 3),
+            st.fractions(min_value=0, max_value=4, max_denominator=7),
+            st.floats(min_value=0, max_value=4),
+            # tables cover every t of the grid: l runs once per t up to the top
+            funcspecs(st.fractions(min_value=0, max_value=4, max_denominator=7), 15),
+        ),
+        BOUNDS,
+        BOUNDS,
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verify_supermultiplicativity(self, counts, c, l, s_max, t_max, bounded):
+        if not bounded:
+            s_max = t_max = None
+        want = outcome(reference_verify, counts, c, l, s_max, t_max)
+        got = outcome(verify_supermultiplicativity, counts, c, l, s_max=s_max, t_max=t_max)
+        if want is ValueError:
+            assert got is ValueError
+        else:
+            found = sorted((v.m, v.n, v.lhs, v.rhs) for v in got.violations)
+            assert (got.ok, got.checked, found) == want
+            assert all(v.kind == "combine" for v in got.violations)
