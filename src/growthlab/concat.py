@@ -497,16 +497,17 @@ def verify_supermultiplicativity(
     """Check beta(s) beta(t) <= l(t) beta(s+t+c) over the covered grid.
 
     This is rate's combination inequality with epsilon = l and the constant
-    shift c, from t = 0 and without the unary table checks; l may be a
-    callable or a number, below 1 included, and is evaluated once per t.
+    shift c, from t = 0 and without the unary table checks. l may be a
+    callable or a number, below 1 included; it is evaluated once for each
+    t up to t_max, or up to the table's radius when no bounds are given.
     Without explicit bounds every (s, t) with s + t + c inside the table
     is checked; with bounds the table must cover s_max + t_max + c.
     Violations come as ("combine", s, t, lhs, rhs), t-major.
     """
     if (s_max is None) != (t_max is None):
         raise ValueError("give both bounds or neither")
-    bound_of = l if callable(l) else (lambda t: l)
+    epsilon_at = (lambda t: Fraction(l(t))) if callable(l) else (lambda t: Fraction(l))
     checked, violations = _combine_violations(
-        _as_counts(growth), lambda t: Fraction(bound_of(t)), lambda t: c, 0, s_max, t_max
+        _as_counts(growth), epsilon_at, lambda t: c, 0, s_max, t_max
     )
     return HypothesisCheck(not violations, checked, tuple(violations))
