@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import growthlab
-from growthlab.cli import ExperimentSpec, main, parse_spec, run
+from growthlab import errors
+from growthlab.cli import ExperimentSpec, _diagnose, main, parse_spec, run
 from growthlab.errors import ParseError
 from growthlab.subgroups import BudgetedEnumerationOracle
 
@@ -104,6 +105,232 @@ class TestParse:
             parse_spec("growth --group free:2 --max-radius nine")
         assert err.value.line == 1
         assert err.value.column == 36
+
+
+# One spec per command that sets every flag the command takes, with its
+# canonical render and its logical render. The --out path holds a space,
+# the one value that renders quoted.
+GOLDEN_RENDERS = [
+    (
+        'growth --group free:2 --max-radius 4 --budget-elements 500 --format json --out "my dir"',
+        'growth --group free:2 --max-radius 4 --budget-elements 500 --format json --out "my dir" --workers 1',
+        "growth --group free:2 --max-radius 4 --budget-elements 500 --format json",
+    ),
+    (
+        'relgrowth --group free:2 --subgroup " aa , bb " --max-radius 5 --budget-elements 9000'
+        ' --format json --out "my dir"',
+        "relgrowth --group free:2 --subgroup aa,bb --max-radius 5 --budget-elements 9000"
+        ' --format json --out "my dir" --workers 1',
+        "relgrowth --group free:2 --subgroup aa,bb --max-radius 5 --budget-elements 9000"
+        " --format json",
+    ),
+    (
+        "distortion --group free:2 --subgroup cyclic:aa --max-radius 6 --budget-elements 9000"
+        ' --format json --out "my dir"',
+        "distortion --group free:2 --subgroup cyclic:aa --max-radius 6 --budget-elements 9000"
+        ' --format json --out "my dir" --workers 1',
+        "distortion --group free:2 --subgroup cyclic:aa --max-radius 6 --budget-elements 9000"
+        " --format json",
+    ),
+    (
+        "delta --group free:3 --max-radius 2 --mode exhaustive --budget-elements 70000"
+        ' --format csv --out "my dir"',
+        "delta --group free:3 --max-radius 2 --budget-elements 70000 --mode exhaustive"
+        ' --format csv --out "my dir" --workers 1',
+        "delta --group free:3 --max-radius 2 --budget-elements 70000 --mode exhaustive --format csv",
+    ),
+    (
+        "delta --group free:2 --max-radius 3 --mode random --trials 55 --seed 9"
+        ' --budget-elements 1000 --format csv --out "my dir"',
+        "delta --group free:2 --max-radius 3 --budget-elements 1000 --mode random --trials 55"
+        ' --seed 9 --format csv --out "my dir" --workers 1',
+        "delta --group free:2 --max-radius 3 --budget-elements 1000 --mode random --trials 55"
+        " --seed 9 --format csv",
+    ),
+    (
+        "delta --group free:2 --max-radius 2 --trials 55 --seed 9",
+        "delta --group free:2 --max-radius 2 --budget-elements 200000000 --mode exhaustive"
+        " --format json --workers 1",
+        "delta --group free:2 --max-radius 2 --budget-elements 200000000 --mode exhaustive"
+        " --format json",
+    ),
+    (
+        "acyl --group free:2 --x ab --y aaaaa --epsilon 3 --budget-elements 4000"
+        ' --format csv --out "my dir"',
+        "acyl --group free:2 --x ab --y aaaaa --epsilon 3 --budget-elements 4000"
+        ' --format csv --out "my dir" --workers 1',
+        "acyl --group free:2 --x ab --y aaaaa --epsilon 3 --budget-elements 4000 --format csv",
+    ),
+    (
+        'ambiguity --group "product(free:2,free:2)" --subgroup diag --g "(a,a)" --h "(b,b)"'
+        ' -n 3 --smax 2 --tmax 3 --budget-elements 100000 --format csv --out "my dir"',
+        "ambiguity --group product(free:2,free:2) --subgroup diag --g (a,a) --h (b,b)"
+        ' -n 3 --smax 2 --tmax 3 --budget-elements 100000 --format csv --out "my dir" --workers 1',
+        "ambiguity --group product(free:2,free:2) --subgroup diag --g (a,a) --h (b,b)"
+        " -n 3 --smax 2 --tmax 3 --budget-elements 100000 --format csv",
+    ),
+    (
+        'rate --group free:2 --subgroup "aa,bb" --max-radius 9 --epsilon 1+2n --shift 1'
+        ' --threshold 2 --growth-bound 7/2 --format csv --out "my dir"',
+        "rate --group free:2 --subgroup aa,bb --epsilon 1+2n --shift 1 --threshold 2"
+        ' --growth-bound 7/2 --max-radius 9 --format csv --out "my dir" --workers 1',
+        "rate --group free:2 --subgroup aa,bb --epsilon 1+2n --shift 1 --threshold 2"
+        " --growth-bound 7/2 --max-radius 9 --format csv",
+    ),
+    (
+        "rate --group free:2 --max-radius 9",
+        "rate --group free:2 --epsilon 1 --shift 0 --threshold 1 --max-radius 9"
+        " --format json --workers 1",
+        "rate --group free:2 --epsilon 1 --shift 0 --threshold 1 --max-radius 9 --format json",
+    ),
+]
+
+# The smallest valid spec of each command: every required flag, nothing else.
+MINIMAL_SPECS = {
+    "growth": "growth --group free:2 --max-radius 3",
+    "relgrowth": "relgrowth --group free:2 --subgroup aa --max-radius 3",
+    "distortion": "distortion --group free:2 --subgroup aa --max-radius 3",
+    "delta": "delta --group free:2 --max-radius 2",
+    "acyl": "acyl --group free:2 --x 1 --y b --epsilon 1",
+    "ambiguity": "ambiguity --group free:2 --g a --h b --smax 2 --tmax 2",
+    "rate": "rate --group free:2 --max-radius 4",
+}
+
+
+def rejection(text):
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    return str(err.value)
+
+
+class TestSpecLayer:
+    @pytest.mark.parametrize("text,rendered,logical", GOLDEN_RENDERS)
+    def test_golden_render(self, text, rendered, logical):
+        spec = parse_spec(text)
+        assert spec.render() == rendered
+        assert spec.render(logical=True) == logical
+        assert parse_spec(rendered) == spec
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("growth --group free:2 --max-radius 3 --smax 2",
+             "--smax does not apply to growth (line 1, column 45)"),
+            ("relgrowth --group free:2 --subgroup aa --max-radius 3 --epsilon 2",
+             "--epsilon does not apply to relgrowth (line 1, column 65)"),
+            ("distortion --group free:2 --subgroup aa --max-radius 3 --mode random",
+             "--mode does not apply to distortion (line 1, column 63)"),
+            ("delta --group free:2 --max-radius 2 --subgroup aa",
+             "--subgroup does not apply to delta (line 1, column 48)"),
+            ("acyl --group free:2 --x 1 --y b --epsilon 1 --max-radius 3",
+             "--max-radius does not apply to acyl (line 1, column 58)"),
+            ("ambiguity --group free:2 --g a --h b --smax 2 --tmax 2 --max-radius 3",
+             "--max-radius does not apply to ambiguity (line 1, column 69)"),
+            ("rate --group free:2 --max-radius 4 --budget-elements 10",
+             "--budget-elements does not apply to rate (line 1, column 54)"),
+        ],
+    )
+    def test_flag_does_not_apply(self, text, message):
+        assert rejection(text) == message
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (command, flag)
+            for command, text in MINIMAL_SPECS.items()
+            for flag in shlex.split(text)[1::2]
+        ],
+    )
+    def test_missing_required_flag(self, command, flag):
+        tokens = shlex.split(MINIMAL_SPECS[command])
+        at = tokens.index(flag)
+        text = " ".join(tokens[:at] + tokens[at + 2:])
+        assert rejection(text) == f"{command} requires a {flag} value (line 1, column 1)"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("growth --group free:2 --max-radius 10001",
+             "--max-radius out of range [0, 10000]: 10001 (line 1, column 36)"),
+            ("growth --group free:2 --max-radius 3 --budget-elements 0",
+             "--budget-elements out of range [1, 1000000000000]: 0 (line 1, column 56)"),
+            ("ambiguity --group free:2 --g a --h b --smax 65 --tmax 2",
+             "--smax out of range [0, 64]: 65 (line 1, column 45)"),
+            ("ambiguity --group free:2 --g a --h b --smax 2 --tmax -1",
+             "--tmax out of range [0, 64]: -1 (line 1, column 54)"),
+            ("delta --group free:2 --max-radius 2 --mode random --trials 0",
+             "--trials out of range [1, 100000000]: 0 (line 1, column 60)"),
+            ("delta --group free:2 --max-radius 2 --mode random --seed -1",
+             "--seed out of range [0, 4611686018427387904]: -1 (line 1, column 58)"),
+            ("acyl --group free:2 --x 1 --y b --epsilon 65",
+             "--epsilon out of range [0, 64]: 65 (line 1, column 43)"),
+            ("rate --group free:2 --max-radius 4 --threshold 1000001",
+             "--threshold out of range [0, 1000000]: 1000001 (line 1, column 48)"),
+            ("growth --group free:2 --max-radius 3 --workers 257",
+             "--workers out of range [1, 256]: 257 (line 1, column 48)"),
+            ("growth --group free:2 --max-radius 3 --workers 0",
+             "--workers out of range [1, 256]: 0 (line 1, column 48)"),
+        ],
+    )
+    def test_integer_out_of_range(self, text, message):
+        assert rejection(text) == message
+
+
+# One instance of every error type, for the diagnostic test.
+ERROR_INSTANCES = {
+    errors.GrowthlabError: errors.GrowthlabError("base"),
+    errors.ParseError: errors.ParseError("bad token", 2, 7),
+    errors.GroupMismatchError: errors.GroupMismatchError("free:2 vs free:3"),
+    errors.BudgetError: errors.BudgetError("spent"),
+    errors.BallBudgetError: errors.BallBudgetError(3, 8, 100),
+    errors.OracleBudgetError: errors.OracleBudgetError(5000, 2, 4),
+    errors.SearchDepthError: errors.SearchDepthError("aab", 12),
+    errors.TupleBudgetError: errors.TupleBudgetError(83521, 1000),
+    errors.AmbiguityBudgetError: errors.AmbiguityBudgetError(900, 100, object()),
+    errors.DependenceError: errors.DependenceError("a and aa"),
+    errors.HypothesisViolationError: errors.HypothesisViolationError("rate failed"),
+    errors.InvariantViolationError: errors.InvariantViolationError("broken"),
+    errors.UnsupportedConfigurationError: errors.UnsupportedConfigurationError("no"),
+}
+
+
+def reference_diagnostic(exc):
+    """The diagnostic as a fixed list of error-field names builds it."""
+    doc = {"error": type(exc).__name__, "message": str(exc)}
+    for attr in (
+        "line", "column", "radius_reached", "target_radius", "budget",
+        "needed", "cap", "pairs_needed", "element_text", "depth_cap",
+    ):
+        value = getattr(exc, attr, None)
+        if isinstance(value, (int, str)):
+            doc[attr] = value
+    return doc
+
+
+class TestDiagnose:
+    def test_every_error_type_is_covered(self):
+        defined = {
+            obj for obj in vars(errors).values()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+        }
+        assert defined == set(ERROR_INSTANCES)
+
+    @pytest.mark.parametrize("kind", list(ERROR_INSTANCES), ids=lambda kind: kind.__name__)
+    def test_matches_reference(self, capsys, kind):
+        exc = ERROR_INSTANCES[kind]
+        _diagnose(exc)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == reference_diagnostic(exc)
+
+    def test_parse_error_without_column(self, capsys):
+        _diagnose(errors.ParseError("no position"))
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParseError", "message": "no position", "line": 1,
+        }
+
+    def test_foreign_exception_gives_error_and_message(self, capsys):
+        _diagnose(ValueError("plain"))
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": "plain"}
 
 
 class TestArtifacts:
