@@ -7,12 +7,15 @@ render(parse(s)) is a normal form. It canonicalizes a subgroup spec
 without enumerating anything; the subgroup's oracle is built once, when
 the experiment runs. Execution writes artifacts whose bytes depend only
 on the logical spec: CSV for tables, JSON for reports, each embedding
-the canonical spec and the tool version. Worker count and output
-directory are execution knobs and are excluded from the embedded spec,
-which is what makes artifacts comparable across runs.
-Every command accepts the worker count and runs in one process; no
-command forks. A budgeted subgroup oracle may enumerate at most
-min(1,000,000, --budget-elements) elements.
+the canonical spec and the tool version. The output directory is an
+execution knob, excluded from the embedded spec, which is what makes
+artifacts comparable across runs. Every command runs in one process;
+--workers K is range-checked (1 to 256) and discarded. A budgeted
+subgroup oracle may enumerate at most min(1,000,000, --budget-elements)
+elements. _FLAGS declares each flag once, in render order, and _COMMANDS
+each command once; the flag checks, the defaults and the canonical
+render follow from them. A flag given twice, under either spelling, is
+a parse error.
 
 Exit codes: 0 success, 2 budget exceeded, 3 hypothesis or invariant
 violation detected, 64 spec parse error, 1 other failures. Errors are
@@ -56,9 +59,7 @@ from .words import GroupDescriptor, parse_element, parse_group
 
 __all__ = ["ExperimentSpec", "parse_spec", "run", "main"]
 
-COMMANDS = ("growth", "relgrowth", "distortion", "delta", "acyl", "ambiguity", "rate")
-
-# flag spelling -> spec field
+# flag spelling -> spec field, in render order; a field renders as its first spelling
 _FLAGS = {
     "--group": "group",
     "--subgroup": "subgroup",
@@ -83,45 +84,40 @@ _FLAGS = {
     "--out": "out",
     "--workers": "workers",
 }
+_SPELLING = {}
+for _flag, _field in _FLAGS.items():
+    _SPELLING.setdefault(_field, _flag)
 
-_REQUIRED = {
-    "growth": ("group", "max_radius"),
-    "relgrowth": ("group", "subgroup", "max_radius"),
-    "distortion": ("group", "subgroup", "max_radius"),
-    "delta": ("group", "max_radius"),
-    "acyl": ("group", "x", "y", "epsilon"),
-    "ambiguity": ("group", "g", "h", "smax", "tmax"),
-    "rate": ("group", "max_radius"),
+# command -> (required fields, optional fields, default --budget-elements, default format);
+# every command also takes --format, --out and --workers
+_COMMANDS = {
+    "growth": (("group", "max_radius"), ("budget",), DEFAULT_BUDGET, "csv"),
+    "relgrowth": (("group", "subgroup", "max_radius"), ("budget",), DEFAULT_BUDGET, "csv"),
+    "distortion": (("group", "subgroup", "max_radius"), ("budget",), DEFAULT_BUDGET, "csv"),
+    "delta": (
+        ("group", "max_radius"),
+        ("budget", "mode", "trials", "seed"),
+        DEFAULT_TUPLE_CAP,
+        "json",
+    ),
+    "acyl": (("group", "x", "y", "epsilon"), ("budget",), None, "json"),
+    "ambiguity": (
+        ("group", "g", "h", "smax", "tmax"),
+        ("subgroup", "power", "budget"),
+        DEFAULT_PAIR_BUDGET,
+        "json",
+    ),
+    "rate": (
+        ("group", "max_radius"),
+        ("subgroup", "epsilon", "shift", "threshold", "growth_bound"),
+        None,
+        "json",
+    ),
 }
-
-_ALLOWED = {
-    "growth": {"group", "max_radius", "budget"},
-    "relgrowth": {"group", "subgroup", "max_radius", "budget"},
-    "distortion": {"group", "subgroup", "max_radius", "budget"},
-    "delta": {"group", "max_radius", "budget", "mode", "trials", "seed"},
-    "acyl": {"group", "x", "y", "epsilon", "budget"},
-    "ambiguity": {"group", "subgroup", "g", "h", "power", "smax", "tmax", "budget"},
-    "rate": {"group", "subgroup", "max_radius", "epsilon", "shift", "threshold", "growth_bound"},
-}
-for _cmd in _ALLOWED:
-    _ALLOWED[_cmd] |= {"format", "out", "workers"}
-
-_DEFAULT_BUDGETS = {
-    "growth": DEFAULT_BUDGET,
-    "relgrowth": DEFAULT_BUDGET,
-    "distortion": DEFAULT_BUDGET,
-    "delta": DEFAULT_TUPLE_CAP,
-    "ambiguity": DEFAULT_PAIR_BUDGET,
-}
-
-_DEFAULT_FORMAT = {
-    "growth": "csv",
-    "relgrowth": "csv",
-    "distortion": "csv",
-    "delta": "json",
-    "acyl": "json",
-    "ambiguity": "json",
-    "rate": "json",
+COMMANDS = tuple(_COMMANDS)
+_TAKES = {
+    command: {*required, *optional, "format", "out", "workers"}
+    for command, (required, optional, _, _) in _COMMANDS.items()
 }
 
 
@@ -150,37 +146,25 @@ class ExperimentSpec:
     seed: int = 0
     format: str = "csv"
     out: str | None = None
-    workers: int = 1
 
     def render(self, *, logical: bool = False) -> str:
-        """Canonical one-line form; logical omits execution knobs."""
-        parts = [self.command, "--group", _quote(self.group)]
-        if self.subgroup is not None:
-            parts += ["--subgroup", _quote(self.subgroup)]
-        if self.command == "ambiguity":
-            parts += ["--g", _quote(self.g), "--h", _quote(self.h), "-n", str(self.power)]
-        if self.command == "acyl":
-            parts += ["--x", _quote(self.x), "--y", _quote(self.y), "--epsilon", self.epsilon]
-        if self.command == "rate":
-            parts += ["--epsilon", _quote(self.epsilon), "--shift", _quote(self.shift)]
-            parts += ["--threshold", str(self.threshold)]
-            if self.growth_bound is not None:
-                parts += ["--growth-bound", _quote(self.growth_bound)]
-        if self.max_radius is not None:
-            parts += ["--max-radius", str(self.max_radius)]
-        if self.command == "ambiguity":
-            parts += ["--smax", str(self.smax), "--tmax", str(self.tmax)]
-        if self.budget is not None:
-            parts += ["--budget-elements", str(self.budget)]
-        if self.command == "delta":
-            parts += ["--mode", self.mode]
-            if self.mode == "random":
-                parts += ["--trials", str(self.trials), "--seed", str(self.seed)]
-        parts += ["--format", self.format]
-        if not logical:
-            if self.out is not None:
-                parts += ["--out", _quote(self.out)]
-            parts += ["--workers", str(self.workers)]
+        """Canonical one-line form; logical omits the output directory.
+
+        Every field the command takes and that is set renders in flag
+        order; trials and seed only in random mode.
+        """
+        takes = _TAKES[self.command]
+        parts = [self.command]
+        for field, flag in _SPELLING.items():
+            value = getattr(self, field, None)  # --workers is not stored
+            if (
+                value is None
+                or field not in takes
+                or field in ("trials", "seed") and self.mode != "random"
+                or field == "out" and logical
+            ):
+                continue
+            parts += [flag, _quote(str(value))]
         return " ".join(parts)
 
 
@@ -224,10 +208,10 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     return tokens
 
 
-def _int_flag(raw, name: str, flag: str, lo: int, hi: int, default: int | None):
+def _int_flag(raw, name: str, lo: int, hi: int, default: int | None):
     if name not in raw:
         return default
-    value, line, col = raw[name]
+    flag, value, line, col = raw[name]
     try:
         number = int(value)
     except ValueError:
@@ -259,31 +243,32 @@ def parse_spec(text: str) -> ExperimentSpec:
             cline,
             ccol,
         )
-    raw: dict[str, tuple[str, int, int]] = {}
-    i = 1
-    while i < len(tokens):
+    # field -> (flag as typed, value, value line, value column)
+    raw: dict[str, tuple[str, str, int, int]] = {}
+    for i in range(1, len(tokens), 2):
         flag, fline, fcol = tokens[i]
         field = _FLAGS.get(flag)
         if field is None:
             raise ParseError(f"unknown flag {flag!r}", fline, fcol)
         if i + 1 >= len(tokens):
             raise ParseError(f"flag {flag} needs a value", fline, fcol)
-        value, vline, vcol = tokens[i + 1]
-        raw[field] = (value, vline, vcol)
-        i += 2
+        if field in raw:
+            first = raw[field][0]
+            raise ParseError(f"duplicate flag {flag}, already given as {first}", fline, fcol)
+        raw[field] = (flag, *tokens[i + 1])
 
-    flag_names = {field: flag for flag, field in _FLAGS.items()}
-    for field, (_, fline, fcol) in raw.items():
-        if field not in _ALLOWED[command]:
-            raise ParseError(f"{flag_names[field]} does not apply to {command}", fline, fcol)
-    for field in _REQUIRED[command]:
+    for field, (flag, _, vline, vcol) in raw.items():
+        if field not in _TAKES[command]:
+            raise ParseError(f"{flag} does not apply to {command}", vline, vcol)
+    required, _, default_budget, default_format = _COMMANDS[command]
+    for field in required:
         if field not in raw:
-            raise ParseError(f"{command} requires a --{field.replace('_', '-')} value", cline, ccol)
+            raise ParseError(f"{command} requires a {_SPELLING[field]} value", cline, ccol)
 
     def canonical(field: str, parser) -> str | None:
         if field not in raw:
             return None
-        value, vline, vcol = raw[field]
+        _, value, vline, vcol = raw[field]
         try:
             return parser(value)
         except ParseError as exc:
@@ -304,27 +289,27 @@ def parse_spec(text: str) -> ExperimentSpec:
         subgroup=subgroup,
         g=canonical("g", lambda s: parse_element(group, s).render()),
         h=canonical("h", lambda s: parse_element(group, s).render()),
-        power=_int_flag(raw, "power", "-n", 1, 64, 2),
+        power=_int_flag(raw, "power", 1, 64, 2),
         x=canonical("x", lambda s: parse_element(group, s).render()),
         y=canonical("y", lambda s: parse_element(group, s).render()),
         epsilon=None,
         shift=None,
-        threshold=_int_flag(raw, "threshold", "--threshold", 0, 10**6, 1),
+        threshold=_int_flag(raw, "threshold", 0, 10**6, 1),
         growth_bound=canonical("growth_bound", lambda s: str(Fraction(s))),
-        max_radius=_int_flag(raw, "max_radius", "--max-radius", 0, 10**4, None),
-        smax=_int_flag(raw, "smax", "--smax", 0, 64, None),
-        tmax=_int_flag(raw, "tmax", "--tmax", 0, 64, None),
-        budget=_int_flag(raw, "budget", "--budget-elements", 1, 10**12, _DEFAULT_BUDGETS.get(command)),
+        max_radius=_int_flag(raw, "max_radius", 0, 10**4, None),
+        smax=_int_flag(raw, "smax", 0, 64, None),
+        tmax=_int_flag(raw, "tmax", 0, 64, None),
+        budget=_int_flag(raw, "budget", 1, 10**12, default_budget),
         mode="exhaustive",
-        trials=_int_flag(raw, "trials", "--trials", 1, 10**8, 10_000),
-        seed=_int_flag(raw, "seed", "--seed", 0, 2**62, 0),
-        format=_DEFAULT_FORMAT[command],
-        out=raw["out"][0] if "out" in raw else None,
-        workers=_int_flag(raw, "workers", "--workers", 1, 256, 1),
+        trials=_int_flag(raw, "trials", 1, 10**8, 10_000),
+        seed=_int_flag(raw, "seed", 0, 2**62, 0),
+        format=default_format,
+        out=raw["out"][1] if "out" in raw else None,
     )
+    _int_flag(raw, "workers", 1, 256, 1)  # checked, then discarded: every run is one process
 
     if command == "acyl":
-        spec = replace(spec, epsilon=str(_int_flag(raw, "epsilon", "--epsilon", 0, 64, None)))
+        spec = replace(spec, epsilon=str(_int_flag(raw, "epsilon", 0, 64, None)))
     elif command == "rate":
         spec = replace(
             spec,
@@ -333,7 +318,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         )
 
     if "mode" in raw:
-        value, vline, vcol = raw["mode"]
+        _, value, vline, vcol = raw["mode"]
         if value not in ("exhaustive", "random"):
             raise ParseError(f"--mode must be exhaustive or random, got {value!r}", vline, vcol)
         spec = replace(spec, mode=value)
@@ -341,7 +326,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         # sampling knobs are meaningless outside random mode; normalize them
         spec = replace(spec, trials=10_000, seed=0)
     if "format" in raw:
-        value, vline, vcol = raw["format"]
+        _, value, vline, vcol = raw["format"]
         if value not in ("csv", "json"):
             raise ParseError(f"--format must be csv or json, got {value!r}", vline, vcol)
         spec = replace(spec, format=value)
@@ -350,21 +335,9 @@ def parse_spec(text: str) -> ExperimentSpec:
 
 def _diagnose(exc: BaseException) -> None:
     doc = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in (
-        "line",
-        "column",
-        "radius_reached",
-        "target_radius",
-        "budget",
-        "needed",
-        "cap",
-        "pairs_needed",
-        "element_text",
-        "depth_cap",
-    ):
-        value = getattr(exc, attr, None)
-        if isinstance(value, (int, str)):
-            doc[attr] = value
+    if isinstance(exc, GrowthlabError):
+        # each error type sets its own fields; report the plain ones
+        doc.update((k, v) for k, v in vars(exc).items() if isinstance(v, (int, str)))
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 

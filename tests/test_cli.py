@@ -75,7 +75,7 @@ class TestParse:
         spec = parse_spec("growth --group free:2 --max-radius 3 --workers 8 --out /tmp/x")
         logical = spec.render(logical=True)
         assert "--workers" not in logical and "--out" not in logical
-        assert "--workers 8" in spec.render()
+        assert "--out /tmp/x" in spec.render()
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -113,14 +113,14 @@ class TestParse:
 GOLDEN_RENDERS = [
     (
         'growth --group free:2 --max-radius 4 --budget-elements 500 --format json --out "my dir"',
-        'growth --group free:2 --max-radius 4 --budget-elements 500 --format json --out "my dir" --workers 1',
+        'growth --group free:2 --max-radius 4 --budget-elements 500 --format json --out "my dir"',
         "growth --group free:2 --max-radius 4 --budget-elements 500 --format json",
     ),
     (
         'relgrowth --group free:2 --subgroup " aa , bb " --max-radius 5 --budget-elements 9000'
         ' --format json --out "my dir"',
         "relgrowth --group free:2 --subgroup aa,bb --max-radius 5 --budget-elements 9000"
-        ' --format json --out "my dir" --workers 1',
+        ' --format json --out "my dir"',
         "relgrowth --group free:2 --subgroup aa,bb --max-radius 5 --budget-elements 9000"
         " --format json",
     ),
@@ -128,7 +128,7 @@ GOLDEN_RENDERS = [
         "distortion --group free:2 --subgroup cyclic:aa --max-radius 6 --budget-elements 9000"
         ' --format json --out "my dir"',
         "distortion --group free:2 --subgroup cyclic:aa --max-radius 6 --budget-elements 9000"
-        ' --format json --out "my dir" --workers 1',
+        ' --format json --out "my dir"',
         "distortion --group free:2 --subgroup cyclic:aa --max-radius 6 --budget-elements 9000"
         " --format json",
     ),
@@ -136,21 +136,21 @@ GOLDEN_RENDERS = [
         "delta --group free:3 --max-radius 2 --mode exhaustive --budget-elements 70000"
         ' --format csv --out "my dir"',
         "delta --group free:3 --max-radius 2 --budget-elements 70000 --mode exhaustive"
-        ' --format csv --out "my dir" --workers 1',
+        ' --format csv --out "my dir"',
         "delta --group free:3 --max-radius 2 --budget-elements 70000 --mode exhaustive --format csv",
     ),
     (
         "delta --group free:2 --max-radius 3 --mode random --trials 55 --seed 9"
         ' --budget-elements 1000 --format csv --out "my dir"',
         "delta --group free:2 --max-radius 3 --budget-elements 1000 --mode random --trials 55"
-        ' --seed 9 --format csv --out "my dir" --workers 1',
+        ' --seed 9 --format csv --out "my dir"',
         "delta --group free:2 --max-radius 3 --budget-elements 1000 --mode random --trials 55"
         " --seed 9 --format csv",
     ),
     (
         "delta --group free:2 --max-radius 2 --trials 55 --seed 9",
         "delta --group free:2 --max-radius 2 --budget-elements 200000000 --mode exhaustive"
-        " --format json --workers 1",
+        " --format json",
         "delta --group free:2 --max-radius 2 --budget-elements 200000000 --mode exhaustive"
         " --format json",
     ),
@@ -158,14 +158,14 @@ GOLDEN_RENDERS = [
         "acyl --group free:2 --x ab --y aaaaa --epsilon 3 --budget-elements 4000"
         ' --format csv --out "my dir"',
         "acyl --group free:2 --x ab --y aaaaa --epsilon 3 --budget-elements 4000"
-        ' --format csv --out "my dir" --workers 1',
+        ' --format csv --out "my dir"',
         "acyl --group free:2 --x ab --y aaaaa --epsilon 3 --budget-elements 4000 --format csv",
     ),
     (
         'ambiguity --group "product(free:2,free:2)" --subgroup diag --g "(a,a)" --h "(b,b)"'
         ' -n 3 --smax 2 --tmax 3 --budget-elements 100000 --format csv --out "my dir"',
         "ambiguity --group product(free:2,free:2) --subgroup diag --g (a,a) --h (b,b)"
-        ' -n 3 --smax 2 --tmax 3 --budget-elements 100000 --format csv --out "my dir" --workers 1',
+        ' -n 3 --smax 2 --tmax 3 --budget-elements 100000 --format csv --out "my dir"',
         "ambiguity --group product(free:2,free:2) --subgroup diag --g (a,a) --h (b,b)"
         " -n 3 --smax 2 --tmax 3 --budget-elements 100000 --format csv",
     ),
@@ -173,14 +173,14 @@ GOLDEN_RENDERS = [
         'rate --group free:2 --subgroup "aa,bb" --max-radius 9 --epsilon 1+2n --shift 1'
         ' --threshold 2 --growth-bound 7/2 --format csv --out "my dir"',
         "rate --group free:2 --subgroup aa,bb --epsilon 1+2n --shift 1 --threshold 2"
-        ' --growth-bound 7/2 --max-radius 9 --format csv --out "my dir" --workers 1',
+        ' --growth-bound 7/2 --max-radius 9 --format csv --out "my dir"',
         "rate --group free:2 --subgroup aa,bb --epsilon 1+2n --shift 1 --threshold 2"
         " --growth-bound 7/2 --max-radius 9 --format csv",
     ),
     (
         "rate --group free:2 --max-radius 9",
         "rate --group free:2 --epsilon 1 --shift 0 --threshold 1 --max-radius 9"
-        " --format json --workers 1",
+        " --format json",
         "rate --group free:2 --epsilon 1 --shift 0 --threshold 1 --max-radius 9 --format json",
     ),
 ]
@@ -274,6 +274,50 @@ class TestSpecLayer:
     )
     def test_integer_out_of_range(self, text, message):
         assert rejection(text) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("growth --group free:2 --max-radius 3 -n 3",
+             "-n does not apply to growth (line 1, column 41)"),
+            ("growth --group free:2 --max-radius 3 --connector-power 3",
+             "--connector-power does not apply to growth (line 1, column 56)"),
+            ("ambiguity --group free:2 --g a --h b -n 65 --smax 2 --tmax 2",
+             "-n out of range [1, 64]: 65 (line 1, column 41)"),
+            ("ambiguity --group free:2 --g a --h b --connector-power 0 --smax 2 --tmax 2",
+             "--connector-power out of range [1, 64]: 0 (line 1, column 56)"),
+            ("ambiguity --group free:2 --g a --h b --connector-power two --smax 2 --tmax 2",
+             "--connector-power expects an integer, got 'two' (line 1, column 56)"),
+        ],
+    )
+    def test_errors_name_the_spelling_typed(self, text, message):
+        assert rejection(text) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("growth --group free:2 --max-radius 3 --group free:3",
+             "duplicate flag --group, already given as --group (line 1, column 38)"),
+            ("ambiguity --group free:2 --g a --h b -n 2 --connector-power 3 --smax 2 --tmax 2",
+             "duplicate flag --connector-power, already given as -n (line 1, column 43)"),
+            ("ambiguity --group free:2 --g a --h b --connector-power 3 -n 2 --smax 2 --tmax 2",
+             "duplicate flag -n, already given as --connector-power (line 1, column 58)"),
+            ("growth --group free:2 --max-radius 3 --out a --out b",
+             "duplicate flag --out, already given as --out (line 1, column 46)"),
+        ],
+    )
+    def test_repeated_flag_is_rejected(self, text, message):
+        assert rejection(text) == message
+
+    def test_repeated_flag_exits_64(self, capsys):
+        assert main(["growth", "--group", "free:2", "--max-radius", "3", "--group", "free:3"]) == 64
+        diag = json.loads(capsys.readouterr().err)
+        assert (diag["error"], diag["column"]) == ("ParseError", 38)
+
+    def test_workers_is_checked_then_dropped(self):
+        spec = parse_spec("growth --group free:2 --max-radius 3 --workers 256")
+        assert spec == parse_spec("growth --group free:2 --max-radius 3")
+        assert not hasattr(spec, "workers")
 
 
 # One instance of every error type, for the diagnostic test.
