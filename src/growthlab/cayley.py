@@ -236,7 +236,6 @@ def growth_sequence(
     *,
     oracle: SubgroupOracle | None = None,
     budget: int = DEFAULT_BUDGET,
-    ambient: Ball | None = None,
 ) -> GrowthTable:
     """Growth table via enumeration (and filtering, when an oracle is given).
 
@@ -253,7 +252,7 @@ def growth_sequence(
                 f"ball counts fail submultiplicativity at (m, n) = {bad[:3]}"
             )
         return GrowthTable(group, counts)
-    rel = relative_ball(group, oracle, radius, budget=budget, ambient=ambient)
+    rel = relative_ball(group, oracle, radius, budget=budget)
     return GrowthTable(
         group,
         rel.counts_by_radius,

@@ -113,9 +113,6 @@ class FuncSpec:
             return f"{intercept}{sign}{abs(slope)}n"
         return "table:" + ",".join(str(c) for c in self.coeffs)
 
-    def to_json(self) -> str:
-        return self.render()
-
 
 def parse_funcspec(text: str) -> FuncSpec:
     """Parse the textual function grammar used by rate hypotheses."""

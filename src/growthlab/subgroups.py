@@ -59,17 +59,14 @@ class StallingsGraph:
     def num_vertices(self) -> int:
         return len(self.transitions)
 
-    def trace(self, data: bytes, start: int = 0) -> int | None:
-        """Follow a word from a vertex; None when the path leaves the graph."""
-        v = start
+    def accepts(self, data: bytes) -> bool:
+        """True when the word reads a closed path at the basepoint."""
+        v = 0
         for b in data:
             v = self.transitions[v].get(b)
             if v is None:
-                return None
-        return v
-
-    def accepts(self, data: bytes) -> bool:
-        return self.trace(data) == 0
+                return False
+        return v == 0
 
     def canonical_key(self) -> tuple:
         """Renumbering-invariant form: vertices in BFS order from the base."""
