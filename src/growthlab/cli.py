@@ -115,8 +115,12 @@ _COMMANDS = {
     ),
 }
 COMMANDS = tuple(_COMMANDS)
+# command -> each field it takes, in render order, with the field's first spelling
 _TAKES = {
-    command: {*required, *optional, "format", "out", "workers"}
+    command: {
+        field: flag for field, flag in _SPELLING.items()
+        if field in (*required, *optional, "format", "out", "workers")
+    }
     for command, (required, optional, _, _) in _COMMANDS.items()
 }
 
@@ -148,18 +152,13 @@ class ExperimentSpec:
     out: str | None = None
 
     def render(self, *, logical: bool = False) -> str:
-        """Canonical one-line form; logical omits the output directory.
-
-        Every field the command takes and that is set renders in flag
-        order; trials and seed only in random mode.
-        """
-        takes = _TAKES[self.command]
+        """Canonical one-line form: the command's set fields in flag order, trials
+        and seed only in random mode; logical omits the output directory."""
         parts = [self.command]
-        for field, flag in _SPELLING.items():
+        for field, flag in _TAKES[self.command].items():
             value = getattr(self, field, None)  # --workers is not stored
             if (
                 value is None
-                or field not in takes
                 or field in ("trials", "seed") and self.mode != "random"
                 or field == "out" and logical
             ):
@@ -168,8 +167,11 @@ class ExperimentSpec:
         return " ".join(parts)
 
 
+_QUOTED = frozenset(" \t\n'\"")  # a value holding one of these renders in double quotes
+
+
 def _quote(value: str) -> str:
-    if value == "" or any(ch in value for ch in " \t\n'\""):
+    if value == "" or not _QUOTED.isdisjoint(value):
         return '"' + value + '"'
     return value
 
@@ -263,7 +265,7 @@ def parse_spec(text: str) -> ExperimentSpec:
     required, _, default_budget, default_format = _COMMANDS[command]
     for field in required:
         if field not in raw:
-            raise ParseError(f"{command} requires a {_SPELLING[field]} value", cline, ccol)
+            raise ParseError(f"{command} requires a {_TAKES[command][field]} value", cline, ccol)
 
     def canonical(field: str, parser) -> str | None:
         if field not in raw:
@@ -292,15 +294,12 @@ def parse_spec(text: str) -> ExperimentSpec:
         power=_int_flag(raw, "power", 1, 64, 2),
         x=canonical("x", lambda s: parse_element(group, s).render()),
         y=canonical("y", lambda s: parse_element(group, s).render()),
-        epsilon=None,
-        shift=None,
         threshold=_int_flag(raw, "threshold", 0, 10**6, 1),
         growth_bound=canonical("growth_bound", lambda s: str(Fraction(s))),
         max_radius=_int_flag(raw, "max_radius", 0, 10**4, None),
         smax=_int_flag(raw, "smax", 0, 64, None),
         tmax=_int_flag(raw, "tmax", 0, 64, None),
         budget=_int_flag(raw, "budget", 1, 10**12, default_budget),
-        mode="exhaustive",
         trials=_int_flag(raw, "trials", 1, 10**8, 10_000),
         seed=_int_flag(raw, "seed", 0, 2**62, 0),
         format=default_format,
