@@ -9,11 +9,14 @@ spheres, which are disjoint, so the only work left is one sort per
 sphere. Elements are kept in packed byte form; the finished ball is
 shortlex sorted, which makes every ball of smaller radius a prefix slice.
 
-Relative balls of a subgroup are computed by filtering whole-group balls
-through a membership oracle, never by searching in subgroup generators:
-the ambient metric is the definition, and filtering inherits its
-exactness. Oracles may answer "unknown"; such elements are excluded from
-the ball and tallied separately so no count silently pretends precision.
+Relative balls of a subgroup H hold H's elements by their ambient word
+length, so the ambient metric stays the definition. Each oracle generates
+its own members sphere by sphere from its structure (reduced closed paths
+of a folded graph, powers of one element, products and graphs of factor
+subgroups), never by filtering the whole-group ball and never by searching
+in subgroup generators. Oracles may answer "unknown"; such elements are
+excluded from the ball and tallied separately so no count silently
+pretends precision.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ from .counting import ball_counts
 from .errors import BallBudgetError, InvariantViolationError, SearchDepthError
 from .subgroups import SubgroupOracle, oracle_for_generators
 from .words import (
-    SEP,
     Element,
     GroupDescriptor,
-    inverse_byte,
+    free_spheres,
     invert_packed,
     multiply_packed,
     packed_length,
+    product_spheres,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -44,8 +47,8 @@ DEFAULT_BUDGET = 10_000_000
 class Ball:
     """All elements within a radius, shortlex sorted, in packed form.
 
-    For filtered (relative) balls, unknown_by_radius[n] counts ambient-ball
-    elements up to radius n whose membership the oracle could not decide.
+    For relative balls, unknown_by_radius[n] counts ambient-ball elements
+    up to radius n whose membership the oracle could not decide.
     """
 
     group: GroupDescriptor
@@ -110,19 +113,28 @@ class Ball:
         )
 
 
-def _free_spheres(rank: int, radius: int) -> list[list[bytes]]:
-    """Spheres 0..radius of F_rank, each in shortlex order.
+def _check_budget(group: GroupDescriptor, radius: int, budget: int) -> None:
+    """Raise BallBudgetError unless the group's ball of this radius fits.
 
-    Sphere n+1 extends every sphere-n word, in order, by each letter that
-    does not cancel its last letter, in letter order; that is already
-    shortlex.
+    The sizes are closed forms; radius_reached is the last radius that fits.
+    Counting a product's balls costs about radius^2 big-integer products,
+    so count to doubling horizons: an overflowing request stops near the
+    radius where it overflows, not at the radius it asked for.
     """
-    letters = [bytes([b]) for b in range(1, 2 * rank + 1)]
-    follow = {x[0]: [y for y in letters if y[0] != inverse_byte(x[0])] for x in letters}
-    spheres = [[b""], letters][: radius + 1]
-    for _ in range(radius - 1):
-        spheres.append([w + y for w in spheres[-1] for y in follow[w[-1]]])
-    return spheres
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    horizon = 0
+    while True:
+        sizes = ball_counts(group, horizon)
+        if sizes[-1] > budget:
+            raise BallBudgetError(
+                radius_reached=bisect.bisect_right(sizes, budget) - 1,
+                target_radius=radius,
+                budget=budget,
+            )
+        if horizon == radius:
+            return
+        horizon = min(2 * horizon + 1, radius)
 
 
 def enumerate_ball(
@@ -134,35 +146,10 @@ def enumerate_ball(
     """Exact ball of the whole group, generated from the factor trees.
 
     The budget is checked against the closed-form ball sizes before any
-    element is built; radius_reached is the last radius that fits.
+    element is built.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    # Counting a product's balls costs about radius^2 big-integer products,
-    # so count to doubling horizons: an overflowing request stops near the
-    # radius where it overflows, not at the radius it asked for.
-    horizon = 0
-    while True:
-        sizes = ball_counts(group, horizon)
-        if sizes[-1] > budget:
-            raise BallBudgetError(
-                radius_reached=bisect.bisect_right(sizes, budget) - 1,
-                target_radius=radius,
-                budget=budget,
-            )
-        if horizon == radius:
-            break
-        horizon = min(2 * horizon + 1, radius)
-    spheres = _free_spheres(group.ranks[0], radius)
-    for rank in group.ranks[1:]:
-        factor = _free_spheres(rank, radius)
-        spheres = [
-            [u + SEP + v for i in range(n + 1) for u in spheres[i] for v in factor[n - i]]
-            for n in range(radius + 1)
-        ]
-    if group.num_factors > 1:
-        for sphere in spheres:
-            sphere.sort()
+    _check_budget(group, radius, budget)
+    spheres = product_spheres([free_spheres(rank, radius) for rank in group.ranks])
     return Ball(group, radius, tuple(chain.from_iterable(spheres)))
 
 
@@ -174,29 +161,20 @@ def relative_ball(
     budget: int = DEFAULT_BUDGET,
     ambient: Ball | None = None,
 ) -> Ball:
-    """Subgroup elements of ambient length <= radius, by filtering the ball.
+    """Subgroup elements of ambient length <= radius, from the oracle's structure.
 
-    An already enumerated ambient ball of sufficient radius can be passed
-    to avoid re-enumeration.
+    The oracle generates its members sphere by sphere and tallies what it
+    cannot decide. The budget still caps the ambient ball's closed-form
+    size, so a request fails where whole-group enumeration would. An
+    ambient ball, if given, must cover the request; it is not needed.
     """
     if oracle.group != group:
         raise ValueError("oracle is over a different group")
-    if ambient is None:
-        ambient = enumerate_ball(group, radius, budget=budget)
-    elif ambient.group != group or ambient.radius < radius:
+    if ambient is not None and (ambient.group != group or ambient.radius < radius):
         raise ValueError("supplied ambient ball does not cover the request")
-    if ambient.radius > radius:
-        ambient = ambient.up_to(radius)
-    offset = group.num_factors - 1
-    kept: list[bytes] = []
-    unknown = [0] * (radius + 1)
-    for p in ambient.packed:
-        got = oracle.contains_packed(p)
-        if got is True:
-            kept.append(p)
-        elif got is None:
-            unknown[len(p) - offset] += 1
-    return Ball(group, radius, tuple(kept), tuple(accumulate(unknown)))
+    _check_budget(group, radius, budget)
+    spheres, unknown = oracle.relative_spheres(radius)
+    return Ball(group, radius, tuple(chain.from_iterable(spheres)), tuple(accumulate(unknown)))
 
 
 @dataclass(frozen=True)
@@ -237,7 +215,7 @@ def growth_sequence(
     oracle: SubgroupOracle | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> GrowthTable:
-    """Growth table via enumeration (and filtering, when an oracle is given).
+    """Growth table via enumeration (the oracle's relative ball, when given).
 
     Whole-group tables are validated against the submultiplicativity law
     |B(m+n)| <= |B(m)||B(n)| on every split of every radius in range; a
@@ -333,10 +311,11 @@ def distortion(
 ) -> DistortionTable:
     """Distortion of H = <generators> inside its ambient group.
 
-    Members are collected by filtering the ambient ball, then each gets its
-    exact generator-word length. When the generators spread over several
-    factors membership falls back to budgeted enumeration, and elements it
-    cannot certify are excluded but tallied in `unknown`.
+    Members come from the oracle's relative ball, generated from its
+    structure, then each gets its exact generator-word length. When the
+    generators spread over several factors membership falls back to
+    budgeted enumeration, and elements it cannot certify are excluded but
+    tallied in `unknown`.
     """
     if oracle is None:
         oracle = oracle_for_generators(group, generators, budget_radius=radius)

@@ -224,14 +224,15 @@ def product_concat_apply(
 def _resolve_domain(
     domain: GroupDescriptor | SubgroupOracle, radius: int, ambient: Ball | None
 ) -> tuple[GroupDescriptor, str, Ball]:
-    """Group, printable name, and the ball of the domain up to the radius."""
+    """Group, printable name, and the ball of the domain up to the radius.
+
+    A supplied ambient ball serves group domains; a subgroup generates its own.
+    """
     if isinstance(domain, GroupDescriptor):
         if ambient is not None and ambient.group == domain and ambient.radius >= radius:
             return domain, domain.spec(), ambient.up_to(radius)
         return domain, domain.spec(), enumerate_ball(domain, radius)
-    oracle = domain
-    ball = relative_ball(oracle.group, oracle, radius, ambient=ambient)
-    return oracle.group, oracle.spec_string(), ball
+    return domain.group, domain.spec_string(), relative_ball(domain.group, domain, radius)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,17 @@ contains() is three-valued: True, False, or None for "unknown within the
 budget". Only the budgeted oracle ever returns None; the point is that
 membership in subgroups of products is undecidable in general, so an
 enumeration fallback must never fake certainty.
+
+relative_spheres() lists the members by ambient word length, generated
+from the oracle's own structure rather than by asking contains() about
+every element of the ambient ball, and counts the undecided elements.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -35,14 +41,20 @@ from .words import (
     Word,
     _check_word_bytes,
     free_group,
+    free_spheres,
     invert_packed,
     invert_word,
     inverse_byte,
     multiply_packed,
     multiply_words,
     packed_length,
+    product_spheres,
     render_word_bytes,
 )
+
+# Members by ambient length, spheres 0..radius each shortlex sorted, and
+# the number of undecided elements per sphere.
+Spheres = tuple[list[list[bytes]], list[int]]
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,18 @@ class StallingsGraph:
             if v is None:
                 return False
         return v == 0
+
+    def base_distances(self) -> list[int]:
+        """Graph distance from every vertex to the basepoint (breadth first)."""
+        dist = [0] + [-1] * (self.num_vertices - 1)
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for w in self.transitions[v].values():
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
 
     def canonical_key(self) -> tuple:
         """Renumbering-invariant form: vertices in BFS order from the base."""
@@ -156,6 +180,10 @@ class SubgroupOracle:
     def contains_packed(self, packed: bytes) -> bool | None:
         raise NotImplementedError
 
+    def relative_spheres(self, radius: int) -> Spheres:
+        """Members of ambient length 0..radius by sphere, and unknowns per sphere."""
+        raise NotImplementedError
+
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -191,6 +219,37 @@ class StallingsOracle(SubgroupOracle):
             if i != self.factor and p:
                 return False
         return self.graph.accepts(parts[self.factor])
+
+    def relative_spheres(self, radius: int) -> Spheres:
+        """Reduced closed paths at the basepoint, extended letter by letter.
+
+        Extending sphere-n paths in order by each non-cancelling letter in
+        letter order keeps every sphere shortlex sorted, as in a free
+        factor's tree. A path is dropped once the way back to the basepoint
+        is longer than the length it has left.
+        """
+        moves = self.graph.transitions
+        dist = self.graph.base_distances()
+        follow = {
+            (v, last): [(bytes([b]), w) for b, w in sorted(edges.items()) if b != inverse_byte(last)]
+            for v, edges in enumerate(moves)
+            for last in range(2 * self.group.ranks[self.factor] + 1)
+        }
+        # the other factors' empty words, around the factor's word
+        before = SEP * self.factor
+        after = SEP * (self.group.num_factors - 1 - self.factor)
+        paths = [(b"", 0)]
+        spheres = [[before + after]]
+        for n in range(1, radius + 1):
+            left = radius - n
+            paths = [
+                (p + x, w)
+                for p, v in paths
+                for x, w in follow[v, p[-1] if p else 0]
+                if dist[w] <= left
+            ]
+            spheres.append([before + p + after for p, v in paths if v == 0])
+        return spheres, [0] * (radius + 1)
 
     def spec_string(self) -> str:
         return ",".join(g.render() for g in self.generators)
@@ -238,21 +297,36 @@ class CyclicOracle(SubgroupOracle):
         self.generator = generator
         self.generators = (generator,)
         self._tail_len, self._core_len = power_lengths(generator)
+        self._powers = [group.identity().packed, generator.packed]
+
+    def _power(self, k: int) -> bytes:
+        """g^k in packed form for k >= 0, extending the cached powers."""
+        nf = self.group.num_factors
+        while len(self._powers) <= k:
+            self._powers.append(multiply_packed(self._powers[-1], self._powers[1], nf))
+        return self._powers[k]
 
     def contains_packed(self, packed: bytes) -> bool:
         nf = self.group.num_factors
-        if packed == self.group.identity().packed:
+        if packed == self._powers[0]:
             return True
         if self._core_len == 0:
             return False
-        n = packed_length(packed, nf)
-        if n < self._tail_len or (n - self._tail_len) % self._core_len:
+        k, rest = divmod(packed_length(packed, nf) - self._tail_len, self._core_len)
+        if k < 1 or rest:
             return False
-        k = (n - self._tail_len) // self._core_len
-        if k == 0:
-            return False
-        pk = (self.generator ** k).packed
+        pk = self._power(k)
         return pk == packed or invert_packed(pk, nf) == packed
+
+    def relative_spheres(self, radius: int) -> Spheres:
+        """g^k and g^-k on sphere tails + k * core, for every k >= 1 that fits."""
+        nf = self.group.num_factors
+        spheres: list[list[bytes]] = [[self._powers[0]]] + [[] for _ in range(radius)]
+        if self._core_len:
+            for k in range(1, (radius - self._tail_len) // self._core_len + 1):
+                pk = self._power(k)
+                spheres[self._tail_len + k * self._core_len] = sorted((pk, invert_packed(pk, nf)))
+        return spheres, [0] * (radius + 1)
 
     def spec_string(self) -> str:
         return f"cyclic:{self.generator.render()}"
@@ -291,6 +365,22 @@ class ProductOracle(SubgroupOracle):
             if got is None:
                 verdict = None
         return verdict
+
+    def relative_spheres(self, radius: int) -> Spheres:
+        """Factor spheres joined by length split.
+
+        An element is unknown when every factor is a member or unknown and
+        not every factor is a member, so the unknowns are the product of
+        (members + unknowns) less the product of members, sphere by sphere.
+        """
+        from .counting import _convolve  # counting imports this module
+
+        factors = [oracle.relative_spheres(radius) for oracle in self.factor_oracles]
+        spheres = product_spheres([kept for kept, _ in factors])
+        possible = _convolve(
+            ([len(s) + u for s, u in zip(kept, unknown)] for kept, unknown in factors), radius
+        )
+        return spheres, [p - len(s) for p, s in zip(possible, spheres)]
 
     def spec_string(self) -> str:
         return "prod(" + ";".join(o.spec_string() for o in self.factor_oracles) + ")"
@@ -377,6 +467,40 @@ class PullbackOracle(SubgroupOracle):
             return True
         return self.base.contains_packed(w)
 
+    def relative_spheres(self, radius: int) -> Spheres:
+        """Images (w, phi_2(w), ...) of factor-0 words, kept while they fit.
+
+        The words are all of factor 0's ball, or the base's members; a base
+        that leaves words undecided is asked about each word for the unknown
+        tally. Identity maps make the image m times as long as w.
+        """
+        rank = self.group.ranks[0]
+        top = radius // self.group.num_factors if self._identity_maps else radius
+        if self.base is None:
+            sources, doubtful = free_spheres(rank, top), []
+        else:
+            sources, unknown = self.base.relative_spheres(top)
+            doubtful = [
+                [w for w in sphere if self.base.contains_packed(w) is None]
+                for sphere in (free_spheres(rank, top) if any(unknown) else [])
+            ]
+        return self._images(sources, radius), [len(s) for s in self._images(doubtful, radius)]
+
+    def _images(self, sources: list[list[bytes]], radius: int) -> list[list[bytes]]:
+        """The images of the source words of ambient length <= radius, by sphere."""
+        spheres: list[list[bytes]] = [[] for _ in range(radius + 1)]
+        extra = self.group.num_factors - 1
+        for w in chain.from_iterable(sources):
+            if self._identity_maps:
+                image = SEP.join([w] * (extra + 1))
+            else:
+                image = SEP.join([w] + [self._apply(j, w) for j in range(extra)])
+            if len(image) - extra <= radius:
+                spheres[len(image) - extra].append(image)
+        for sphere in spheres:
+            sphere.sort()
+        return spheres
+
     def spec_string(self) -> str:
         if self.is_diagonal:
             return "diag"
@@ -443,6 +567,20 @@ class BudgetedEnumerationOracle(SubgroupOracle):
 
     def contains_packed(self, packed: bytes) -> bool | None:
         return True if packed in self.known else None
+
+    def relative_spheres(self, radius: int) -> Spheres:
+        """The known elements that fit; every other element is unknown."""
+        from .counting import product_sphere_counts  # counting imports this module
+
+        nf = self.group.num_factors
+        spheres: list[list[bytes]] = [[] for _ in range(radius + 1)]
+        for p in self.known:
+            if packed_length(p, nf) <= radius:
+                spheres[packed_length(p, nf)].append(p)
+        for sphere in spheres:
+            sphere.sort()
+        ambient = product_sphere_counts(self.group.ranks, radius)
+        return spheres, [a - len(s) for a, s in zip(ambient, spheres)]
 
     def spec_string(self) -> str:
         return ",".join(g.render() for g in self.generators)

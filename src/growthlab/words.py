@@ -87,6 +87,39 @@ def packed_length(x: bytes, num_factors: int) -> int:
     return len(x) - (num_factors - 1)
 
 
+def free_spheres(rank: int, radius: int) -> list[list[bytes]]:
+    """Spheres 0..radius of F_rank, each in shortlex order.
+
+    F_rank's Cayley graph is a tree: sphere n+1 extends every sphere-n
+    word, in order, by each letter that does not cancel its last letter,
+    in letter order, and that is already shortlex.
+    """
+    letters = [bytes([b]) for b in range(1, 2 * rank + 1)]
+    follow = {x[0]: [y for y in letters if y[0] != inverse_byte(x[0])] for x in letters}
+    spheres = [[b""], letters][: radius + 1]
+    for _ in range(radius - 1):
+        spheres.append([w + y for w in spheres[-1] for y in follow[w[-1]]])
+    return spheres
+
+
+def product_spheres(factors: Sequence[list[list[bytes]]]) -> list[list[bytes]]:
+    """Spheres of a product from equally many spheres of each factor.
+
+    Sphere n is the union over i_1 + ... + i_m = n of the products of
+    factor spheres, which are disjoint; each is shortlex sorted once.
+    """
+    spheres = factors[0]
+    for factor in factors[1:]:
+        spheres = [
+            [u + SEP + v for i in range(n + 1) for u in spheres[i] for v in factor[n - i]]
+            for n in range(len(spheres))
+        ]
+    if len(factors) > 1:
+        for sphere in spheres:
+            sphere.sort()
+    return spheres
+
+
 def reduce_letter_bytes(raw: Iterable[int]) -> bytes:
     """Stack reduction of a letter-byte sequence to its reduced form."""
     stack: list[int] = []

@@ -1,6 +1,6 @@
 """Ball enumeration, growth tables, and distortion."""
 
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +15,24 @@ from growthlab.cayley import (
     submultiplicativity_violations,
     subgroup_word_length,
 )
-from growthlab.counting import ball_counts
-from growthlab.errors import BallBudgetError, SearchDepthError
-from growthlab.subgroups import CyclicOracle, StallingsOracle, diagonal_oracle, parse_subgroup
+from growthlab import cayley
+from growthlab.counting import ball_counts, relative_ball_counts
+from growthlab.errors import BallBudgetError, SearchDepthError, UnsupportedConfigurationError
+from growthlab.subgroups import (
+    BudgetedEnumerationOracle,
+    CyclicOracle,
+    ProductOracle,
+    PullbackOracle,
+    StallingsOracle,
+    diagonal_oracle,
+    oracle_for_generators,
+    parse_subgroup,
+)
 from growthlab.words import (
     SEP,
     Element,
     GroupDescriptor,
+    Word,
     free_group,
     parse_element,
     product_group,
@@ -61,6 +72,83 @@ def small_balls(draw):
     # keep the brute force to a few thousand letter strings
     radius = draw(st.integers(0, 4 if 2 * sum(ranks) <= 8 else 3))
     return GroupDescriptor(ranks), radius
+
+
+def filtered_ball(group, oracle, radius):
+    """Reference relative ball: ask the oracle about every ambient element."""
+    offset = group.num_factors - 1
+    kept, unknown = [], [0] * (radius + 1)
+    for p in enumerate_ball(group, radius).packed:
+        got = oracle.contains_packed(p)
+        if got is True:
+            kept.append(p)
+        elif got is None:
+            unknown[len(p) - offset] += 1
+    return tuple(kept), tuple(accumulate(unknown))
+
+
+def reduced_words(rank, max_size=4):
+    letters = st.integers(1, 2 * rank)
+    return st.lists(letters, max_size=max_size).map(reduce_letter_bytes)
+
+
+def elements(group, max_size=4):
+    parts = [reduced_words(rank, max_size) for rank in group.ranks]
+    return st.tuples(*parts).map(lambda ws: Element(group, SEP.join(ws)))
+
+
+@st.composite
+def free_oracles(draw, rank):
+    """An oracle over F_rank: generator list, cyclic, or budgeted."""
+    group = free_group(rank)
+    kind = draw(st.sampled_from(["stallings", "cyclic", "budgeted"]))
+    if kind == "cyclic":
+        return CyclicOracle(group, draw(elements(group)))
+    gens = draw(st.lists(elements(group), max_size=3))
+    if kind == "budgeted":
+        return BudgetedEnumerationOracle(group, gens, radius=draw(st.integers(0, 3)))
+    return StallingsOracle(group, gens)
+
+
+@st.composite
+def oracles(draw):
+    """Every oracle kind, over F1-F3 and small products, with a radius <= 6."""
+    kind = draw(
+        st.sampled_from(["stallings", "cyclic", "prod", "diag", "pullback", "budgeted"])
+    )
+    if kind == "stallings":
+        group = free_group(draw(st.integers(1, 3)))
+        if draw(st.booleans()):
+            # a subgroup of one factor of a product
+            group = draw(st.sampled_from([F2xF2, product_group(1, 2)]))
+        factor = draw(st.integers(0, group.num_factors - 1))
+        target = tuple(i == factor for i in range(group.num_factors))
+        gens = draw(st.lists(elements(group).filter(
+            lambda g: all(not p or on for p, on in zip(g.packed.split(SEP), target))
+        ), max_size=3))
+        oracle = StallingsOracle(group, gens)
+    elif kind == "cyclic":
+        group = draw(st.sampled_from([F2, F2xF2]))
+        oracle = CyclicOracle(group, draw(elements(group)))
+    elif kind == "prod":
+        group = draw(st.sampled_from([F2xF2, product_group(1, 2), product_group(1, 1, 1)]))
+        oracle = ProductOracle(group, [draw(free_oracles(rank)) for rank in group.ranks])
+    elif kind == "diag":
+        group = draw(st.sampled_from([F2xF2, product_group(1, 1, 1)]))
+        oracle = diagonal_oracle(group)
+    elif kind == "pullback":
+        group = draw(st.sampled_from([F2xF2, product_group(2, 1)]))
+        images = [
+            [Word(w) for w in draw(st.lists(reduced_words(rank, 2), min_size=2, max_size=2))]
+            for rank in group.ranks[1:]
+        ]
+        base = draw(st.none() | free_oracles(2))
+        oracle = PullbackOracle(group, images, base=base)
+    else:
+        group = draw(st.sampled_from([F2xF2, product_group(1, 2)]))
+        gens = draw(st.lists(elements(group, 3), max_size=3))
+        oracle = oracle_for_generators(group, gens, budget_radius=draw(st.integers(0, 3)))
+    return group, oracle, draw(st.integers(0, 6))
 
 
 class TestEnumerateBall:
@@ -182,6 +270,55 @@ class TestRelativeBall:
         ambient = enumerate_ball(F2, 2)
         with pytest.raises(ValueError):
             relative_ball(F2, CyclicOracle(F2, el("a")), 4, ambient=ambient)
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracles())
+    def test_matches_filtering_the_ambient_ball(self, case):
+        group, oracle, radius = case
+        rel = relative_ball(group, oracle, radius)
+        assert (rel.packed, rel.unknown_by_radius) == filtered_ball(group, oracle, radius)
+        try:
+            counts = relative_ball_counts(oracle, radius)
+        except UnsupportedConfigurationError:
+            return
+        assert list(rel.counts_by_radius) == counts
+
+    @pytest.mark.parametrize(
+        "group,make",
+        [
+            (F2, lambda: parse_subgroup(F2, "aab,bAb")),
+            (F2xF2, lambda: parse_subgroup(F2xF2, "(ab,1),(b,1)")),
+            (F2, lambda: parse_subgroup(F2, "cyclic:abA")),
+            (F2xF2, lambda: parse_subgroup(F2xF2, "cyclic:(ab,B)")),
+            (F2xF2, lambda: parse_subgroup(F2xF2, "prod(aa,bb;cyclic:ab)")),
+            (F2xF2, lambda: parse_subgroup(F2xF2, "diag")),
+            (F2xF2, lambda: PullbackOracle(
+                F2xF2, [[Word(b"\x03"), Word(b"\x01\x03")]],
+                base=StallingsOracle(F2, [el("aa"), el("b")]),
+            )),
+            (F2xF2, lambda: parse_subgroup(F2xF2, "(a,b),(b,a)", budget_radius=3)),
+        ],
+    )
+    def test_generates_without_ambient_ball_or_membership_queries(self, monkeypatch, group, make):
+        oracle = make()
+        want = filtered_ball(group, oracle, 6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("relative_ball must not filter")
+
+        monkeypatch.setattr(cayley, "enumerate_ball", refuse)
+        for cls in (StallingsOracle, CyclicOracle, ProductOracle, PullbackOracle,
+                    BudgetedEnumerationOracle):
+            monkeypatch.setattr(cls, "contains_packed", refuse)
+        rel = relative_ball(group, oracle, 6)
+        assert (rel.packed, rel.unknown_by_radius) == want
+
+    def test_budget_counts_the_ambient_ball(self):
+        # 17 members of <aa,bb> fit, but |B(4)| = 161 in F2 does not
+        oracle = StallingsOracle(F2, [el("aa"), el("bb")])
+        with pytest.raises(BallBudgetError) as exc:
+            relative_ball(F2, oracle, 4, budget=100)
+        assert (exc.value.radius_reached, exc.value.target_radius) == (3, 4)
 
 
 class TestGrowthSequence:
