@@ -32,6 +32,7 @@ import shlex
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -167,13 +168,16 @@ class ExperimentSpec:
         return " ".join(parts)
 
 
-_QUOTED = frozenset(" \t\n'\"")  # a value holding one of these renders in double quotes
+_QUOTED = frozenset(" \t\n'\"")  # a value holding one of these renders quoted
 
 
 def _quote(value: str) -> str:
-    if value == "" or not _QUOTED.isdisjoint(value):
-        return '"' + value + '"'
-    return value
+    """The value as one token: runs of double quotes go in single quotes, every
+    other run in double quotes, and the tokenizer joins adjacent quoted runs."""
+    if value and _QUOTED.isdisjoint(value):
+        return value
+    runs = ("".join(run) for _, run in groupby(value, '"'.__eq__))
+    return "".join(f"'{run}'" if run[0] == '"' else f'"{run}"' for run in runs) or '""'
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -247,6 +251,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         )
     # field -> (flag as typed, value, value line, value column)
     raw: dict[str, tuple[str, str, int, int]] = {}
+    flag_at: dict[str, tuple[int, int]] = {}  # field -> (flag line, flag column)
     for i in range(1, len(tokens), 2):
         flag, fline, fcol = tokens[i]
         field = _FLAGS.get(flag)
@@ -258,10 +263,11 @@ def parse_spec(text: str) -> ExperimentSpec:
             first = raw[field][0]
             raise ParseError(f"duplicate flag {flag}, already given as {first}", fline, fcol)
         raw[field] = (flag, *tokens[i + 1])
+        flag_at[field] = (fline, fcol)
 
-    for field, (flag, _, vline, vcol) in raw.items():
+    for field, (flag, *_) in raw.items():
         if field not in _TAKES[command]:
-            raise ParseError(f"{flag} does not apply to {command}", vline, vcol)
+            raise ParseError(f"{flag} does not apply to {command}", *flag_at[field])
     required, _, default_budget, default_format = _COMMANDS[command]
     for field in required:
         if field not in raw:

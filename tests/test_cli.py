@@ -212,22 +212,39 @@ class TestSpecLayer:
         assert parse_spec(rendered) == spec
 
     @pytest.mark.parametrize(
+        "out,rendered",
+        [
+            ('a "b c', '"a "\'"\'"b c"'),
+            ("it's here", '"it\'s here"'),
+            ('say "hi"', '"say "\'"\'"hi"\'"\''),
+            ("x'y \"z\"\t", '"x\'y "\'"\'"z"\'"\'"\t"'),
+            ('""', "'\"\"'"),
+            ("", '""'),
+            (" ", '" "'),
+        ],
+    )
+    def test_out_with_quotes_round_trips(self, out, rendered):
+        spec = replace(parse_spec("growth --group free:2 --max-radius 2"), out=out)
+        assert spec.render().split(" --out ", 1)[1] == rendered
+        assert parse_spec(spec.render()) == spec
+
+    @pytest.mark.parametrize(
         "text,message",
         [
             ("growth --group free:2 --max-radius 3 --smax 2",
-             "--smax does not apply to growth (line 1, column 45)"),
+             "--smax does not apply to growth (line 1, column 38)"),
             ("relgrowth --group free:2 --subgroup aa --max-radius 3 --epsilon 2",
-             "--epsilon does not apply to relgrowth (line 1, column 65)"),
+             "--epsilon does not apply to relgrowth (line 1, column 55)"),
             ("distortion --group free:2 --subgroup aa --max-radius 3 --mode random",
-             "--mode does not apply to distortion (line 1, column 63)"),
+             "--mode does not apply to distortion (line 1, column 56)"),
             ("delta --group free:2 --max-radius 2 --subgroup aa",
-             "--subgroup does not apply to delta (line 1, column 48)"),
+             "--subgroup does not apply to delta (line 1, column 37)"),
             ("acyl --group free:2 --x 1 --y b --epsilon 1 --max-radius 3",
-             "--max-radius does not apply to acyl (line 1, column 58)"),
+             "--max-radius does not apply to acyl (line 1, column 45)"),
             ("ambiguity --group free:2 --g a --h b --smax 2 --tmax 2 --max-radius 3",
-             "--max-radius does not apply to ambiguity (line 1, column 69)"),
+             "--max-radius does not apply to ambiguity (line 1, column 56)"),
             ("rate --group free:2 --max-radius 4 --budget-elements 10",
-             "--budget-elements does not apply to rate (line 1, column 54)"),
+             "--budget-elements does not apply to rate (line 1, column 36)"),
         ],
     )
     def test_flag_does_not_apply(self, text, message):
@@ -279,9 +296,9 @@ class TestSpecLayer:
         "text,message",
         [
             ("growth --group free:2 --max-radius 3 -n 3",
-             "-n does not apply to growth (line 1, column 41)"),
+             "-n does not apply to growth (line 1, column 38)"),
             ("growth --group free:2 --max-radius 3 --connector-power 3",
-             "--connector-power does not apply to growth (line 1, column 56)"),
+             "--connector-power does not apply to growth (line 1, column 38)"),
             ("ambiguity --group free:2 --g a --h b -n 65 --smax 2 --tmax 2",
              "-n out of range [1, 64]: 65 (line 1, column 41)"),
             ("ambiguity --group free:2 --g a --h b --connector-power 0 --smax 2 --tmax 2",
