@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     GroupMismatchError,
@@ -55,6 +55,18 @@ from .words import (
 # Members by ambient length, spheres 0..radius each shortlex sorted, and
 # the number of undecided elements per sphere.
 Spheres = tuple[list[list[bytes]], list[int]]
+
+
+def _by_sphere(elements: Iterable[bytes], radius: int, num_factors: int) -> list[list[bytes]]:
+    """The packed elements of length <= radius, by sphere, each shortlex sorted."""
+    spheres: list[list[bytes]] = [[] for _ in range(radius + 1)]
+    for p in elements:
+        n = packed_length(p, num_factors)
+        if n <= radius:
+            spheres[n].append(p)
+    for sphere in spheres:
+        sphere.sort()
+    return spheres
 
 
 @dataclass(frozen=True)
@@ -319,14 +331,12 @@ class CyclicOracle(SubgroupOracle):
         return pk == packed or invert_packed(pk, nf) == packed
 
     def relative_spheres(self, radius: int) -> Spheres:
-        """g^k and g^-k on sphere tails + k * core, for every k >= 1 that fits."""
+        """g^k and g^-k, of length tails + k * core, for every k >= 1 that fits."""
         nf = self.group.num_factors
-        spheres: list[list[bytes]] = [[self._powers[0]]] + [[] for _ in range(radius)]
-        if self._core_len:
-            for k in range(1, (radius - self._tail_len) // self._core_len + 1):
-                pk = self._power(k)
-                spheres[self._tail_len + k * self._core_len] = sorted((pk, invert_packed(pk, nf)))
-        return spheres, [0] * (radius + 1)
+        top = (radius - self._tail_len) // self._core_len if self._core_len else 0
+        powers = [self._power(k) for k in range(1, top + 1)]
+        members = [self._powers[0], *powers, *(invert_packed(p, nf) for p in powers)]
+        return _by_sphere(members, radius, nf), [0] * (radius + 1)
 
     def spec_string(self) -> str:
         return f"cyclic:{self.generator.render()}"
@@ -474,32 +484,25 @@ class PullbackOracle(SubgroupOracle):
         that leaves words undecided is asked about each word for the unknown
         tally. Identity maps make the image m times as long as w.
         """
-        rank = self.group.ranks[0]
-        top = radius // self.group.num_factors if self._identity_maps else radius
+        nf = self.group.num_factors
+        top = radius // nf if self._identity_maps else radius
+        doubtful: list[bytes] = []
         if self.base is None:
-            sources, doubtful = free_spheres(rank, top), []
+            words = chain.from_iterable(free_spheres(self.group.ranks[0], top))
         else:
-            sources, unknown = self.base.relative_spheres(top)
-            doubtful = [
-                [w for w in sphere if self.base.contains_packed(w) is None]
-                for sphere in (free_spheres(rank, top) if any(unknown) else [])
-            ]
-        return self._images(sources, radius), [len(s) for s in self._images(doubtful, radius)]
+            kept, unknown = self.base.relative_spheres(top)
+            words = chain.from_iterable(kept)
+            if any(unknown):
+                every = chain.from_iterable(free_spheres(self.group.ranks[0], top))
+                doubtful = [w for w in every if self.base.contains_packed(w) is None]
+        undecided = _by_sphere(map(self._image, doubtful), radius, nf)
+        return _by_sphere(map(self._image, words), radius, nf), [len(s) for s in undecided]
 
-    def _images(self, sources: list[list[bytes]], radius: int) -> list[list[bytes]]:
-        """The images of the source words of ambient length <= radius, by sphere."""
-        spheres: list[list[bytes]] = [[] for _ in range(radius + 1)]
-        extra = self.group.num_factors - 1
-        for w in chain.from_iterable(sources):
-            if self._identity_maps:
-                image = SEP.join([w] * (extra + 1))
-            else:
-                image = SEP.join([w] + [self._apply(j, w) for j in range(extra)])
-            if len(image) - extra <= radius:
-                spheres[len(image) - extra].append(image)
-        for sphere in spheres:
-            sphere.sort()
-        return spheres
+    def _image(self, w: bytes) -> bytes:
+        """(w, phi_2(w), ..., phi_m(w)) in packed form."""
+        if self._identity_maps:
+            return SEP.join([w] * self.group.num_factors)
+        return SEP.join([w] + [self._apply(j, w) for j in range(len(self.images))])
 
     def spec_string(self) -> str:
         if self.is_diagonal:
@@ -572,13 +575,7 @@ class BudgetedEnumerationOracle(SubgroupOracle):
         """The known elements that fit; every other element is unknown."""
         from .counting import product_sphere_counts  # counting imports this module
 
-        nf = self.group.num_factors
-        spheres: list[list[bytes]] = [[] for _ in range(radius + 1)]
-        for p in self.known:
-            if packed_length(p, nf) <= radius:
-                spheres[packed_length(p, nf)].append(p)
-        for sphere in spheres:
-            sphere.sort()
+        spheres = _by_sphere(self.known, radius, self.group.num_factors)
         ambient = product_sphere_counts(self.group.ranks, radius)
         return spheres, [a - len(s) for a, s in zip(ambient, spheres)]
 
