@@ -709,6 +709,13 @@ RATE_ARTIFACTS = [
     ('rate --group "product(free:2,free:2)" --subgroup diag --max-radius 40'
      " --epsilon 7/3 --growth-bound 5/2", 0,
      "c120bb5171bdeb2aabe94fc149504538179f2a8390bb32c6ca2496a3beb2e5c4"),
+    ("rate --group free:2 --subgroup aab,bAb --max-radius 60 --epsilon 4 --shift 2", 0,
+     "f7f470094c66061cf89425674b4d3c2a5b05ff48cc143170256c58769667b6d8"),
+    ("rate --group free:2 --subgroup cyclic:ab --max-radius 7", 3,
+     "117932f33dc01e968f989af22d34e5c6e0e40f817e1b33469b4ca871590518d3"),
+    ('rate --group "product(free:2,free:2)" --subgroup "prod(aa,b;ab)" --max-radius 20'
+     " --epsilon 4", 0,
+     "a6269e67b2c8759c7dd8c8ab8c93c9ad216fd86891e8db150eb96e8122083cc9"),
 ]
 
 
