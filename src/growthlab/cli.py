@@ -12,10 +12,10 @@ execution knob, excluded from the embedded spec, which is what makes
 artifacts comparable across runs. Every command runs in one process;
 --workers K is range-checked (1 to 256) and discarded. A budgeted
 subgroup oracle may enumerate at most min(1,000,000, --budget-elements)
-elements. _FLAGS declares each flag once, in render order, and _COMMANDS
-each command once; the flag checks, the defaults and the canonical
-render follow from them. A flag given twice, under either spelling, is
-a parse error.
+elements, and rate's enumerates none. _FLAGS declares each flag once,
+in render order, and _COMMANDS each command once; the flag checks, the
+defaults and the canonical render follow from them. A flag given twice,
+under either spelling, is a parse error.
 
 Exit codes: 0 success, 2 budget exceeded, 3 hypothesis or invariant
 violation detected, 64 spec parse error, 1 other failures. Errors are
@@ -429,7 +429,9 @@ def _execute(spec: ExperimentSpec) -> tuple[int, str]:
     oracle = None
     if spec.subgroup is not None:
         cap = min(DEFAULT_ELEMENT_CAP, spec.budget or DEFAULT_ELEMENT_CAP)
-        oracle = parse_subgroup(group, spec.subgroup, element_cap=cap)
+        # rate only counts, and a budgeted oracle has no counts: enumerate nothing
+        no_budget = {"budget_radius": 0} if spec.command == "rate" else {}
+        oracle = parse_subgroup(group, spec.subgroup, element_cap=cap, **no_budget)
 
     if spec.command == "growth":
         ball = enumerate_ball(group, spec.max_radius, budget=spec.budget)

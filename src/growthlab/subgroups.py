@@ -16,18 +16,23 @@ budget". Only the budgeted oracle ever returns None; the point is that
 membership in subgroups of products is undecidable in general, so an
 enumeration fallback must never fake certainty.
 
-relative_spheres() lists the members by ambient word length, generated
-from the oracle's own structure rather than by asking contains() about
-every element of the ambient ball, and counts the undecided elements.
+Each oracle answers one protocol from its own structure: contains_packed
+(the verdict on a packed element), relative_spheres (the members by ambient
+length, generated rather than filtered from the ambient ball, and the
+undecided count per sphere), sphere_counts (exact member counts per sphere,
+for radii far past enumeration range; the budgeted oracle and non-identity
+pullbacks raise) and spec_string (the canonical subgroup spec).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
+from .counting import convolve_spheres, free_sphere_counts, product_sphere_counts
 from .errors import (
     GroupMismatchError,
     OracleBudgetError,
@@ -196,6 +201,10 @@ class SubgroupOracle:
         """Members of ambient length 0..radius by sphere, and unknowns per sphere."""
         raise NotImplementedError
 
+    def sphere_counts(self, radius: int) -> list[int]:
+        """Exact member counts of ambient length 0..radius, one per sphere."""
+        raise NotImplementedError
+
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -232,6 +241,17 @@ class StallingsOracle(SubgroupOracle):
                 return False
         return self.graph.accepts(parts[self.factor])
 
+    @cached_property
+    def _moves(self) -> dict[tuple[int, bytes], list[tuple[bytes, int]]]:
+        """(vertex, last letter or b"") -> non-cancelling (letter, target), in letter order."""
+        return {
+            (v, bytes([last]) if last else b""): [
+                (bytes([b]), w) for b, w in sorted(edges.items()) if b != inverse_byte(last)
+            ]
+            for v, edges in enumerate(self.graph.transitions)
+            for last in range(2 * self.group.ranks[self.factor] + 1)
+        }
+
     def relative_spheres(self, radius: int) -> Spheres:
         """Reduced closed paths at the basepoint, extended letter by letter.
 
@@ -240,13 +260,8 @@ class StallingsOracle(SubgroupOracle):
         factor's tree. A path is dropped once the way back to the basepoint
         is longer than the length it has left.
         """
-        moves = self.graph.transitions
+        moves = self._moves
         dist = self.graph.base_distances()
-        follow = {
-            (v, last): [(bytes([b]), w) for b, w in sorted(edges.items()) if b != inverse_byte(last)]
-            for v, edges in enumerate(moves)
-            for last in range(2 * self.group.ranks[self.factor] + 1)
-        }
         # the other factors' empty words, around the factor's word
         before = SEP * self.factor
         after = SEP * (self.group.num_factors - 1 - self.factor)
@@ -255,13 +270,23 @@ class StallingsOracle(SubgroupOracle):
         for n in range(1, radius + 1):
             left = radius - n
             paths = [
-                (p + x, w)
-                for p, v in paths
-                for x, w in follow[v, p[-1] if p else 0]
-                if dist[w] <= left
+                (p + x, w) for p, v in paths for x, w in moves[v, p[-1:]] if dist[w] <= left
             ]
             spheres.append([before + p + after for p, v in paths if v == 0])
         return spheres, [0] * (radius + 1)
+
+    def sphere_counts(self, radius: int) -> list[int]:
+        """Reduced closed paths at the basepoint per length, summed by state."""
+        states: dict[tuple[int, bytes], int] = {(0, b""): 1}
+        counts = [1]
+        for _ in range(radius):
+            new: dict[tuple[int, bytes], int] = defaultdict(int)
+            for (v, last), c in states.items():
+                for x, w in self._moves[v, last]:
+                    new[w, x] += c
+            states = new
+            counts.append(sum(c for (v, _), c in states.items() if v == 0))
+        return counts
 
     def spec_string(self) -> str:
         return ",".join(g.render() for g in self.generators)
@@ -338,6 +363,14 @@ class CyclicOracle(SubgroupOracle):
         members = [self._powers[0], *powers, *(invert_packed(p, nf) for p in powers)]
         return _by_sphere(members, radius, nf), [0] * (radius + 1)
 
+    def sphere_counts(self, radius: int) -> list[int]:
+        """The identity, then g^k and g^-k at length tails + k * core."""
+        counts = [1] + [0] * radius
+        if self._core_len:
+            for n in range(self._tail_len + self._core_len, radius + 1, self._core_len):
+                counts[n] = 2
+        return counts
+
     def spec_string(self) -> str:
         return f"cyclic:{self.generator.render()}"
 
@@ -383,14 +416,16 @@ class ProductOracle(SubgroupOracle):
         not every factor is a member, so the unknowns are the product of
         (members + unknowns) less the product of members, sphere by sphere.
         """
-        from .counting import _convolve  # counting imports this module
-
         factors = [oracle.relative_spheres(radius) for oracle in self.factor_oracles]
         spheres = product_spheres([kept for kept, _ in factors])
-        possible = _convolve(
+        possible = convolve_spheres(
             ([len(s) + u for s, u in zip(kept, unknown)] for kept, unknown in factors), radius
         )
         return spheres, [p - len(s) for p, s in zip(possible, spheres)]
+
+    def sphere_counts(self, radius: int) -> list[int]:
+        """The factors' sphere counts, convolved."""
+        return convolve_spheres((o.sphere_counts(radius) for o in self.factor_oracles), radius)
 
     def spec_string(self) -> str:
         return "prod(" + ";".join(o.spec_string() for o in self.factor_oracles) + ")"
@@ -498,6 +533,17 @@ class PullbackOracle(SubgroupOracle):
         undecided = _by_sphere(map(self._image, doubtful), radius, nf)
         return _by_sphere(map(self._image, words), radius, nf), [len(s) for s in undecided]
 
+    def sphere_counts(self, radius: int) -> list[int]:
+        """On the diagonal |(w, ..., w)| = m |w|, so factor 0's spheres land m apart."""
+        if not self.is_diagonal:
+            raise UnsupportedConfigurationError(
+                "no exact counting formula for a general pullback; enumerate instead"
+            )
+        m = self.group.num_factors
+        counts = [0] * (radius + 1)
+        counts[::m] = free_sphere_counts(self.group.ranks[0], radius // m)
+        return counts
+
     def _image(self, w: bytes) -> bytes:
         """(w, phi_2(w), ..., phi_m(w)) in packed form."""
         if self._identity_maps:
@@ -573,11 +619,14 @@ class BudgetedEnumerationOracle(SubgroupOracle):
 
     def relative_spheres(self, radius: int) -> Spheres:
         """The known elements that fit; every other element is unknown."""
-        from .counting import product_sphere_counts  # counting imports this module
-
         spheres = _by_sphere(self.known, radius, self.group.num_factors)
         ambient = product_sphere_counts(self.group.ranks, radius)
         return spheres, [a - len(s) for a, s in zip(ambient, spheres)]
+
+    def sphere_counts(self, radius: int) -> list[int]:
+        raise UnsupportedConfigurationError(
+            "budgeted oracles have no exact counts; enumerate instead"
+        )
 
     def spec_string(self) -> str:
         return ",".join(g.render() for g in self.generators)

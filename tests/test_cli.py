@@ -539,6 +539,33 @@ class TestExitCodes:
         assert diag["cap"] == 5000
         assert diag["radius_reached"] < diag["target_radius"]
 
+    @pytest.mark.parametrize("subgroup", ["(ab,a),(ba,b),(a,bb),(b,ab)", "(a,a),(b,b)"])
+    def test_rate_refuses_budgeted_oracle_before_enumerating(
+        self, tmp_path, capsys, monkeypatch, subgroup
+    ):
+        # rate only counts, so it builds its budgeted oracle at radius 0
+        radii = []
+        init = BudgetedEnumerationOracle.__init__
+
+        def recording_init(self, group, generators, radius=8, element_cap=1_000_000):
+            radii.append(radius)
+            init(self, group, generators, radius, element_cap)
+
+        monkeypatch.setattr(BudgetedEnumerationOracle, "__init__", recording_init)
+        code = main(
+            [
+                "rate", "--group", "product(free:2,free:2)", "--subgroup", subgroup,
+                "--max-radius", "4", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "UnsupportedConfigurationError",
+            "message": "budgeted oracles have no exact counts; enumerate instead",
+        }
+        assert radii and not any(radii)
+        assert not (tmp_path / "rate.json").exists()
+
     def test_acyl_budget_is_2(self, tmp_path, capsys):
         # B(13) of F2 has 3,188,645 elements; the closed form refuses it
         code = main(

@@ -23,7 +23,7 @@ from growthlab.concat import (
     sweep_exponents,
     verify_supermultiplicativity,
 )
-from growthlab.counting import free_ball_counts, stallings_ball_counts
+from growthlab.counting import free_ball_counts, relative_ball_counts
 from growthlab.errors import AmbiguityBudgetError, DependenceError, GroupMismatchError
 from growthlab.hyperbolic import gromov_product
 from growthlab.subgroups import StallingsOracle, diagonal_oracle
@@ -337,7 +337,7 @@ class TestSupermultiplicativity:
     def test_holds_on_squares_subgroup(self):
         orc = StallingsOracle(F2, [el("aa"), el("bb")])
         table = GrowthTable(
-            F2, tuple(stallings_ball_counts(orc.graph, 18)), subgroup="aa,bb"
+            F2, tuple(relative_ball_counts(orc, 18)), subgroup="aa,bb"
         )
         assert verify_supermultiplicativity(table, 2, lambda t: t + 1, s_max=8, t_max=8).ok
 

@@ -1,28 +1,45 @@
 """Closed-form and transfer-matrix ball counts against raw enumeration."""
 
+import ast
 import random
+from collections import defaultdict
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from growthlab import counting, subgroups
 from growthlab.cayley import enumerate_ball, relative_ball
 from growthlab.counting import (
     ball_counts,
-    cyclic_ball_counts,
+    convolve_spheres,
     free_ball_counts,
     free_sphere_counts,
     relative_ball_counts,
-    stallings_ball_counts,
 )
 from growthlab.errors import UnsupportedConfigurationError
 from growthlab.subgroups import (
     BudgetedEnumerationOracle,
     CyclicOracle,
     ProductOracle,
+    PullbackOracle,
     StallingsOracle,
     diagonal_oracle,
+    oracle_for_generators,
     parse_subgroup,
+    power_lengths,
 )
-from growthlab.words import free_group, parse_element, product_group
+from growthlab.words import (
+    SEP,
+    Element,
+    Word,
+    free_group,
+    inverse_byte,
+    parse_element,
+    product_group,
+    reduce_letter_bytes,
+)
 
 F2 = free_group(2)
 F3 = free_group(3)
@@ -32,6 +49,107 @@ F2xF1 = product_group(2, 1)
 
 def el(text, group=F2):
     return parse_element(group, text)
+
+
+def cyclic_counts(generator, n_max):
+    return relative_ball_counts(CyclicOracle(generator.group, generator), n_max)
+
+
+# Reference counters: the former per-class counting module, kept verbatim
+# (bar names) to check each oracle's sphere_counts against.
+
+
+def reference_stallings_ball_counts(graph, n_max):
+    counts = [1]
+    states = {(0, 0): 1}
+    for _ in range(n_max):
+        new = defaultdict(int)
+        for (v, last), c in states.items():
+            for b, w in graph.transitions[v].items():
+                if last and b == inverse_byte(last):
+                    continue
+                new[(w, b)] += c
+        states = dict(new)
+        at_base = sum(c for (v, _), c in states.items() if v == 0)
+        counts.append(counts[-1] + at_base)
+    return counts
+
+
+def reference_cyclic_ball_counts(generator, n_max):
+    tails, core = power_lengths(generator)
+    if core == 0:
+        return [1] * (n_max + 1)
+    return [1 + 2 * max(0, (n - tails) // core) for n in range(n_max + 1)]
+
+
+def reference_relative_ball_counts(oracle, n_max):
+    if isinstance(oracle, StallingsOracle):
+        return reference_stallings_ball_counts(oracle.graph, n_max)
+    if isinstance(oracle, CyclicOracle):
+        return reference_cyclic_ball_counts(oracle.generator, n_max)
+    if isinstance(oracle, ProductOracle):
+        factor_spheres = []
+        for sub in oracle.factor_oracles:
+            balls = reference_relative_ball_counts(sub, n_max)
+            factor_spheres.append([b - a for a, b in zip([0] + balls, balls)])
+        return list(accumulate(convolve_spheres(factor_spheres, n_max)))
+    if isinstance(oracle, PullbackOracle):
+        if oracle.is_diagonal:
+            m = oracle.group.num_factors
+            base = free_ball_counts(oracle.group.ranks[0], n_max // m)
+            return [base[n // m] for n in range(n_max + 1)]
+        raise UnsupportedConfigurationError(
+            "no exact counting formula for a general pullback; enumerate instead"
+        )
+    if isinstance(oracle, BudgetedEnumerationOracle):
+        raise UnsupportedConfigurationError(
+            "budgeted oracles have no exact counts; enumerate instead"
+        )
+    raise UnsupportedConfigurationError(f"no counting rule for {type(oracle).__name__}")
+
+
+def reduced_words(rank, max_size=5):
+    return st.lists(st.integers(1, 2 * rank), max_size=max_size).map(reduce_letter_bytes)
+
+
+def elements(group, max_size=5):
+    parts = [reduced_words(rank, max_size) for rank in group.ranks]
+    return st.tuples(*parts).map(lambda ws: Element(group, SEP.join(ws)))
+
+
+@st.composite
+def stallings_oracles(draw, group):
+    """Generators inside one factor of the group (all of it when free)."""
+    factor = draw(st.integers(0, group.num_factors - 1))
+    words = draw(st.lists(reduced_words(group.ranks[factor]), max_size=4))
+    blank = [b""] * group.num_factors
+    gens = [Element(group, SEP.join(blank[:factor] + [w] + blank[factor + 1 :])) for w in words]
+    return StallingsOracle(group, gens)
+
+
+def free_oracles(rank):
+    group = free_group(rank)
+    return stallings_oracles(group) | elements(group).map(lambda g: CyclicOracle(group, g))
+
+
+@st.composite
+def countable_oracles(draw):
+    """Every oracle shape with exact counts, and a radius up to 150."""
+    kind = draw(st.sampled_from(["stallings", "cyclic", "prod", "diag"]))
+    if kind == "stallings":
+        group = draw(
+            st.sampled_from([free_group(1), F2, F3, F2xF2, product_group(1, 2)])
+        )
+        oracle = draw(stallings_oracles(group))
+    elif kind == "cyclic":
+        group = draw(st.sampled_from([F2, F2xF2]))
+        oracle = CyclicOracle(group, draw(elements(group)))
+    elif kind == "prod":
+        group = draw(st.sampled_from([F2xF2, product_group(1, 2), product_group(1, 1, 1)]))
+        oracle = ProductOracle(group, [draw(free_oracles(rank)) for rank in group.ranks])
+    else:
+        oracle = diagonal_oracle(draw(st.sampled_from([F2xF2, product_group(1, 1, 1)])))
+    return oracle, draw(st.integers(0, 150))
 
 
 class TestClosedForms:
@@ -62,7 +180,7 @@ class TestClosedForms:
 class TestStallingsCounts:
     def test_squares_subgroup_prefix(self):
         orc = StallingsOracle(F2, [el("aa"), el("bb")])
-        assert stallings_ball_counts(orc.graph, 8) == [1, 1, 5, 5, 17, 17, 53, 53, 161]
+        assert relative_ball_counts(orc, 8) == [1, 1, 5, 5, 17, 17, 53, 53, 161]
 
     def test_matches_filtered_enumeration_on_random_subgroups(self):
         rng = random.Random(47)
@@ -72,23 +190,23 @@ class TestStallingsCounts:
             gens = [el(t) for t in texts]
             orc = StallingsOracle(F2, gens)
             rel = relative_ball(F2, orc, 6)
-            assert stallings_ball_counts(orc.graph, 6) == list(rel.counts_by_radius), texts
+            assert relative_ball_counts(orc, 6) == list(rel.counts_by_radius), texts
 
     def test_whole_group_graph_reproduces_free_counts(self):
         orc = StallingsOracle(F2, [el("a"), el("b")])
-        assert stallings_ball_counts(orc.graph, 7) == free_ball_counts(2, 7)
+        assert relative_ball_counts(orc, 7) == free_ball_counts(2, 7)
 
 
 class TestCyclicCounts:
     def test_primitive_generator(self):
-        assert cyclic_ball_counts(el("a"), 5) == [1, 3, 5, 7, 9, 11]
+        assert cyclic_counts(el("a"), 5) == [1, 3, 5, 7, 9, 11]
 
     def test_square_generator(self):
-        assert cyclic_ball_counts(el("aa"), 6) == [1, 1, 3, 3, 5, 5, 7]
+        assert cyclic_counts(el("aa"), 6) == [1, 1, 3, 3, 5, 5, 7]
 
     def test_conjugated_generator_pays_tails_once(self):
         # baB has core a and two tail letters; |z^k| = 2 + |k|
-        counts = cyclic_ball_counts(el("baB"), 7)
+        counts = cyclic_counts(el("baB"), 7)
         assert counts == [1, 1, 1, 3, 5, 7, 9, 11]
 
     def test_matches_enumeration(self):
@@ -96,16 +214,16 @@ class TestCyclicCounts:
             z = el(text)
             orc = CyclicOracle(F2, z)
             rel = relative_ball(F2, orc, 7)
-            assert cyclic_ball_counts(z, 7) == list(rel.counts_by_radius), text
+            assert cyclic_counts(z, 7) == list(rel.counts_by_radius), text
 
     def test_trivial_generator(self):
-        assert cyclic_ball_counts(F2.identity(), 4) == [1, 1, 1, 1, 1]
+        assert cyclic_counts(F2.identity(), 4) == [1, 1, 1, 1, 1]
 
     def test_product_group_generator(self):
         z = el("(ab,b)", F2xF2)
         orc = CyclicOracle(F2xF2, z)
         rel = relative_ball(F2xF2, orc, 6)
-        assert cyclic_ball_counts(z, 6) == list(rel.counts_by_radius)
+        assert cyclic_counts(z, 6) == list(rel.counts_by_radius)
 
 
 class TestDispatch:
@@ -137,5 +255,65 @@ class TestDispatch:
     def test_counts_reach_large_radius_quickly(self):
         # the whole point of the formula route: radii far beyond enumeration
         orc = StallingsOracle(F2, [el("aa"), el("bb")])
-        counts = stallings_ball_counts(orc.graph, 40)
+        counts = relative_ball_counts(orc, 40)
         assert counts[40] == free_ball_counts(2, 20)[20]
+
+
+class TestOracleSphereCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(countable_oracles())
+    def test_matches_reference_counters(self, case):
+        oracle, radius = case
+        assert len(oracle.sphere_counts(radius)) == radius + 1
+        assert relative_ball_counts(oracle, radius) == reference_relative_ball_counts(
+            oracle, radius
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BudgetedEnumerationOracle(F2, [el("aa")], radius=2),
+            lambda: oracle_for_generators(
+                F2xF2, [el("(a,a)", F2xF2), el("(b,b)", F2xF2)], budget_radius=0
+            ),
+            lambda: PullbackOracle(F2xF2, [[Word(b"\x03"), Word(b"\x01")]]),
+            lambda: PullbackOracle(
+                F2xF2, [[Word(b"\x01"), Word(b"\x03")]], base=StallingsOracle(F2, [el("a")])
+            ),
+            lambda: ProductOracle(
+                F2xF2, [StallingsOracle(F2, [el("ab")]), BudgetedEnumerationOracle(F2, [el("b")])]
+            ),
+            lambda: ProductOracle(
+                F2xF2, [BudgetedEnumerationOracle(F2, [el("b")]), CyclicOracle(F2, el("a"))]
+            ),
+        ],
+    )
+    def test_uncountable_oracles_raise_as_before(self, make):
+        oracle = make()
+        with pytest.raises(UnsupportedConfigurationError) as want:
+            reference_relative_ball_counts(oracle, 6)
+        with pytest.raises(UnsupportedConfigurationError) as got:
+            relative_ball_counts(oracle, 6)
+        assert str(got.value) == str(want.value)
+
+
+class TestLayering:
+    """counting holds the ambient closed forms and knows no oracle class."""
+
+    @staticmethod
+    def tree(module):
+        with open(module.__file__, encoding="utf-8") as f:
+            return ast.parse(f.read())
+
+    def test_counting_imports_no_subgroup_or_cayley_layer(self):
+        for node in ast.walk(self.tree(counting)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                for name in names:
+                    assert not {"subgroups", "cayley"} & set(name.split(".")), name
+
+    def test_subgroups_imports_only_at_module_top(self):
+        for func in ast.walk(self.tree(subgroups)):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), func.name
