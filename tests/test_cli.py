@@ -752,6 +752,28 @@ def test_rate_artifact_digest(tmp_path, line, code, digest):
     assert hashlib.sha256((tmp_path / "rate.json").read_bytes()).hexdigest() == digest
 
 
+# SHA-256 and exit code of more ambiguity artifacts: the balls workload's
+# 5x5 grid, a diagonal-subgroup domain, a starved grid's partial report, and
+# a kit so long that its image codes pass 64 bits.
+AMBIGUITY_ARTIFACTS = [
+    ("ambiguity --group free:2 --g a --h b -n 2 --smax 5 --tmax 5", 0,
+     "76a08356e7adfe07e8af6243b66bf46ba1b62124004c4372a0714109db811e53"),
+    ('ambiguity --group "product(free:2,free:2)" --subgroup diag --g "(a,a)" --h "(b,b)"'
+     " -n 1 --smax 3 --tmax 3", 0,
+     "40746a91af6bc8807c1d50e53fcfd9ac2cd77d10a7270a20b095c3ffbddcb3e6"),
+    ("ambiguity --group free:2 --g a --h b -n 2 --smax 3 --tmax 3 --budget-elements 50", 2,
+     "4f4be71e279a33c989dc5b327c5c4b26f5ba8d7e04afa8e15dc1fd7d259ad7ae"),
+    ("ambiguity --group free:2 --g aaaaaaaaaaaa --h b -n 2 --smax 2 --tmax 2", 0,
+     "8c7c5b094c348698bf9b7070f7854f7df0c015817416c20afc7948faa85a672c"),
+]
+
+
+@pytest.mark.parametrize("line,code,digest", AMBIGUITY_ARTIFACTS)
+def test_ambiguity_artifact_digest(tmp_path, line, code, digest):
+    assert main(shlex.split(line) + ["--out", str(tmp_path)]) == code
+    assert hashlib.sha256((tmp_path / "ambiguity.json").read_bytes()).hexdigest() == digest
+
+
 def test_python_dash_m_runs_readme_command(tmp_path):
     line, name, digest = next(a for a in README_ARTIFACTS if a[1] == "acyl.json")
     env = dict(os.environ, PYTHONPATH=str(Path(growthlab.__file__).parents[1]))
