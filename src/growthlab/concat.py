@@ -9,10 +9,11 @@ junctions cancel least, measured by the Gromov products (u^-1 . x)_1 and
 (v . x^-1)_1, with ties broken by the fixed piece order so the map
 (u, v) -> u x_{u,v} v is a genuine function.
 
-measure_ambiguity enumerates that map over ball products and reports the
-largest fiber per radius pair, the fitted linear-in-t envelope, and any
-cell exceeding the envelope. Fibers of specific targets are computed by
-the inverse trick u = w v^-1 x^-1, which avoids enumerating pairs.
+measure_ambiguity evaluates that map once on every pair of the largest
+ball product, in numpy on integer-coded words, and reports the largest
+fiber per radius pair, the fitted linear-in-t envelope, and any cell
+exceeding the envelope. Fibers of specific targets are computed by the
+inverse trick u = w v^-1 x^-1, which avoids enumerating pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .cayley import Ball, GrowthTable, enumerate_ball, relative_ball
+from .counting import ball_counts
 from .errors import (
     AmbiguityBudgetError,
     DependenceError,
@@ -43,6 +47,8 @@ from .words import (
 )
 
 DEFAULT_PAIR_BUDGET = 10_000_000
+# pairs per block of the image pass, which bounds its temporaries to a few MB
+_BLOCK_PAIRS = 1 << 15
 
 
 def primitive_root(data: bytes) -> tuple[bytes, int]:
@@ -284,29 +290,6 @@ class AmbiguityReport:
         return out
 
 
-def _max_fiber(images: list[bytes], max_len: int) -> tuple[int, bytes]:
-    """Largest run in the sorted image list; ties pick the shortlex-least key."""
-    images.sort()
-    best_n, best_key = 0, b""
-    i, total = 0, len(images)
-    while i < total:
-        key = images[i]
-        if len(key) > max_len:
-            raise InvariantViolationError(
-                "concatenation image left the containment ball"
-            )
-        j = i + 1
-        while j < total and images[j] == key:
-            j += 1
-        n = j - i
-        if n > best_n or (
-            n == best_n and (len(key), key) < (len(best_key), best_key)
-        ):
-            best_n, best_key = n, key
-        i = j
-    return best_n, best_key
-
-
 def _fit_envelope(
     cells: Sequence[CellStats], fit_t: int
 ) -> tuple[Fraction, int, tuple[tuple[int, int], ...]]:
@@ -326,6 +309,229 @@ def _fit_envelope(
     return slope, intercept, violations
 
 
+def _admitted(
+    sizes: Sequence[int], s_max: int, t_max: int, budget: int
+) -> tuple[list[tuple[int, int]], int | None]:
+    """The s-major prefix of cells whose pairs fit the budget.
+
+    Also returns the running pair total at the first cell that does not
+    fit, or None when the whole grid fits.
+    """
+    cells: list[tuple[int, int]] = []
+    used = 0
+    for s in range(s_max + 1):
+        for t in range(t_max + 1):
+            used += sizes[s] * sizes[t]
+            if used > budget:
+                return cells, used
+            cells.append((s, t))
+    return cells, None
+
+
+def _junctions(
+    kit: ConnectorKit | None, us: Sequence[bytes], vs: Sequence[bytes], nf: int
+) -> tuple[list[bytes], np.ndarray, np.ndarray]:
+    """The products u x (u-major) and the doubled junction score matrices.
+
+    Row i of the left matrix is u_i's _junction_scores, row j of the right
+    one v_j's. kit=None has one empty piece, whose junctions never cancel.
+    """
+    xs = [p.packed for p in kit.pieces] if kit is not None else [SEP * (nf - 1)]
+    prods = [multiply_packed(u, x, nf) for u in us for x in xs]
+    lu = np.array([len(u) for u in us], dtype=np.int64)
+    lx = np.array([len(x) for x in xs], dtype=np.int64)
+    la = np.array([len(a) for a in prods], dtype=np.int64).reshape(len(us), len(xs))
+    left = lu[:, None] + lx - la - (nf - 1)
+    if kit is None:
+        return prods, left, np.zeros((len(vs), 1), dtype=np.int64)
+    right = np.array([_junction_scores(kit, v, nf, left=False) for v in vs], dtype=np.int64)
+    return prods, left, right
+
+
+def _worse_junctions(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """_select's scores for every (u, v) pair and piece: the worse junction.
+
+    Its argmin over the last axis takes the first minimum, which is
+    _select's tie-break.
+    """
+    return np.maximum(left[:, None, :], right[None, :, :])
+
+
+def _letter_columns(words: Sequence[bytes], width: int, pad: bytes = b"\0") -> np.ndarray:
+    """The words' first width letters, padded: a width x len(words) uint8 array."""
+    flat = b"".join(w[:width].ljust(width, pad) for w in words)
+    return np.frombuffer(flat, dtype=np.uint8).reshape(len(words), width).T
+
+
+def _coded(words: Sequence[bytes], pows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and base-B codes of reduced words, first letter most significant.
+
+    The digits are the letter bytes 1..2k, all below B = pows[1], so a
+    longer word always has the larger code and code order is shortlex.
+    """
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    width = int(lengths.max())
+    code = np.zeros(len(words), dtype=pows.dtype)
+    for col in _letter_columns(words, width).astype(pows.dtype):
+        code = code * pows[1] + col
+    return lengths, code // pows[width - lengths]
+
+
+def _common_prefix(a_cols, b_cols, shape: tuple[int, ...]) -> np.ndarray:
+    """Common prefix lengths from letter columns; a's padding never matches b's."""
+    k = np.zeros(shape, dtype=np.int64)
+    same = np.ones(shape, dtype=bool)
+    for a, b in zip(a_cols, b_cols):
+        same &= a == b
+        k += same
+    return k
+
+
+def _unkey(key: int, base: int) -> bytes:
+    """The packed word of an image key: its base-B digits below the leading 1."""
+    digits = []
+    while key > 1:
+        key, digit = divmod(key, base)
+        digits.append(digit)
+    return bytes(reversed(digits))
+
+
+def _image_keys(
+    kit: ConnectorKit | None, ball: Ball, c: int, last_t: dict[int, int]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One key per (u, v) pair of the pass, its (|u|, |v|) bucket, and the base B.
+
+    last_t maps each u radius to the largest v radius it meets. An image
+    u x v is coded from the codes of u x and v: the junction cancels
+    k = lcp((u x)^-1, v) letters, so the image's code is
+    code(u x) // B^k * B^(|v|-k) + code(v) % B^(|v|-k), factor by factor,
+    with the factors joined by SEP as the digit 0. A digit 1 above them,
+    at the B^(|w|+nf-1) place, makes one key per image whose order is
+    shortlex. Keys stay below 2 B^(s+t+c+nf-1): int64 while that is below
+    2^63, and the same expressions on Python ints past it.
+    """
+    group = ball.group
+    nf = group.num_factors
+    s_top, t_top = max(last_t), max(last_t.values())
+    counts = ball.counts_by_radius
+    base = 2 * max(group.ranks) + 1
+    top = s_top + t_top + c + nf - 1
+    pows = np.array(
+        [base**i for i in range(top + 1)], dtype=np.int64 if 2 * base**top < 2**63 else object
+    )
+
+    us, vs = ball.packed[: counts[s_top]], ball.packed[: counts[t_top]]
+    prods, left, right = _junctions(kit, us, vs, nf)
+    n_pieces = left.shape[1]
+    u_len = np.array([len(u) for u in us], dtype=np.int64) - (nf - 1)
+    v_len = np.array([len(v) for v in vs], dtype=np.int64) - (nf - 1)
+    factors = []
+    for a_words, v_words in zip(
+        zip(*(a.split(SEP) for a in prods)), zip(*(v.split(SEP) for v in vs))
+    ):
+        a_lens, a_codes = _coded(a_words, pows)
+        v_lens, v_codes = _coded(v_words, pows)
+        width = min(int(a_lens.max()), int(v_lens.max()))
+        a_inv = _letter_columns([invert_word(a) for a in a_words], width, b"\xff")
+        factors.append((a_lens, a_codes, a_inv, v_lens, v_codes, _letter_columns(v_words, width)))
+
+    # u rows that meet the same v's form one segment, cut into blocks
+    segments: list[list[int]] = []
+    for s, t in last_t.items():
+        if segments and segments[-1][2] == counts[t]:
+            segments[-1][1] = counts[s]
+        else:
+            segments.append([counts[s - 1] if s else 0, counts[s], counts[t]])
+    n_t = t_top + 1
+    n_pairs = sum((stop - start) * n_v for start, stop, n_v in segments)
+    keys = np.empty(n_pairs, dtype=pows.dtype)
+    bucket = np.empty(n_pairs, dtype=np.min_scalar_type((s_top + 1) * n_t))
+    at = 0
+    for start, stop, n_v in segments:
+        step = max(1, _BLOCK_PAIRS // n_v)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            pick = _worse_junctions(left[lo:hi], right[:n_v]).argmin(axis=2)
+            ai = np.arange(lo * n_pieces, hi * n_pieces, n_pieces)[:, None] + pick
+            code, length = None, 0
+            for a_lens, a_codes, a_inv, v_lens, v_codes, v_cols in factors:
+                k = _common_prefix((col[ai] for col in a_inv), v_cols[:, :n_v], ai.shape)
+                rest = v_lens[:n_v] - k
+                part = a_codes[ai] // pows[k] * pows[rest] + v_codes[:n_v] % pows[rest]
+                part_len = a_lens[ai] + rest - k
+                code = part if code is None else code * pows[part_len + 1] + part
+                length = length + part_len
+            # (|u|, |v|) is the tightest cell holding the pair
+            lu, lv = u_len[lo:hi, None], v_len[:n_v]
+            if (length > lu + lv + c).any():
+                raise InvariantViolationError("concatenation image left the containment ball")
+            end = at + ai.size
+            keys[at:end] = (code + pows[length + nf - 1]).ravel()
+            bucket[at:end] = (lu * n_t + lv).ravel()
+            at = end
+    return keys, bucket, base
+
+
+def _cell_fibers(
+    kit: ConnectorKit | None, ball: Ball, c: int, cells: Sequence[tuple[int, int]]
+) -> list[tuple[int, bytes]]:
+    """Max fiber and its shortlex-least image for each cell, from one pass.
+
+    The pass covers the union of the cells' ball products (see
+    _image_keys). Cell (s, t) tallies the buckets with |u| <= s and
+    |v| <= t, over only the images that have two or more preimages in the
+    pass; a cell without a repeated image takes its least image, a 2-D
+    cumulative minimum over the buckets.
+    """
+    last_t = dict(cells)  # each u radius meets the v's of its row's last cell
+    n_s, n_t = max(last_t) + 1, max(last_t.values()) + 1
+    keys, bucket, base = _image_keys(kit, ball, c, last_t)
+
+    # equal images are runs of the sorted keys
+    order = keys.argsort()
+    keys, bucket = keys[order], bucket[order]
+    del order
+    starts = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+    kept = ~(starts[:-1] & starts[1:])  # pairs whose image has two or more preimages
+    starts = starts[:-1] & kept
+    rep_keys = keys[starts]
+    rep_id = np.cumsum(starts) - 1
+    del starts
+    # then the pairs by bucket, each bucket still in key order
+    by_bucket = np.argsort(bucket, kind="stable")
+    bucket = bucket[by_bucket]
+    bounds = np.searchsorted(bucket, np.arange(n_s * n_t + 1))
+    filled = bounds[1:] > bounds[:-1]
+    least = np.full(n_s * n_t, len(keys))
+    least[filled] = by_bucket[bounds[:-1][filled]]
+    least = np.minimum.accumulate(np.minimum.accumulate(least.reshape(n_s, n_t), axis=0), axis=1)
+    least_keys = keys[least]  # every cell holds bucket (0, 0), the identity pair
+    del keys
+    kept = kept[by_bucket]
+    rep_ids = rep_id[by_bucket][kept]
+    del by_bucket, rep_id
+    rep_bounds = np.searchsorted(bucket[kept], np.arange(n_s * n_t + 1))
+
+    fibers: dict[tuple[int, int], tuple[int, bytes]] = {}
+    for t in range(n_t):
+        tally = np.zeros(len(rep_keys), dtype=np.int64)
+        for s in range(n_s):
+            if t > last_t[s]:
+                break
+            tally += np.bincount(
+                rep_ids[rep_bounds[s * n_t] : rep_bounds[s * n_t + t + 1]],
+                minlength=len(rep_keys),
+            )
+            j = int(tally.argmax()) if len(tally) else 0
+            if len(tally) and tally[j] >= 2:
+                fiber, key = int(tally[j]), rep_keys[j]
+            else:
+                fiber, key = 1, least_keys[s, t]
+            fibers[s, t] = fiber, _unkey(int(key), base)
+    return [fibers[cell] for cell in cells]
+
+
 def measure_ambiguity(
     kit: ConnectorKit | None,
     domain: GroupDescriptor | SubgroupOracle,
@@ -340,69 +546,39 @@ def measure_ambiguity(
     kit=None measures plain concatenation (the no-connector baseline,
     c = 0). The domain is a whole group or a subgroup oracle; relative
     domains use ambient-length balls of the subgroup. budget caps the
-    total number of (u, v) pairs across the grid; exceeding it raises
-    with the partial report attached. The envelope is fitted on t <= 3.
+    total number of (u, v) pairs across the grid, summed over the cells
+    in s-major order; exceeding it raises with the partial report of the
+    cells that fit attached. A group's ball sizes are closed forms, so its
+    budget is settled before any enumeration and only the radius the
+    admitted cells need is enumerated. The envelope is fitted on t <= 3.
+    All cells come from one pass over the pairs (see _cell_fibers).
     """
-    group, name, ball = _resolve_domain(domain, max(s_max, t_max), ambient)
+    group = domain if isinstance(domain, GroupDescriptor) else domain.group
     if kit is not None and kit.group != group:
         raise GroupMismatchError("kit and domain groups differ")
-    nf = group.num_factors
+    if isinstance(domain, GroupDescriptor):
+        cells, overrun = _admitted(ball_counts(group, max(s_max, t_max)), s_max, t_max, budget)
+        radius = max((max(cell) for cell in cells), default=0)
+        _, name, ball = _resolve_domain(domain, radius, ambient)
+    else:
+        _, name, ball = _resolve_domain(domain, max(s_max, t_max), ambient)
+        cells, overrun = _admitted(ball.counts_by_radius, s_max, t_max, budget)
     c = kit.c if kit is not None else 0
     connector = kit.spec_string() if kit is not None else "naive"
     fit_t = min(3, t_max)
     counts = ball.counts_by_radius
-    packed = ball.packed
-
-    if kit is not None:
-        xs = [p.packed for p in kit.pieces]
-        us = packed[: counts[s_max]]
-        u_pieces = [[multiply_packed(up, x, nf) for x in xs] for up in us]
-        lefts = [_junction_scores(kit, up, nf, left=True) for up in us]
-        rights = [
-            _junction_scores(kit, vp, nf, left=False) for vp in packed[: counts[t_max]]
-        ]
-        # the choice depends on u only through its left scores, so one row
-        # of choices per distinct left vector; the rows never hold more
-        # entries than the grid's top cell has pairs
-        picks: dict[tuple[int, ...], list[int]] = {}
-        for left in lefts:
-            if left not in picks:
-                picks[left] = [_select(left, right)[0] for right in rights]
-
-    cells: list[CellStats] = []
-    used = 0
-    off = nf - 1
-    for s in range(s_max + 1):
-        for t in range(t_max + 1):
-            n_u, n_v = counts[s], counts[t]
-            pairs = n_u * n_v
-            if used + pairs > budget:
-                slope, intercept, violations = _fit_envelope(cells, fit_t)
-                partial = AmbiguityReport(
-                    name, connector, c, s_max, t_max, fit_t,
-                    tuple(cells), slope, intercept, violations, complete=False,
-                )
-                raise AmbiguityBudgetError(used + pairs, budget, partial)
-            used += pairs
-            vs = packed[:n_v]
-            if kit is None:
-                images = [multiply_packed(up, vp, nf) for up in packed[:n_u] for vp in vs]
-            else:
-                images = []
-                for ux, left in zip(u_pieces[:n_u], lefts):
-                    images += [
-                        multiply_packed(ux[k], vp, nf) for k, vp in zip(picks[left], vs)
-                    ]
-            fiber, key = _max_fiber(images, s + t + c + off)
-            cells.append(
-                CellStats(s, t, s + t + c, pairs, fiber, Element(group, key))
-            )
-
-    slope, intercept, violations = _fit_envelope(cells, fit_t)
-    return AmbiguityReport(
-        name, connector, c, s_max, t_max, fit_t,
-        tuple(cells), slope, intercept, violations,
+    stats = tuple(
+        CellStats(s, t, s + t + c, counts[s] * counts[t], fiber, Element(group, key))
+        for (s, t), (fiber, key) in zip(cells, _cell_fibers(kit, ball, c, cells) if cells else ())
     )
+    slope, intercept, violations = _fit_envelope(stats, fit_t)
+    report = AmbiguityReport(
+        name, connector, c, s_max, t_max, fit_t,
+        stats, slope, intercept, violations, complete=overrun is None,
+    )
+    if overrun is not None:
+        raise AmbiguityBudgetError(overrun, budget, report)
+    return report
 
 
 def fiber_size(
@@ -462,11 +638,10 @@ def max_connector_score(kit: ConnectorKit, domain: int | Ball) -> float:
             raise GroupMismatchError("ball and kit groups differ")
     else:
         ball = enumerate_ball(kit.group, domain)
-    nf = kit.group.num_factors
-    lefts = [_junction_scores(kit, up, nf, left=True) for up in ball.packed]
-    rights = [_junction_scores(kit, vp, nf, left=False) for vp in ball.packed]
-    best = max(_select(left, right)[1] for left in lefts for right in rights)
-    return best / 2
+    _, left, right = _junctions(kit, ball.packed, ball.packed, kit.group.num_factors)
+    # the choice depends on each side only through its score row
+    worst = _worse_junctions(np.unique(left, axis=0), np.unique(right, axis=0)).min(axis=2)
+    return int(worst.max()) / 2
 
 
 def sweep_exponents(

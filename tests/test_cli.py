@@ -508,6 +508,24 @@ class TestExitCodes:
         assert diag["error"] == "BallBudgetError"
         assert diag["radius_reached"] == 3
 
+    def test_ambiguity_pair_budget_comes_before_the_ball(self, tmp_path, capsys):
+        # B(30) is far past the ball budget, but the pair budget stops the
+        # grid at cell (4, 0), so only B(4) is enumerated
+        code = main(
+            [
+                "ambiguity", "--group", "free:2", "--g", "a", "--h", "b",
+                "--smax", "30", "--tmax", "1", "--budget-elements", "1000",
+                "--out", str(tmp_path),
+            ]
+        )
+        # a starved grid keeps its partial report on disk; a ball overrun
+        # would have written nothing and said BallBudgetError
+        assert code == 2
+        assert "BallBudgetError" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "ambiguity.json").read_text())["report"]
+        assert report["complete"] is False
+        assert len(report["cells"]) == 9
+
     def test_budgeted_oracle_cap_is_2(self, tmp_path, capsys):
         # the oracle is built once, when the run starts, before any ball
         code = main(

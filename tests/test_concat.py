@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthlab import concat
 from growthlab.cayley import GrowthTable, enumerate_ball, growth_sequence
 from growthlab.concat import (
+    DEFAULT_PAIR_BUDGET,
     AmbiguityReport,
+    CellStats,
     ConnectorKit,
+    _fit_envelope,
+    _junction_scores,
+    _junctions,
+    _resolve_domain,
+    _select,
+    _worse_junctions,
     build_connector_kit,
     concat_apply,
     fiber_size,
@@ -24,13 +33,28 @@ from growthlab.concat import (
     verify_supermultiplicativity,
 )
 from growthlab.counting import free_ball_counts, relative_ball_counts
-from growthlab.errors import AmbiguityBudgetError, DependenceError, GroupMismatchError
+from growthlab.errors import (
+    AmbiguityBudgetError,
+    DependenceError,
+    GroupMismatchError,
+    InvariantViolationError,
+)
 from growthlab.hyperbolic import gromov_product
-from growthlab.subgroups import StallingsOracle, diagonal_oracle
-from growthlab.words import free_group, parse_element, parse_word_bytes, product_group
+from growthlab.subgroups import StallingsOracle, diagonal_oracle, parse_subgroup
+from growthlab.words import (
+    Element,
+    free_group,
+    multiply_packed,
+    parse_element,
+    parse_word_bytes,
+    product_group,
+)
 
+F1 = free_group(1)
 F2 = free_group(2)
+F3 = free_group(3)
 F2xF2 = product_group(2, 2)
+F1xF2 = product_group(1, 2)
 ONE = F2.identity()
 
 
@@ -44,6 +68,134 @@ def random_element(rng, group, max_len=6):
     for _ in range(rng.randrange(max_len + 1)):
         g = g * rng.choice(gens)
     return g
+
+
+# measure_ambiguity's grid loop before the one-pass kernel, kept verbatim
+# (with its run counter _max_fiber) as the reference the kernel must match.
+def _max_fiber(images: list[bytes], max_len: int) -> tuple[int, bytes]:
+    """Largest run in the sorted image list; ties pick the shortlex-least key."""
+    images.sort()
+    best_n, best_key = 0, b""
+    i, total = 0, len(images)
+    while i < total:
+        key = images[i]
+        if len(key) > max_len:
+            raise InvariantViolationError(
+                "concatenation image left the containment ball"
+            )
+        j = i + 1
+        while j < total and images[j] == key:
+            j += 1
+        n = j - i
+        if n > best_n or (
+            n == best_n and (len(key), key) < (len(best_key), best_key)
+        ):
+            best_n, best_key = n, key
+        i = j
+    return best_n, best_key
+
+
+def reference_measure_ambiguity(
+    kit, domain, s_max, t_max, *, budget=DEFAULT_PAIR_BUDGET, ambient=None
+):
+    group, name, ball = _resolve_domain(domain, max(s_max, t_max), ambient)
+    if kit is not None and kit.group != group:
+        raise GroupMismatchError("kit and domain groups differ")
+    nf = group.num_factors
+    c = kit.c if kit is not None else 0
+    connector = kit.spec_string() if kit is not None else "naive"
+    fit_t = min(3, t_max)
+    counts = ball.counts_by_radius
+    packed = ball.packed
+
+    if kit is not None:
+        xs = [p.packed for p in kit.pieces]
+        us = packed[: counts[s_max]]
+        u_pieces = [[multiply_packed(up, x, nf) for x in xs] for up in us]
+        lefts = [_junction_scores(kit, up, nf, left=True) for up in us]
+        rights = [
+            _junction_scores(kit, vp, nf, left=False) for vp in packed[: counts[t_max]]
+        ]
+        # the choice depends on u only through its left scores, so one row
+        # of choices per distinct left vector; the rows never hold more
+        # entries than the grid's top cell has pairs
+        picks: dict[tuple[int, ...], list[int]] = {}
+        for left in lefts:
+            if left not in picks:
+                picks[left] = [_select(left, right)[0] for right in rights]
+
+    cells: list[CellStats] = []
+    used = 0
+    off = nf - 1
+    for s in range(s_max + 1):
+        for t in range(t_max + 1):
+            n_u, n_v = counts[s], counts[t]
+            pairs = n_u * n_v
+            if used + pairs > budget:
+                slope, intercept, violations = _fit_envelope(cells, fit_t)
+                partial = AmbiguityReport(
+                    name, connector, c, s_max, t_max, fit_t,
+                    tuple(cells), slope, intercept, violations, complete=False,
+                )
+                raise AmbiguityBudgetError(used + pairs, budget, partial)
+            used += pairs
+            vs = packed[:n_v]
+            if kit is None:
+                images = [multiply_packed(up, vp, nf) for up in packed[:n_u] for vp in vs]
+            else:
+                images = []
+                for ux, left in zip(u_pieces[:n_u], lefts):
+                    images += [
+                        multiply_packed(ux[k], vp, nf) for k, vp in zip(picks[left], vs)
+                    ]
+            fiber, key = _max_fiber(images, s + t + c + off)
+            cells.append(
+                CellStats(s, t, s + t + c, pairs, fiber, Element(group, key))
+            )
+
+    slope, intercept, violations = _fit_envelope(cells, fit_t)
+    return AmbiguityReport(
+        name, connector, c, s_max, t_max, fit_t,
+        tuple(cells), slope, intercept, violations,
+    )
+
+
+def grid_outcome(measure, kit, domain, s_max, t_max, budget):
+    """The report, or the budget error's fields with its partial report."""
+    try:
+        return measure(kit, domain, s_max, t_max, budget=budget)
+    except AmbiguityBudgetError as exc:
+        return ("budget", exc.pairs_needed, exc.budget, exc.partial)
+
+
+def assert_matches_reference(kit, domain, s_max, t_max, budget=DEFAULT_PAIR_BUDGET):
+    got = grid_outcome(measure_ambiguity, kit, domain, s_max, t_max, budget)
+    assert got == grid_outcome(reference_measure_ambiguity, kit, domain, s_max, t_max, budget)
+    report = got if isinstance(got, AmbiguityReport) else got[3]
+    for cell in report.cells:
+        assert fiber_size(kit, domain, cell.s, cell.t, cell.argmax) == cell.max_fiber
+    return report
+
+
+# subgroup domains per group; None stands for the whole group
+DOMAINS = {
+    F1: [None, "cyclic:aa"],
+    F2: [None, "aa,bb", "aab,bAb", "cyclic:ab"],
+    F3: [None, "ab,c"],
+    F2xF2: [None, "diag", "prod(aa,b;ab)"],
+    F1xF2: [None, "cyclic:(a,ab)"],
+}
+
+
+def random_kit(rng, group):
+    """A kit of short random elements and exponent, or None after dependent draws."""
+    for _ in range(5):
+        g, h = random_element(rng, group, 4), random_element(rng, group, 4)
+        try:
+            return build_connector_kit(group, g, h, rng.randint(1, 3))
+        except (DependenceError, ValueError):
+            continue
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +452,72 @@ class TestMeasureAmbiguity:
         assert rep1 == rep2
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_kernel_matches_reference(self, seed):
+        rng = random.Random(seed)
+        group = rng.choice(list(DOMAINS))
+        kit = random_kit(rng, group) if rng.random() < 0.8 else None
+        spec = rng.choice(DOMAINS[group])
+        domain = group if spec is None else parse_subgroup(group, spec)
+        budget = rng.choice([DEFAULT_PAIR_BUDGET, rng.randrange(400)])
+        assert_matches_reference(kit, domain, rng.randint(0, 3), rng.randint(0, 3), budget)
+
+    @pytest.mark.parametrize(
+        "group,kit,spec",
+        [
+            (F2, ("a", "b", 2), None),
+            (F2, None, None),
+            (F2, ("ab", "ba", 1), "aab,bAb"),
+            (F2, ("a", "b", 1), "cyclic:ab"),
+            (F3, ("ab", "c", 2), None),
+            (F2xF2, ("(a,a)", "(b,b)", 1), None),
+            (F2xF2, ("(a,a)", "(b,b)", 1), "diag"),
+            (F1xF2, None, None),
+        ],
+    )
+    def test_full_grids_match_reference(self, group, kit, spec):
+        if kit is not None:
+            g, h, n = kit
+            kit = build_connector_kit(group, el(g, group), el(h, group), n)
+        domain = group if spec is None else parse_subgroup(group, spec)
+        assert assert_matches_reference(kit, domain, 3, 3).complete
+
+    @pytest.mark.parametrize(
+        "group,g,h,n,grid",
+        [
+            (F2, "aaaaaaaaaaaa", "b", 2, (2, 2)),
+            (F3, "abcabca", "c", 3, (2, 1)),
+            (F2xF2, "(aababab,ab)", "(b,aaa)", 3, (1, 2)),
+        ],
+    )
+    def test_long_kits_past_int64_match_reference(self, group, g, h, n, grid):
+        kit = build_connector_kit(group, el(g, group), el(h, group), n)
+        # image keys stay below 2 B^(s+t+c+nf-1), here past 64 bits
+        base = 2 * max(group.ranks) + 1
+        assert 2 * base ** (sum(grid) + kit.c + group.num_factors - 1) >= 2**63
+        report = assert_matches_reference(kit, group, *grid)
+        assert report.complete
+
+    def test_group_budget_is_settled_before_enumerating(self, kit2, monkeypatch):
+        radii = []
+        monkeypatch.setattr(
+            concat, "enumerate_ball", lambda group, r: radii.append(r) or enumerate_ball(group, r)
+        )
+        with pytest.raises(AmbiguityBudgetError) as exc:
+            measure_ambiguity(kit2, F2, 30, 1, budget=1000)
+        # cells (0,0) .. (4,0) fit: 617 pairs; (4,1) would bring 1422
+        assert radii == [4]
+        assert exc.value.pairs_needed == 1422
+        assert [(c.s, c.t) for c in exc.value.partial.cells][-1] == (4, 0)
+        assert len(exc.value.partial.cells) == 9
+
+    def test_starved_group_grid_has_no_cells(self, kit2):
+        with pytest.raises(AmbiguityBudgetError) as exc:
+            measure_ambiguity(kit2, F2, 40, 40, budget=0)
+        assert exc.value.partial.cells == ()
+        assert exc.value.pairs_needed == 1
+
 class TestConnectorScore:
     def test_generator_kit_always_finds_a_clean_piece(self, kit2):
         # u blocks at most one piece and v at most one, so the chosen
@@ -319,6 +537,28 @@ class TestConnectorScore:
         assert len(reports) == 2
         assert reports[0].c == 1 and reports[1].c == 2
 
+
+    @pytest.mark.parametrize(
+        "group,g,h,n",
+        [(F2, "a", "b", 1), (F2, "a", "b", 2), (F2, "ab", "ba", 1), (F2xF2, "(a,a)", "(b,b)", 1)],
+    )
+    def test_vectorised_pick_matches_select(self, group, g, h, n):
+        kit = build_connector_kit(group, el(g, group), el(h, group), n)
+        nf = group.num_factors
+        ball = enumerate_ball(group, 3)
+        _, left, right = _junctions(kit, ball.packed, ball.packed, nf)
+        worse = _worse_junctions(left, right)
+        picks, scores = worse.argmin(axis=2), worse.min(axis=2)
+        rights = [_junction_scores(kit, v, nf, left=False) for v in ball.packed]
+        ties = 0
+        for i, u in enumerate(ball.packed):
+            lefts = _junction_scores(kit, u, nf, left=True)
+            assert tuple(left[i]) == lefts
+            for j, r in enumerate(rights):
+                assert tuple(right[j]) == r
+                assert (picks[i, j], scores[i, j]) == _select(lefts, r)
+                ties += [max(a, b) for a, b in zip(lefts, r)].count(scores[i, j]) > 1
+        assert ties > 0  # the first-minimum tie-break is exercised
 
 class TestSupermultiplicativity:
     def test_plain_form_fails_without_connectors(self):
