@@ -76,6 +76,7 @@ from .subgroups import (
     PullbackOracle,
     StallingsOracle,
     SubgroupOracle,
+    WholeGroupOracle,
     diagonal_oracle,
     parse_subgroup,
 )

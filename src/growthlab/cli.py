@@ -39,7 +39,7 @@ from typing import Sequence
 from . import __version__
 from .cayley import DEFAULT_BUDGET, GrowthTable, distortion, enumerate_ball, relative_ball
 from .concat import DEFAULT_PAIR_BUDGET, build_connector_kit, measure_ambiguity
-from .counting import ball_counts, relative_ball_counts
+from .counting import relative_ball_counts
 from .errors import (
     AmbiguityBudgetError,
     BudgetError,
@@ -55,8 +55,8 @@ from .hyperbolic import (
     estimate_delta,
 )
 from .rate import RateHypothesis, default_growth_bound, fekete_lower_bound, parse_funcspec
-from .subgroups import DEFAULT_ELEMENT_CAP, parse_subgroup
-from .words import GroupDescriptor, parse_element, parse_group
+from .subgroups import DEFAULT_ELEMENT_CAP, WholeGroupOracle, parse_subgroup
+from .words import parse_element, parse_group
 
 __all__ = ["ExperimentSpec", "parse_spec", "run", "main"]
 
@@ -426,8 +426,9 @@ def _ambiguity_payload(spec, report):
 def _execute(spec: ExperimentSpec) -> tuple[int, str]:
     """Run one experiment; returns (exit_code, artifact_text)."""
     group = parse_group(spec.group)
-    oracle = None
-    if spec.subgroup is not None:
+    if spec.subgroup is None:
+        oracle = WholeGroupOracle(group)
+    else:
         cap = min(DEFAULT_ELEMENT_CAP, spec.budget or DEFAULT_ELEMENT_CAP)
         # rate only counts, and a budgeted oracle has no counts: enumerate nothing
         no_budget = {"budget_radius": 0} if spec.command == "rate" else {}
@@ -492,22 +493,12 @@ def _execute(spec: ExperimentSpec) -> tuple[int, str]:
         kit = build_connector_kit(
             group, parse_element(group, spec.g), parse_element(group, spec.h), n=spec.power
         )
-        domain = oracle if oracle is not None else group
-        try:
-            report = measure_ambiguity(kit, domain, spec.smax, spec.tmax, budget=spec.budget)
-        except AmbiguityBudgetError as exc:
-            if exc.partial is not None:
-                # keep the truncated grid on disk next to the diagnostic
-                return 2, _ambiguity_payload(spec, exc.partial)
-            raise
+        report = measure_ambiguity(kit, oracle, spec.smax, spec.tmax, budget=spec.budget)
         code = 3 if report.violations else 0
         return code, _ambiguity_payload(spec, report)
 
     if spec.command == "rate":
-        if oracle is not None:
-            counts = relative_ball_counts(oracle, spec.max_radius)
-        else:
-            counts = ball_counts(group, spec.max_radius)
+        counts = relative_ball_counts(oracle, spec.max_radius)
         table = GrowthTable(group, tuple(counts), subgroup=spec.subgroup)
         bound = (
             Fraction(spec.growth_bound)
@@ -541,8 +532,12 @@ def _execute(spec: ExperimentSpec) -> tuple[int, str]:
 def run(spec: ExperimentSpec) -> int:
     """Execute a spec and write its artifact; returns the exit code."""
     out_dir = Path(spec.out or os.environ.get("GROWTHLAB_OUT") or ".")
+    failure: GrowthlabError | None = None
     try:
         code, text = _execute(spec)
+    except AmbiguityBudgetError as exc:
+        # keep the truncated grid on disk next to the diagnostic
+        code, text, failure = 2, _ambiguity_payload(spec, exc.partial), exc
     except ParseError as exc:
         _diagnose(exc)
         return 64
@@ -559,7 +554,9 @@ def run(spec: ExperimentSpec) -> int:
     path = out_dir / f"{spec.command}.{spec.format}"
     path.write_text(text)
     if code == 3:
-        _diagnose(HypothesisViolationError(f"{spec.command} detected violations; see {path}"))
+        failure = HypothesisViolationError(f"{spec.command} detected violations; see {path}")
+    if failure is not None:
+        _diagnose(failure)
     return code
 
 

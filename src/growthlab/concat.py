@@ -25,15 +25,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cayley import Ball, GrowthTable, enumerate_ball, relative_ball
-from .counting import ball_counts
+from .counting import relative_ball_counts
 from .errors import (
     AmbiguityBudgetError,
     DependenceError,
     GroupMismatchError,
     InvariantViolationError,
+    UnsupportedConfigurationError,
 )
 from .rate import HypothesisCheck, _as_counts, _combine_violations
-from .subgroups import SubgroupOracle, cyclic_core
+from .subgroups import SubgroupOracle, as_oracle, cyclic_core
 from .words import (
     SEP,
     Element,
@@ -225,20 +226,6 @@ def product_concat_apply(
         vi = Element(factor, v.component(i).data)
         parts.append(concat_apply(kit, ui, vi).packed)
     return Element(group, SEP.join(parts))
-
-
-def _resolve_domain(
-    domain: GroupDescriptor | SubgroupOracle, radius: int, ambient: Ball | None
-) -> tuple[GroupDescriptor, str, Ball]:
-    """Group, printable name, and the ball of the domain up to the radius.
-
-    A supplied ambient ball serves group domains; a subgroup generates its own.
-    """
-    if isinstance(domain, GroupDescriptor):
-        if ambient is not None and ambient.group == domain and ambient.radius >= radius:
-            return domain, domain.spec(), ambient.up_to(radius)
-        return domain, domain.spec(), enumerate_ball(domain, radius)
-    return domain.group, domain.spec_string(), relative_ball(domain.group, domain, radius)
 
 
 @dataclass(frozen=True)
@@ -539,41 +526,43 @@ def measure_ambiguity(
     t_max: int,
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
-    ambient: Ball | None = None,
 ) -> AmbiguityReport:
     """Fiber statistics of the concatenation map over B(s) x B(t) grids.
 
     kit=None measures plain concatenation (the no-connector baseline,
-    c = 0). The domain is a whole group or a subgroup oracle; relative
-    domains use ambient-length balls of the subgroup. budget caps the
-    total number of (u, v) pairs across the grid, summed over the cells
-    in s-major order; exceeding it raises with the partial report of the
-    cells that fit attached. A group's ball sizes are closed forms, so its
-    budget is settled before any enumeration and only the radius the
-    admitted cells need is enumerated. The envelope is fitted on t <= 3.
-    All cells come from one pass over the pairs (see _cell_fibers).
+    c = 0). The domain is a subgroup oracle or a whole group (see
+    as_oracle); balls are of ambient length. budget caps the total number
+    of (u, v) pairs across the grid, summed over the cells in s-major
+    order; exceeding it raises with the partial report of the cells that
+    fit attached. A domain with exact sphere counts settles its budget
+    before generating only the radius the admitted cells need; one without
+    (a budgeted oracle, a non-identity pullback) generates its ball first.
+    The envelope is fitted on t <= 3. All cells come from one pass over
+    the pairs (see _cell_fibers).
     """
-    group = domain if isinstance(domain, GroupDescriptor) else domain.group
+    oracle = as_oracle(domain)
+    group = oracle.group
     if kit is not None and kit.group != group:
         raise GroupMismatchError("kit and domain groups differ")
-    if isinstance(domain, GroupDescriptor):
-        cells, overrun = _admitted(ball_counts(group, max(s_max, t_max)), s_max, t_max, budget)
-        radius = max((max(cell) for cell in cells), default=0)
-        _, name, ball = _resolve_domain(domain, radius, ambient)
-    else:
-        _, name, ball = _resolve_domain(domain, max(s_max, t_max), ambient)
-        cells, overrun = _admitted(ball.counts_by_radius, s_max, t_max, budget)
+    try:
+        sizes = relative_ball_counts(oracle, max(s_max, t_max))
+        ball = None
+    except UnsupportedConfigurationError:
+        ball = relative_ball(group, oracle, max(s_max, t_max))
+        sizes = ball.counts_by_radius
+    cells, overrun = _admitted(sizes, s_max, t_max, budget)
+    if ball is None:
+        ball = relative_ball(group, oracle, max((max(cell) for cell in cells), default=0))
     c = kit.c if kit is not None else 0
     connector = kit.spec_string() if kit is not None else "naive"
     fit_t = min(3, t_max)
-    counts = ball.counts_by_radius
     stats = tuple(
-        CellStats(s, t, s + t + c, counts[s] * counts[t], fiber, Element(group, key))
+        CellStats(s, t, s + t + c, sizes[s] * sizes[t], fiber, Element(group, key))
         for (s, t), (fiber, key) in zip(cells, _cell_fibers(kit, ball, c, cells) if cells else ())
     )
     slope, intercept, violations = _fit_envelope(stats, fit_t)
     report = AmbiguityReport(
-        name, connector, c, s_max, t_max, fit_t,
+        oracle.spec_string(), connector, c, s_max, t_max, fit_t,
         stats, slope, intercept, violations, complete=overrun is None,
     )
     if overrun is not None:
@@ -596,30 +585,25 @@ def fiber_size(
     u = target v^-1 x^-1 is the only candidate, kept when it fits in B(s),
     lies in the domain, and the selection rule actually picks x for it.
     """
-    group, _, ball = _resolve_domain(domain, t, ambient)
+    oracle = as_oracle(domain)
+    group = oracle.group
     if target.group != group:
         raise GroupMismatchError("target outside the domain group")
     if kit is not None and kit.group != group:
         raise GroupMismatchError("kit and domain groups differ")
-    oracle = domain if isinstance(domain, SubgroupOracle) else None
+    ball = relative_ball(group, oracle, t, ambient=ambient)
     nf = group.num_factors
     count = 0
-    tp = target.packed
     for vp in ball.packed:
-        tv = multiply_packed(tp, invert_packed(vp, nf), nf)
+        tv = multiply_packed(target.packed, invert_packed(vp, nf), nf)
         if kit is None:
-            if packed_length(tv, nf) > s:
-                continue
-            if oracle is not None and oracle.contains_packed(tv) is not True:
-                continue
-            count += 1
+            if packed_length(tv, nf) <= s and oracle.contains_packed(tv) is True:
+                count += 1
             continue
         right = _junction_scores(kit, vp, nf, left=False)
         for p, piece in enumerate(kit.pieces):
             up = multiply_packed(tv, invert_packed(piece.packed, nf), nf)
-            if packed_length(up, nf) > s:
-                continue
-            if oracle is not None and oracle.contains_packed(up) is not True:
+            if packed_length(up, nf) > s or oracle.contains_packed(up) is not True:
                 continue
             if _select(_junction_scores(kit, up, nf, left=True), right)[0] == p:
                 count += 1

@@ -88,9 +88,10 @@ class AmbiguityBudgetError(BudgetError):
         self.pairs_needed = pairs_needed
         self.budget = budget
         self.partial = partial
+        self.cells_kept = len(partial.cells)
         super().__init__(
             f"fiber grid needs {pairs_needed} pairs, above the budget {budget}; "
-            "partial report attached"
+            f"partial report of {self.cells_kept} cells attached"
         )
 
 

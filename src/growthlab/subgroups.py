@@ -1,7 +1,8 @@
 """Membership oracles for finitely generated subgroups.
 
-Five oracle kinds cover the subgroups the experiments need:
+Six oracle kinds cover the subgroups the experiments need:
 
+* Whole         -- the whole group G, its own improper subgroup H = G;
 * Stallings     -- subgroup of one free factor, exact membership via the
                    folded core graph of its generators;
 * Cyclic        -- powers of a single element of the ambient product;
@@ -32,7 +33,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .counting import convolve_spheres, free_sphere_counts, product_sphere_counts
+from .counting import convolve_spheres, product_sphere_counts
 from .errors import (
     GroupMismatchError,
     OracleBudgetError,
@@ -207,6 +208,35 @@ class SubgroupOracle:
 
     def spec_string(self) -> str:
         raise NotImplementedError
+
+
+class WholeGroupOracle(SubgroupOracle):
+    """The whole group as its improper subgroup H = G; every element is a member."""
+
+    kind = "whole"
+
+    def __init__(self, group: GroupDescriptor):
+        self.group = group
+        self.generators = group.generators()
+
+    def contains_packed(self, packed: bytes) -> bool:
+        return True
+
+    def relative_spheres(self, radius: int) -> Spheres:
+        """The group's spheres, from the factor trees; nothing is undecided."""
+        factors = [free_spheres(rank, radius) for rank in self.group.ranks]
+        return product_spheres(factors), [0] * (radius + 1)
+
+    def sphere_counts(self, radius: int) -> list[int]:
+        return product_sphere_counts(self.group.ranks, radius)
+
+    def spec_string(self) -> str:
+        return self.group.spec()
+
+
+def as_oracle(domain: GroupDescriptor | SubgroupOracle) -> SubgroupOracle:
+    """A domain as an oracle: a whole group becomes its WholeGroupOracle."""
+    return WholeGroupOracle(domain) if isinstance(domain, GroupDescriptor) else domain
 
 
 def factor_support(generators: Sequence[Element]) -> set[int]:
@@ -435,8 +465,8 @@ class PullbackOracle(SubgroupOracle):
     """{(w, phi_2(w), ..., phi_m(w)) : w in K} inside a product.
 
     Each phi_j is a homomorphism from factor 0's free group into factor j's,
-    given by generator images; K is all of factor 0, or a base oracle over
-    it. The diagonal of a product of equal-rank factors is the identity-map
+    given by generator images; K is a base oracle over factor 0, by default
+    all of it. The diagonal of a product of equal-rank factors is the identity-map
     case, for which membership short-circuits to comparing factor words.
     """
 
@@ -462,33 +492,24 @@ class PullbackOracle(SubgroupOracle):
                 )
             for w in imgs:
                 _check_word_bytes(w.data, group.ranks[j], f"factor {j} image")
-        if base is not None and base.group != free_group(source_rank):
+        self.base = base or WholeGroupOracle(free_group(source_rank))
+        if self.base.group != free_group(source_rank):
             raise UnsupportedConfigurationError("base oracle must live in factor 0")
         self.group = group
         self.images = tuple(tuple(imgs) for imgs in images)
-        self.base = base
         self._identity_maps = all(
             imgs[i].data == bytes([2 * i + 1])
             for imgs in self.images
             for i in range(source_rank)
         )
-        base_words = (
-            [g.packed for g in base.generators]
-            if base is not None
-            else [bytes([2 * i + 1]) for i in range(source_rank)]
-        )
         self.generators = tuple(
-            Element(
-                group,
-                SEP.join([w] + [self._apply(j, w) for j in range(len(self.images))]),
-            )
-            for w in base_words
+            Element(group, self._image(g.packed)) for g in self.base.generators
         )
 
     @property
     def is_diagonal(self) -> bool:
         """Identity maps on all of factor 0: the diagonal {(w, ..., w)}."""
-        return self._identity_maps and self.base is None
+        return self._identity_maps and isinstance(self.base, WholeGroupOracle)
 
     def _apply(self, image_index: int, data: bytes) -> bytes:
         imgs = self.images[image_index]
@@ -508,29 +529,24 @@ class PullbackOracle(SubgroupOracle):
             for j, p in enumerate(parts[1:]):
                 if self._apply(j, w) != p:
                     return False
-        if self.base is None:
-            return True
         return self.base.contains_packed(w)
 
     def relative_spheres(self, radius: int) -> Spheres:
         """Images (w, phi_2(w), ...) of factor-0 words, kept while they fit.
 
-        The words are all of factor 0's ball, or the base's members; a base
-        that leaves words undecided is asked about each word for the unknown
-        tally. Identity maps make the image m times as long as w.
+        The words are the base's members; a base that leaves words undecided
+        is asked about each word for the unknown tally. Identity maps make
+        the image m times as long as w.
         """
         nf = self.group.num_factors
         top = radius // nf if self._identity_maps else radius
+        kept, unknown = self.base.relative_spheres(top)
         doubtful: list[bytes] = []
-        if self.base is None:
-            words = chain.from_iterable(free_spheres(self.group.ranks[0], top))
-        else:
-            kept, unknown = self.base.relative_spheres(top)
-            words = chain.from_iterable(kept)
-            if any(unknown):
-                every = chain.from_iterable(free_spheres(self.group.ranks[0], top))
-                doubtful = [w for w in every if self.base.contains_packed(w) is None]
+        if any(unknown):
+            every = chain.from_iterable(free_spheres(self.group.ranks[0], top))
+            doubtful = [w for w in every if self.base.contains_packed(w) is None]
         undecided = _by_sphere(map(self._image, doubtful), radius, nf)
+        words = chain.from_iterable(kept)
         return _by_sphere(map(self._image, words), radius, nf), [len(s) for s in undecided]
 
     def sphere_counts(self, radius: int) -> list[int]:
@@ -541,7 +557,7 @@ class PullbackOracle(SubgroupOracle):
             )
         m = self.group.num_factors
         counts = [0] * (radius + 1)
-        counts[::m] = free_sphere_counts(self.group.ranks[0], radius // m)
+        counts[::m] = self.base.sphere_counts(radius // m)
         return counts
 
     def _image(self, w: bytes) -> bytes:
@@ -556,7 +572,7 @@ class PullbackOracle(SubgroupOracle):
         imgs = ";".join(
             ",".join(render_word_bytes(w.data) for w in image) for image in self.images
         )
-        base = self.base.spec_string() if self.base else "*"
+        base = "*" if isinstance(self.base, WholeGroupOracle) else self.base.spec_string()
         return f"pullback({imgs}|{base})"
 
 

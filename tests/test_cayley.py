@@ -24,6 +24,7 @@ from growthlab.subgroups import (
     ProductOracle,
     PullbackOracle,
     StallingsOracle,
+    WholeGroupOracle,
     diagonal_oracle,
     oracle_for_generators,
     parse_subgroup,
@@ -114,9 +115,12 @@ def free_oracles(draw, rank):
 def oracles(draw):
     """Every oracle kind, over F1-F3 and small products, with a radius <= 6."""
     kind = draw(
-        st.sampled_from(["stallings", "cyclic", "prod", "diag", "pullback", "budgeted"])
+        st.sampled_from(["whole", "stallings", "cyclic", "prod", "diag", "pullback", "budgeted"])
     )
-    if kind == "stallings":
+    if kind == "whole":
+        group = draw(st.sampled_from([F1, F2, free_group(3), F2xF2, product_group(1, 2)]))
+        oracle = WholeGroupOracle(group)
+    elif kind == "stallings":
         group = free_group(draw(st.integers(1, 3)))
         if draw(st.booleans()):
             # a subgroup of one factor of a product
@@ -297,6 +301,7 @@ class TestRelativeBall:
                 base=StallingsOracle(F2, [el("aa"), el("b")]),
             )),
             (F2xF2, lambda: parse_subgroup(F2xF2, "(a,b),(b,a)", budget_radius=3)),
+            (F2xF2, lambda: WholeGroupOracle(F2xF2)),
         ],
     )
     def test_generates_without_ambient_ball_or_membership_queries(self, monkeypatch, group, make):
@@ -308,7 +313,7 @@ class TestRelativeBall:
 
         monkeypatch.setattr(cayley, "enumerate_ball", refuse)
         for cls in (StallingsOracle, CyclicOracle, ProductOracle, PullbackOracle,
-                    BudgetedEnumerationOracle):
+                    BudgetedEnumerationOracle, WholeGroupOracle):
             monkeypatch.setattr(cls, "contains_packed", refuse)
         rel = relative_ball(group, oracle, 6)
         assert (rel.packed, rel.unknown_by_radius) == want

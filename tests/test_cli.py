@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import growthlab
 from growthlab import errors
 from growthlab.cli import ExperimentSpec, _diagnose, main, parse_spec, run
+from growthlab.concat import AmbiguityReport
 from growthlab.errors import ParseError
 from growthlab.subgroups import BudgetedEnumerationOracle
 
@@ -347,7 +349,10 @@ ERROR_INSTANCES = {
     errors.OracleBudgetError: errors.OracleBudgetError(5000, 2, 4),
     errors.SearchDepthError: errors.SearchDepthError("aab", 12),
     errors.TupleBudgetError: errors.TupleBudgetError(83521, 1000),
-    errors.AmbiguityBudgetError: errors.AmbiguityBudgetError(900, 100, object()),
+    errors.AmbiguityBudgetError: errors.AmbiguityBudgetError(
+        900, 100,
+        AmbiguityReport("free:2", "naive", 0, 9, 9, 3, (), Fraction(0), 1, (), complete=False),
+    ),
     errors.DependenceError: errors.DependenceError("a and aa"),
     errors.HypothesisViolationError: errors.HypothesisViolationError("rate failed"),
     errors.InvariantViolationError: errors.InvariantViolationError("broken"),
@@ -360,7 +365,7 @@ def reference_diagnostic(exc):
     doc = {"error": type(exc).__name__, "message": str(exc)}
     for attr in (
         "line", "column", "radius_reached", "target_radius", "budget",
-        "needed", "cap", "pairs_needed", "element_text", "depth_cap",
+        "needed", "cap", "pairs_needed", "cells_kept", "element_text", "depth_cap",
     ):
         value = getattr(exc, attr, None)
         if isinstance(value, (int, str)):
@@ -521,10 +526,39 @@ class TestExitCodes:
         # a starved grid keeps its partial report on disk; a ball overrun
         # would have written nothing and said BallBudgetError
         assert code == 2
-        assert "BallBudgetError" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "BallBudgetError" not in err
         report = json.loads((tmp_path / "ambiguity.json").read_text())["report"]
         assert report["complete"] is False
         assert len(report["cells"]) == 9
+        # the diagnostic says which budget ran out and how far the grid got
+        (line,) = err.splitlines()
+        diag = json.loads(line)
+        assert diag["error"] == "AmbiguityBudgetError"
+        assert (diag["pairs_needed"], diag["budget"], diag["cells_kept"]) == (1422, 1000, 9)
+
+    def test_starved_subgroup_grid_keeps_its_partial_grid(self, tmp_path, capsys):
+        # an exact subgroup settles its pair budget from its sphere counts
+        # too, so B(30) of F2 is never asked for
+        code = main(
+            [
+                "ambiguity", "--group", "free:2", "--subgroup", "aa,bb", "--g", "aa",
+                "--h", "bb", "--smax", "30", "--tmax", "1", "--budget-elements", "1000",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        report = json.loads((tmp_path / "ambiguity.json").read_text())["report"]
+        assert report["complete"] is False
+        assert report["domain"] == "aa,bb"
+        # |B_H(s)| = 1, 1, 5, 5, 17, 17, 53, 53, 161, 161, 485: rows 0..9 take
+        # 948 pairs, and (10, 0) would bring 1433
+        assert len(report["cells"]) == 20
+        assert report["cells"][-1][:2] == [9, 1]
+        (line,) = capsys.readouterr().err.splitlines()
+        diag = json.loads(line)
+        assert diag["error"] == "AmbiguityBudgetError"
+        assert (diag["pairs_needed"], diag["budget"], diag["cells_kept"]) == (1433, 1000, 20)
 
     def test_budgeted_oracle_cap_is_2(self, tmp_path, capsys):
         # the oracle is built once, when the run starts, before any ball

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import concat
-from growthlab.cayley import GrowthTable, enumerate_ball, growth_sequence
+from growthlab.cayley import Ball, GrowthTable, enumerate_ball, growth_sequence, relative_ball
 from growthlab.concat import (
     DEFAULT_PAIR_BUDGET,
     AmbiguityReport,
@@ -17,7 +17,6 @@ from growthlab.concat import (
     _fit_envelope,
     _junction_scores,
     _junctions,
-    _resolve_domain,
     _select,
     _worse_junctions,
     build_connector_kit,
@@ -40,9 +39,15 @@ from growthlab.errors import (
     InvariantViolationError,
 )
 from growthlab.hyperbolic import gromov_product
-from growthlab.subgroups import StallingsOracle, diagonal_oracle, parse_subgroup
+from growthlab.subgroups import (
+    StallingsOracle,
+    SubgroupOracle,
+    diagonal_oracle,
+    parse_subgroup,
+)
 from growthlab.words import (
     Element,
+    GroupDescriptor,
     free_group,
     multiply_packed,
     parse_element,
@@ -71,7 +76,22 @@ def random_element(rng, group, max_len=6):
 
 
 # measure_ambiguity's grid loop before the one-pass kernel, kept verbatim
-# (with its run counter _max_fiber) as the reference the kernel must match.
+# (with its run counter _max_fiber and the domain resolver _resolve_domain
+# it used) as the reference the kernel must match.
+def _resolve_domain(
+    domain: GroupDescriptor | SubgroupOracle, radius: int, ambient: Ball | None
+) -> tuple[GroupDescriptor, str, Ball]:
+    """Group, printable name, and the ball of the domain up to the radius.
+
+    A supplied ambient ball serves group domains; a subgroup generates its own.
+    """
+    if isinstance(domain, GroupDescriptor):
+        if ambient is not None and ambient.group == domain and ambient.radius >= radius:
+            return domain, domain.spec(), ambient.up_to(radius)
+        return domain, domain.spec(), enumerate_ball(domain, radius)
+    return domain.group, domain.spec_string(), relative_ball(domain.group, domain, radius)
+
+
 def _max_fiber(images: list[bytes], max_len: int) -> tuple[int, bytes]:
     """Largest run in the sorted image list; ties pick the shortlex-least key."""
     images.sort()
@@ -177,12 +197,13 @@ def assert_matches_reference(kit, domain, s_max, t_max, budget=DEFAULT_PAIR_BUDG
     return report
 
 
-# subgroup domains per group; None stands for the whole group
+# subgroup domains per group; None stands for the whole group, and
+# "(a,a),(b,b)" gets a budgeted oracle, which generates its ball first
 DOMAINS = {
     F1: [None, "cyclic:aa"],
     F2: [None, "aa,bb", "aab,bAb", "cyclic:ab"],
     F3: [None, "ab,c"],
-    F2xF2: [None, "diag", "prod(aa,b;ab)"],
+    F2xF2: [None, "diag", "prod(aa,b;ab)", "(a,a),(b,b)"],
     F1xF2: [None, "cyclic:(a,ab)"],
 }
 
@@ -445,12 +466,6 @@ class TestMeasureAmbiguity:
         # b cannot be hit: every image contains a connector block
         assert fiber_size(kit2, F2, 2, 2, el("b")) == 0
 
-    def test_ambient_ball_reuse(self, kit2):
-        ball = enumerate_ball(F2, 4)
-        rep1 = measure_ambiguity(kit2, F2, 2, 2, ambient=ball)
-        rep2 = measure_ambiguity(kit2, F2, 2, 2)
-        assert rep1 == rep2
-
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -474,6 +489,7 @@ class TestMeasureAmbiguity:
             (F2xF2, ("(a,a)", "(b,b)", 1), None),
             (F2xF2, ("(a,a)", "(b,b)", 1), "diag"),
             (F1xF2, None, None),
+            (F2xF2, ("(a,a)", "(b,b)", 1), "(a,a),(b,b)"),
         ],
     )
     def test_full_grids_match_reference(self, group, kit, spec):
@@ -499,18 +515,31 @@ class TestMeasureAmbiguity:
         report = assert_matches_reference(kit, group, *grid)
         assert report.complete
 
-    def test_group_budget_is_settled_before_enumerating(self, kit2, monkeypatch):
+    @pytest.mark.parametrize(
+        "domain,radius,pairs_needed,last,kept",
+        [
+            # cells (0,0) .. (4,0) fit: 617 pairs; (4,1) would bring 1422
+            (F2, 4, 1422, (4, 0), 9),
+            # |B_H(s)| = 1, 1, 5, 5, 17, ...: rows 0..9 take 948; (10,0) would bring 1433
+            (StallingsOracle(F2, [el("aa"), el("bb")]), 9, 1433, (9, 1), 20),
+        ],
+        ids=["F2", "aa_bb"],
+    )
+    def test_group_budget_is_settled_before_enumerating(
+        self, kit2, monkeypatch, domain, radius, pairs_needed, last, kept
+    ):
         radii = []
         monkeypatch.setattr(
-            concat, "enumerate_ball", lambda group, r: radii.append(r) or enumerate_ball(group, r)
+            concat,
+            "relative_ball",
+            lambda group, oracle, r: radii.append(r) or relative_ball(group, oracle, r),
         )
         with pytest.raises(AmbiguityBudgetError) as exc:
-            measure_ambiguity(kit2, F2, 30, 1, budget=1000)
-        # cells (0,0) .. (4,0) fit: 617 pairs; (4,1) would bring 1422
-        assert radii == [4]
-        assert exc.value.pairs_needed == 1422
-        assert [(c.s, c.t) for c in exc.value.partial.cells][-1] == (4, 0)
-        assert len(exc.value.partial.cells) == 9
+            measure_ambiguity(kit2, domain, 30, 1, budget=1000)
+        assert radii == [radius]
+        assert exc.value.pairs_needed == pairs_needed
+        assert [(c.s, c.t) for c in exc.value.partial.cells][-1] == last
+        assert len(exc.value.partial.cells) == kept
 
     def test_starved_group_grid_has_no_cells(self, kit2):
         with pytest.raises(AmbiguityBudgetError) as exc:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import counting, subgroups
+from growthlab import cli, concat, counting, subgroups
 from growthlab.cayley import enumerate_ball, relative_ball
 from growthlab.counting import (
     ball_counts,
@@ -25,6 +25,7 @@ from growthlab.subgroups import (
     ProductOracle,
     PullbackOracle,
     StallingsOracle,
+    WholeGroupOracle,
     diagonal_oracle,
     oracle_for_generators,
     parse_subgroup,
@@ -269,6 +270,16 @@ class TestOracleSphereCounts:
             oracle, radius
         )
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda r: product_group(*r)),
+        st.integers(0, 150),
+    )
+    def test_whole_group_counts_its_balls(self, group, radius):
+        oracle = WholeGroupOracle(group)
+        assert len(oracle.sphere_counts(radius)) == radius + 1
+        assert relative_ball_counts(oracle, radius) == ball_counts(group, radius)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -298,7 +309,7 @@ class TestOracleSphereCounts:
 
 
 class TestLayering:
-    """counting holds the ambient closed forms and knows no oracle class."""
+    """counting knows no oracle class; concat and cli keep no whole-group path."""
 
     @staticmethod
     def tree(module):
@@ -311,6 +322,15 @@ class TestLayering:
                 names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
                 for name in names:
                     assert not {"subgroups", "cayley"} & set(name.split(".")), name
+
+    def test_concat_and_cli_never_ask_group_or_oracle(self):
+        # the whole group is an oracle too (WholeGroupOracle), so only
+        # subgroups.as_oracle tells a group from a subgroup
+        for module in (concat, cli):
+            for node in ast.walk(self.tree(module)):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                    names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                    assert not {"GroupDescriptor", "SubgroupOracle"} & names, module.__name__
 
     def test_subgroups_imports_only_at_module_top(self):
         for func in ast.walk(self.tree(subgroups)):
