@@ -23,22 +23,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 from .counting import ball_counts
 from .errors import BallBudgetError, InvariantViolationError, SearchDepthError
-from .subgroups import SubgroupOracle, oracle_for_generators
-from .words import (
-    Element,
-    GroupDescriptor,
-    free_spheres,
-    invert_packed,
-    multiply_packed,
-    packed_length,
-    product_spheres,
-)
+from .subgroups import SubgroupOracle, WholeGroupOracle, oracle_for_generators
+from .words import Element, GroupDescriptor, invert_packed, multiply_packed, packed_length
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -47,18 +38,24 @@ DEFAULT_BUDGET = 10_000_000
 class Ball:
     """All elements within a radius, shortlex sorted, in packed form.
 
-    For relative balls, unknown_by_radius[n] counts ambient-ball elements
-    up to radius n whose membership the oracle could not decide.
+    relative_ball builds every ball from its spheres, the whole group's
+    too. For n = 0..radius, counts_by_radius[n] is |B(n)| and
+    unknown_by_radius[n] counts the ambient-ball elements up to radius n
+    whose membership the oracle could not decide.
     """
 
     group: GroupDescriptor
-    radius: int
     packed: tuple[bytes, ...]
-    unknown_by_radius: tuple[int, ...] = ()
+    counts_by_radius: tuple[int, ...]
+    unknown_by_radius: tuple[int, ...]
+
+    @property
+    def radius(self) -> int:
+        return len(self.counts_by_radius) - 1
 
     @property
     def unknown_count(self) -> int:
-        return self.unknown_by_radius[-1] if self.unknown_by_radius else 0
+        return self.unknown_by_radius[-1]
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -76,20 +73,6 @@ class Ball:
     def elements(self) -> tuple[Element, ...]:
         return tuple(self)
 
-    @cached_property
-    def counts_by_radius(self) -> tuple[int, ...]:
-        """|B(n)| for n = 0..radius (cumulative)."""
-        offset = self.group.num_factors - 1
-        counts = [0] * (self.radius + 1)
-        for p in self.packed:
-            counts[len(p) - offset] += 1
-        total = 0
-        out = []
-        for c in counts:
-            total += c
-            out.append(total)
-        return tuple(out)
-
     def sphere_counts(self) -> tuple[int, ...]:
         balls = self.counts_by_radius
         return (balls[0],) + tuple(
@@ -102,14 +85,11 @@ class Ball:
             raise ValueError(f"ball only covers radius {self.radius}")
         if radius == self.radius:
             return self
-        unknown = (
-            self.unknown_by_radius[: radius + 1] if self.unknown_by_radius else ()
-        )
         return Ball(
             self.group,
-            radius,
             self.packed[: self.counts_by_radius[radius]],
-            unknown,
+            self.counts_by_radius[: radius + 1],
+            self.unknown_by_radius[: radius + 1],
         )
 
 
@@ -143,14 +123,12 @@ def enumerate_ball(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> Ball:
-    """Exact ball of the whole group, generated from the factor trees.
+    """Exact ball of the whole group: the relative ball of H = G.
 
-    The budget is checked against the closed-form ball sizes before any
-    element is built.
+    WholeGroupOracle generates it from the factor trees, and the budget is
+    checked against the closed-form ball sizes before any element is built.
     """
-    _check_budget(group, radius, budget)
-    spheres = product_spheres([free_spheres(rank, radius) for rank in group.ranks])
-    return Ball(group, radius, tuple(chain.from_iterable(spheres)))
+    return relative_ball(group, WholeGroupOracle(group), radius, budget=budget)
 
 
 def relative_ball(
@@ -174,7 +152,12 @@ def relative_ball(
         raise ValueError("supplied ambient ball does not cover the request")
     _check_budget(group, radius, budget)
     spheres, unknown = oracle.relative_spheres(radius)
-    return Ball(group, radius, tuple(chain.from_iterable(spheres)), tuple(accumulate(unknown)))
+    return Ball(
+        group,
+        tuple(chain.from_iterable(spheres)),
+        tuple(accumulate(map(len, spheres))),
+        tuple(accumulate(unknown)),
+    )
 
 
 @dataclass(frozen=True)
@@ -312,13 +295,14 @@ def distortion(
     """Distortion of H = <generators> inside its ambient group.
 
     Members come from the oracle's relative ball, generated from its
-    structure, then each gets its exact generator-word length. When the
+    structure, then each gets its exact generator-word length. Without an
+    oracle it takes oracle_for_generators's, as the CLI does: when the
     generators spread over several factors membership falls back to
     budgeted enumeration, and elements it cannot certify are excluded but
     tallied in `unknown`.
     """
     if oracle is None:
-        oracle = oracle_for_generators(group, generators, budget_radius=radius)
+        oracle = oracle_for_generators(group, generators)
     rel = relative_ball(group, oracle, radius, budget=budget)
     offset = group.num_factors - 1
     values = [0] * (radius + 1)

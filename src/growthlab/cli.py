@@ -3,19 +3,20 @@
 An experiment is a one-line spec: a subcommand followed by flags.
 parse_spec canonicalizes it (group specs, subgroup specs, elements and
 function specs are reparsed and re-rendered, defaults are resolved), so
-render(parse(s)) is a normal form. It canonicalizes a subgroup spec
-without enumerating anything; the subgroup's oracle is built once, when
-the experiment runs. Execution writes artifacts whose bytes depend only
-on the logical spec: CSV for tables, JSON for reports, each embedding
-the canonical spec and the tool version. The output directory is an
-execution knob, excluded from the embedded spec, which is what makes
-artifacts comparable across runs. Every command runs in one process;
---workers K is range-checked (1 to 256) and discarded. A budgeted
-subgroup oracle may enumerate at most min(1,000,000, --budget-elements)
-elements, and rate's enumerates none. _FLAGS declares each flag once,
-in render order, and _COMMANDS each command once; the flag checks, the
-defaults and the canonical render follow from them. A flag given twice,
-under either spelling, is a parse error.
+render(parse(s)) is a normal form. Building a subgroup's oracle
+enumerates nothing: a budgeted oracle enumerates the first time the
+experiment asks it, so canonicalizing a spec never does. Execution
+writes artifacts whose bytes depend only on the logical spec: CSV for
+tables, JSON for reports, each embedding the canonical spec and the tool
+version. The output directory is an execution knob, excluded from the
+embedded spec, which is what makes artifacts comparable across runs.
+Every command runs in one process; --workers K is range-checked (1 to
+256) and discarded. A budgeted subgroup oracle may enumerate at most
+min(1,000,000, --budget-elements) elements, and rate, which only counts,
+never asks it to. _FLAGS declares each flag once, in render order, and
+_COMMANDS each command once; the flag checks, the defaults and the
+canonical render follow from them. A flag given twice, under either
+spelling, is a parse error.
 
 Exit codes: 0 success, 2 budget exceeded, 3 hypothesis or invariant
 violation detected, 64 spec parse error, 1 other failures. Errors are
@@ -286,10 +287,7 @@ def parse_spec(text: str) -> ExperimentSpec:
 
     group_spec = canonical("group", lambda s: parse_group(s).spec())
     group = parse_group(group_spec)
-    # radius 0 enumerates nothing; _execute builds the real oracle once
-    subgroup = canonical(
-        "subgroup", lambda s: parse_subgroup(group, s, budget_radius=0).spec_string()
-    )
+    subgroup = canonical("subgroup", lambda s: parse_subgroup(group, s).spec_string())
 
     spec = ExperimentSpec(
         command=command,
@@ -430,9 +428,7 @@ def _execute(spec: ExperimentSpec) -> tuple[int, str]:
         oracle = WholeGroupOracle(group)
     else:
         cap = min(DEFAULT_ELEMENT_CAP, spec.budget or DEFAULT_ELEMENT_CAP)
-        # rate only counts, and a budgeted oracle has no counts: enumerate nothing
-        no_budget = {"budget_radius": 0} if spec.command == "rate" else {}
-        oracle = parse_subgroup(group, spec.subgroup, element_cap=cap, **no_budget)
+        oracle = parse_subgroup(group, spec.subgroup, element_cap=cap)
 
     if spec.command == "growth":
         ball = enumerate_ball(group, spec.max_radius, budget=spec.budget)

@@ -550,8 +550,11 @@ class PullbackOracle(SubgroupOracle):
         return _by_sphere(map(self._image, words), radius, nf), [len(s) for s in undecided]
 
     def sphere_counts(self, radius: int) -> list[int]:
-        """On the diagonal |(w, ..., w)| = m |w|, so factor 0's spheres land m apart."""
-        if not self.is_diagonal:
+        """Under identity maps |(w, ..., w)| = m |w|, so the base's spheres land m apart.
+
+        A base without exact counts (a budgeted one) raises in its own sphere_counts.
+        """
+        if not self._identity_maps:
             raise UnsupportedConfigurationError(
                 "no exact counting formula for a general pullback; enumerate instead"
             )
@@ -596,7 +599,8 @@ DEFAULT_ELEMENT_CAP = 1_000_000
 class BudgetedEnumerationOracle(SubgroupOracle):
     """Enumerate products of at most `radius` generators; True or unknown.
 
-    Passing element_cap distinct elements raises OracleBudgetError.
+    Nothing is enumerated until the oracle is first asked (`known`); there,
+    passing element_cap distinct elements raises OracleBudgetError.
     """
 
     kind = "budgeted"
@@ -611,24 +615,29 @@ class BudgetedEnumerationOracle(SubgroupOracle):
         self.group = group
         self.generators = tuple(generators)
         self.radius = radius
-        nf = group.num_factors
-        step = [g.packed for g in generators] + [
-            g.inverse().packed for g in generators
+        self.element_cap = element_cap
+
+    @cached_property
+    def known(self) -> frozenset[bytes]:
+        """Every product of at most `radius` generators, breadth first."""
+        nf = self.group.num_factors
+        step = [g.packed for g in self.generators] + [
+            g.inverse().packed for g in self.generators
         ]
-        seen = {group.identity().packed}
+        seen = {self.group.identity().packed}
         frontier = list(seen)
-        for r in range(radius):
+        for r in range(self.radius):
             new = []
             for u in frontier:
                 for s in step:
                     v = multiply_packed(u, s, nf)
                     if v not in seen:
-                        if len(seen) >= element_cap:
-                            raise OracleBudgetError(element_cap, r, radius)
+                        if len(seen) >= self.element_cap:
+                            raise OracleBudgetError(self.element_cap, r, self.radius)
                         seen.add(v)
                         new.append(v)
             frontier = new
-        self.known = frozenset(seen)
+        return frozenset(seen)
 
     def contains_packed(self, packed: bytes) -> bool | None:
         return True if packed in self.known else None
@@ -687,21 +696,18 @@ def oracle_for_generators(
     group: GroupDescriptor,
     generators: Sequence[Element],
     *,
-    budget_radius: int,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> SubgroupOracle:
     """The oracle for <generators>: exact on one free factor, else budgeted.
 
     Generators supported on one free factor give a Stallings oracle.
     Across factors exact membership is not available in general, so the
-    oracle enumerates products of at most budget_radius generators, and
-    at most element_cap distinct elements.
+    oracle enumerates products of at most 8 generators, and at most
+    element_cap distinct elements, the first time it is asked.
     """
     if len(factor_support(generators)) <= 1:
         return StallingsOracle(group, generators)
-    return BudgetedEnumerationOracle(
-        group, generators, radius=budget_radius, element_cap=element_cap
-    )
+    return BudgetedEnumerationOracle(group, generators, element_cap=element_cap)
 
 
 def _split_top_level(text: str, sep: str) -> list[str]:
@@ -724,16 +730,15 @@ def parse_subgroup(
     group: GroupDescriptor,
     text: str,
     *,
-    budget_radius: int = 8,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> SubgroupOracle:
     """Parse a subgroup spec against an ambient group.
 
     Forms: "aa,bb" (generator list), cyclic:<element>, diag, and
     prod(<spec>;<spec>;...). A generator list gets its oracle from
-    oracle_for_generators, with budget_radius and element_cap.
-    spec_string() does not depend on either, and budget_radius=0
-    enumerates nothing.
+    oracle_for_generators, with element_cap. Parsing enumerates nothing:
+    a budgeted oracle enumerates when it is first asked, and
+    spec_string() never asks it.
     """
     text = text.strip()
     if not text:
@@ -753,12 +758,7 @@ def parse_subgroup(
         return ProductOracle(
             group,
             [
-                parse_subgroup(
-                    free_group(group.ranks[i]),
-                    piece,
-                    budget_radius=budget_radius,
-                    element_cap=element_cap,
-                )
+                parse_subgroup(free_group(group.ranks[i]), piece, element_cap=element_cap)
                 for i, piece in enumerate(pieces)
             ],
         )
@@ -766,6 +766,4 @@ def parse_subgroup(
     if any(not p for p in gen_texts):
         raise ParseError(f"empty generator in subgroup spec {text!r}")
     gens = [group.parse(p) for p in gen_texts]
-    return oracle_for_generators(
-        group, gens, budget_radius=budget_radius, element_cap=element_cap
-    )
+    return oracle_for_generators(group, gens, element_cap=element_cap)

@@ -1,5 +1,6 @@
 """Ball enumeration, growth tables, and distortion."""
 
+from dataclasses import fields
 from itertools import accumulate, product
 
 import pytest
@@ -26,6 +27,7 @@ from growthlab.subgroups import (
     StallingsOracle,
     WholeGroupOracle,
     diagonal_oracle,
+    factor_support,
     oracle_for_generators,
     parse_subgroup,
 )
@@ -86,6 +88,20 @@ def filtered_ball(group, oracle, radius):
         elif got is None:
             unknown[len(p) - offset] += 1
     return tuple(kept), tuple(accumulate(unknown))
+
+
+def reference_counts_by_radius(ball):
+    """Ball.counts_by_radius as it was computed, one element at a time."""
+    offset = ball.group.num_factors - 1
+    counts = [0] * (ball.radius + 1)
+    for p in ball.packed:
+        counts[len(p) - offset] += 1
+    total = 0
+    out = []
+    for c in counts:
+        total += c
+        out.append(total)
+    return tuple(out)
 
 
 def reduced_words(rank, max_size=4):
@@ -151,7 +167,11 @@ def oracles(draw):
     else:
         group = draw(st.sampled_from([F2xF2, product_group(1, 2)]))
         gens = draw(st.lists(elements(group, 3), max_size=3))
-        oracle = oracle_for_generators(group, gens, budget_radius=draw(st.integers(0, 3)))
+        if len(factor_support(gens)) <= 1:
+            oracle = oracle_for_generators(group, gens)
+        else:
+            # the default of 8 generators would enumerate far past radius 6
+            oracle = BudgetedEnumerationOracle(group, gens, radius=draw(st.integers(0, 3)))
     return group, oracle, draw(st.integers(0, 6))
 
 
@@ -194,6 +214,15 @@ class TestEnumerateBall:
         small = ball.up_to(3)
         assert small.counts_by_radius == (1, 5, 17, 53)
         assert small.packed == ball.packed[: len(small.packed)]
+
+    @pytest.mark.parametrize(
+        "group,radius", [(F1, 8), (F2, 6), (free_group(3), 5), (F2xF2, 4)]
+    )
+    def test_is_the_whole_group_oracle_relative_ball(self, group, radius):
+        got = enumerate_ball(group, radius)
+        want = relative_ball(group, WholeGroupOracle(group), radius)
+        for field in fields(got):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
 
     def test_budget_error_carries_progress(self):
         with pytest.raises(BallBudgetError) as exc:
@@ -264,7 +293,7 @@ class TestRelativeBall:
         assert rel.counts_by_radius == (1, 1, 3, 3, 5)
 
     def test_unknown_tally_for_budgeted_oracle(self):
-        orc = parse_subgroup(F2xF2, "(a,b),(b,a)", budget_radius=2)
+        orc = BudgetedEnumerationOracle(F2xF2, [el("(a,b)", F2xF2), el("(b,a)", F2xF2)], radius=2)
         rel = relative_ball(F2xF2, orc, 3)
         assert rel.unknown_count > 0
         # everything kept is certain; nothing unknown is counted
@@ -287,6 +316,15 @@ class TestRelativeBall:
             return
         assert list(rel.counts_by_radius) == counts
 
+    @settings(max_examples=200, deadline=None)
+    @given(oracles())
+    def test_counts_by_radius_match_counting_each_element(self, case):
+        group, oracle, radius = case
+        rel = relative_ball(group, oracle, radius)
+        assert rel.counts_by_radius == reference_counts_by_radius(rel)
+        for n in range(radius + 1):
+            assert rel.up_to(n).counts_by_radius == reference_counts_by_radius(rel.up_to(n))
+
     @pytest.mark.parametrize(
         "group,make",
         [
@@ -300,7 +338,9 @@ class TestRelativeBall:
                 F2xF2, [[Word(b"\x03"), Word(b"\x01\x03")]],
                 base=StallingsOracle(F2, [el("aa"), el("b")]),
             )),
-            (F2xF2, lambda: parse_subgroup(F2xF2, "(a,b),(b,a)", budget_radius=3)),
+            (F2xF2, lambda: BudgetedEnumerationOracle(
+                F2xF2, [el("(a,b)", F2xF2), el("(b,a)", F2xF2)], radius=3
+            )),
             (F2xF2, lambda: WholeGroupOracle(F2xF2)),
         ],
     )

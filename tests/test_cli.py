@@ -8,16 +8,19 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import growthlab
 from growthlab import errors
+from growthlab.cayley import distortion
 from growthlab.cli import ExperimentSpec, _diagnose, main, parse_spec, run
 from growthlab.concat import AmbiguityReport
 from growthlab.errors import ParseError
 from growthlab.subgroups import BudgetedEnumerationOracle
+from growthlab.words import parse_element, product_group
 
 
 def run_into(tmp_path, text):
@@ -29,6 +32,21 @@ def run_into(tmp_path, text):
 
 def data_rows(body):
     return [line for line in body.splitlines() if line and not line.startswith("#")]
+
+
+def record_enumerations(monkeypatch):
+    """Patch BudgetedEnumerationOracle.known to log each enumeration's radius."""
+    radii = []
+    enumerate_known = BudgetedEnumerationOracle.known.func
+
+    def recording(self):
+        radii.append(self.radius)
+        return enumerate_known(self)
+
+    known = cached_property(recording)
+    known.__set_name__(BudgetedEnumerationOracle, "known")
+    monkeypatch.setattr(BudgetedEnumerationOracle, "known", known)
+    return radii
 
 
 class TestParse:
@@ -595,15 +613,8 @@ class TestExitCodes:
     def test_rate_refuses_budgeted_oracle_before_enumerating(
         self, tmp_path, capsys, monkeypatch, subgroup
     ):
-        # rate only counts, so it builds its budgeted oracle at radius 0
-        radii = []
-        init = BudgetedEnumerationOracle.__init__
-
-        def recording_init(self, group, generators, radius=8, element_cap=1_000_000):
-            radii.append(radius)
-            init(self, group, generators, radius, element_cap)
-
-        monkeypatch.setattr(BudgetedEnumerationOracle, "__init__", recording_init)
+        # rate only counts, so it never asks its budgeted oracle to enumerate
+        radii = record_enumerations(monkeypatch)
         code = main(
             [
                 "rate", "--group", "product(free:2,free:2)", "--subgroup", subgroup,
@@ -615,7 +626,7 @@ class TestExitCodes:
             "error": "UnsupportedConfigurationError",
             "message": "budgeted oracles have no exact counts; enumerate instead",
         }
-        assert radii and not any(radii)
+        assert radii == []
         assert not (tmp_path / "rate.json").exists()
 
     def test_acyl_budget_is_2(self, tmp_path, capsys):
@@ -677,16 +688,9 @@ class TestExitCodes:
 
 
 def test_budgeted_oracle_is_built_once_per_run(tmp_path, monkeypatch):
-    # radius 0 enumerates nothing, so only radius > 0 counts as a build
-    builds = []
-    init = BudgetedEnumerationOracle.__init__
-
-    def counting_init(self, group, generators, radius=8, element_cap=1_000_000):
-        if radius > 0:
-            builds.append(radius)
-        init(self, group, generators, radius, element_cap)
-
-    monkeypatch.setattr(BudgetedEnumerationOracle, "__init__", counting_init)
+    # parse_spec builds an oracle too, to canonicalize the spec, but only
+    # the run's oracle is asked, so it alone enumerates
+    enumerations = record_enumerations(monkeypatch)
     code = main(
         [
             "relgrowth", "--group", "product(free:2,free:2)",
@@ -694,7 +698,25 @@ def test_budgeted_oracle_is_built_once_per_run(tmp_path, monkeypatch):
         ]
     )
     assert code == 0
-    assert len(builds) == 1
+    assert enumerations == [8]
+
+
+def test_library_and_cli_distortion_agree(tmp_path):
+    # both give the generators' oracle the default enumeration radius, not
+    # the table's radius
+    group = product_group(2, 2)
+    gens = [parse_element(group, "(ab,1)"), parse_element(group, "(B,a)")]
+    table = distortion(group, gens, 2)
+    code = main(
+        [
+            "distortion", "--group", "product(free:2,free:2)", "--subgroup", "(ab,1),(B,a)",
+            "--max-radius", "2", "--format", "json", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "distortion.json").read_text())["report"]
+    assert [value for _, value in report["rows"]] == list(table.values) == [0, 0, 3]
+    assert report["unknown"] == list(table.unknown) == [0, 8, 40]
 
 
 class TestDeterminism:

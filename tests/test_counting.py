@@ -4,6 +4,7 @@ import ast
 import random
 from collections import defaultdict
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -284,12 +285,10 @@ class TestOracleSphereCounts:
         "make",
         [
             lambda: BudgetedEnumerationOracle(F2, [el("aa")], radius=2),
-            lambda: oracle_for_generators(
-                F2xF2, [el("(a,a)", F2xF2), el("(b,b)", F2xF2)], budget_radius=0
-            ),
+            lambda: oracle_for_generators(F2xF2, [el("(a,a)", F2xF2), el("(b,b)", F2xF2)]),
             lambda: PullbackOracle(F2xF2, [[Word(b"\x03"), Word(b"\x01")]]),
             lambda: PullbackOracle(
-                F2xF2, [[Word(b"\x01"), Word(b"\x03")]], base=StallingsOracle(F2, [el("a")])
+                F2xF2, [[Word(b"\x03"), Word(b"\x01")]], base=StallingsOracle(F2, [el("a")])
             ),
             lambda: ProductOracle(
                 F2xF2, [StallingsOracle(F2, [el("ab")]), BudgetedEnumerationOracle(F2, [el("b")])]
@@ -306,6 +305,24 @@ class TestOracleSphereCounts:
         with pytest.raises(UnsupportedConfigurationError) as got:
             relative_ball_counts(oracle, 6)
         assert str(got.value) == str(want.value)
+        # refusing to count enumerates nothing
+        assert "known" not in vars(oracle)
+
+    @pytest.mark.parametrize(
+        "base", [lambda: StallingsOracle(F2, [el("aa"), el("bb")]), lambda: CyclicOracle(F2, el("ab"))]
+    )
+    def test_identity_map_pullbacks_count_their_base(self, base):
+        # the base's spheres spread 2 apart, as on the diagonal
+        ids = [[Word(b"\x01"), Word(b"\x03")]]
+        oracle = PullbackOracle(F2xF2, ids, base=base())
+        rel = relative_ball(F2xF2, oracle, 10)
+        assert relative_ball_counts(oracle, 10) == list(rel.counts_by_radius)
+
+    def test_identity_maps_over_a_budgeted_base_still_raise(self):
+        ids = [[Word(b"\x01"), Word(b"\x03")]]
+        oracle = PullbackOracle(F2xF2, ids, base=BudgetedEnumerationOracle(F2, [el("ab")]))
+        with pytest.raises(UnsupportedConfigurationError, match="budgeted"):
+            relative_ball_counts(oracle, 6)
 
 
 class TestLayering:
@@ -331,6 +348,39 @@ class TestLayering:
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
                     names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
                     assert not {"GroupDescriptor", "SubgroupOracle"} & names, module.__name__
+
+    @staticmethod
+    def scoped(node, scope=""):
+        """(enclosing class and function names, dotted; node) for every node below."""
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from TestLayering.scoped(child, f"{scope}.{child.name}".lstrip("."))
+            else:
+                yield from TestLayering.scoped(child, scope)
+
+    @staticmethod
+    def package_trees():
+        for path in sorted(Path(counting.__file__).parent.glob("*.py")):
+            yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+    def test_no_budget_radius_knob(self):
+        # a budgeted oracle's radius is the class default everywhere
+        for name, tree in self.package_trees():
+            for node in ast.walk(tree):
+                for field in ("id", "arg", "attr", "name"):
+                    assert getattr(node, field, None) != "budget_radius", name
+
+    def test_balls_are_built_only_from_spheres(self):
+        # relative_ball builds each Ball from its spheres and up_to slices one
+        callers = [
+            (name, scope)
+            for name, tree in self.package_trees()
+            for scope, node in self.scoped(tree)
+            if isinstance(node, ast.Call)
+            and "Ball" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+        assert sorted(callers) == [("cayley.py", "Ball.up_to"), ("cayley.py", "relative_ball")]
 
     def test_subgroups_imports_only_at_module_top(self):
         for func in ast.walk(self.tree(subgroups)):

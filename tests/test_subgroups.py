@@ -339,13 +339,14 @@ class TestProductAndPullback:
         assert orc.contains(el("(ab,ab)", F2xF2)) is False
         assert orc.contains(el("(aa,bb)", F2xF2)) is False
 
-    def test_non_injective_image_goes_unknown_not_false(self):
-        # phi(a) = phi(b) = a kills b a^-1; deciding w = phi(w) pairs is
-        # outside the fast path, so honest answers are True or unknown
+    def test_non_injective_image_refutes_with_a_proof(self):
+        # phi(a) = phi(b) = a kills b a^-1, yet a member is still fixed by its
+        # first word: the only one whose first word is ab is (ab, phi(ab)) =
+        # (ab,aa), so False for (ab,ba) is a proof
         images = [[Word(parse_word_bytes("a", 2)), Word(parse_word_bytes("a", 2))]]
         orc = PullbackOracle(F2xF2, images)
         assert orc.contains(el("(ab,aa)", F2xF2)) is True
-        assert orc.contains(el("(ab,ba)", F2xF2)) is not True
+        assert orc.contains(el("(ab,ba)", F2xF2)) is False
 
 
 class TestBudgeted:
@@ -363,13 +364,18 @@ class TestBudgeted:
         assert orc.contains(el("a")) is None
 
     def test_element_cap_is_a_budget_error(self):
-        # radius 1 holds 5 elements of <aa,bb>, radius 2 another 12
+        # radius 1 holds 5 elements of <aa,bb>, radius 2 another 12; building
+        # the oracle enumerates nothing, so the overrun comes when it is asked
+        orc = BudgetedEnumerationOracle(F2, [el("aa"), el("bb")], radius=4, element_cap=10)
         with pytest.raises(OracleBudgetError) as exc:
-            BudgetedEnumerationOracle(F2, [el("aa"), el("bb")], radius=4, element_cap=10)
+            orc.contains(el("aa"))
         assert isinstance(exc.value, BudgetError)
         assert (exc.value.cap, exc.value.radius_reached, exc.value.target_radius) == (10, 1, 4)
+        # a failed enumeration is not kept, so asking again fails again
         with pytest.raises(OracleBudgetError):
-            BudgetedEnumerationOracle(F2, [el("aa"), el("bb")], radius=4, element_cap=0)
+            orc.known
+        with pytest.raises(OracleBudgetError):
+            BudgetedEnumerationOracle(F2, [el("aa"), el("bb")], radius=4, element_cap=0).known
         assert len(BudgetedEnumerationOracle(F2, [el("aa"), el("bb")], radius=2, element_cap=17).known) == 17
 
     def test_mixed_factor_generators_supported(self):
