@@ -73,7 +73,6 @@ from .subgroups import (
     BudgetedEnumerationOracle,
     CyclicOracle,
     ProductOracle,
-    PullbackOracle,
     StallingsOracle,
     SubgroupOracle,
     WholeGroupOracle,

@@ -297,7 +297,7 @@ def distortion(
     Members come from the oracle's relative ball, generated from its
     structure, then each gets its exact generator-word length. Without an
     oracle it takes oracle_for_generators's, as the CLI does: when the
-    generators spread over several factors membership falls back to
+    generators' fold conflicts on every factor membership falls back to
     budgeted enumeration, and elements it cannot certify are excluded but
     tallied in `unknown`.
     """

@@ -229,7 +229,7 @@ def _int_flag(raw, name: str, lo: int, hi: int, default: int | None):
 
 
 def _reposition(exc: ParseError, line: int, col: int) -> ParseError:
-    return ParseError(str(exc.args[0] if exc.args else exc), line, col)
+    return ParseError(exc.args[0], line, col)
 
 
 def parse_spec(text: str) -> ExperimentSpec:

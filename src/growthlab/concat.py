@@ -536,8 +536,8 @@ def measure_ambiguity(
     order; exceeding it raises with the partial report of the cells that
     fit attached. A domain with exact sphere counts settles its budget
     before generating only the radius the admitted cells need; one without
-    (a budgeted oracle, a non-identity pullback) generates its ball first.
-    The envelope is fitted on t <= 3. All cells come from one pass over
+    (a budgeted oracle, a folded graph with nontrivial labels) generates
+    its ball first. The envelope is fitted on t <= 3. All cells come from one pass over
     the pairs (see _cell_fibers).
     """
     oracle = as_oracle(domain)

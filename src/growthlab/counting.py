@@ -61,6 +61,7 @@ def relative_ball_counts(oracle: SphereCounter, n_max: int) -> list[int]:
     """|B_H(n)| for n = 0..n_max, accumulated from the oracle's sphere counts.
 
     Raises UnsupportedConfigurationError where the oracle has no exact count
-    (budgeted oracles, non-identity pullbacks); callers enumerate instead.
+    (budgeted oracles, folded graphs with nontrivial labels); callers
+    enumerate instead.
     """
     return list(accumulate(oracle.sphere_counts(n_max)))

@@ -11,14 +11,22 @@ class GrowthlabError(Exception):
 
 
 class ParseError(GrowthlabError, ValueError):
-    """Malformed textual input (words, group specs, experiment specs)."""
+    """Malformed textual input (words, group specs, experiment specs).
+
+    args[0] is the message without its position, so the error can be
+    placed again; str() appends the position.
+    """
 
     def __init__(self, message: str, line: int = 1, column: int | None = None):
         self.line = line
         self.column = column
-        if column is not None:
-            message = f"{message} (line {line}, column {column})"
         super().__init__(message)
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        if self.column is None:
+            return message
+        return f"{message} (line {self.line}, column {self.column})"
 
 
 class GroupMismatchError(GrowthlabError, ValueError):

@@ -135,6 +135,8 @@ def parse_funcspec(text: str) -> FuncSpec:
                 return FuncSpec.constant(intercept)
             return FuncSpec.affine(intercept, slope)
         return FuncSpec.constant(Fraction(stripped))
+    except ParseError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad function spec {text!r}: {exc}", column=1) from None
 

@@ -1,16 +1,18 @@
 """Membership oracles for finitely generated subgroups.
 
-Six oracle kinds cover the subgroups the experiments need:
+Five oracle kinds cover the subgroups the experiments need:
 
 * Whole         -- the whole group G, its own improper subgroup H = G;
-* Stallings     -- subgroup of one free factor, exact membership via the
-                   folded core graph of its generators;
+* Stallings     -- a subgroup that is a graph over one free factor, exact
+                   membership via the folded core graph of its generators'
+                   words there, each edge labelled with what it reads in
+                   the other factors: a subgroup of one factor, the
+                   diagonal, and every graph {(w, phi(w))} of a homomorphism;
 * Cyclic        -- powers of a single element of the ambient product;
 * Product       -- componentwise product H_1 x ... x H_m of per-factor oracles;
-* Pullback      -- graph-of-homomorphism subgroups {(w, phi_2(w), ..)} of a
-                   product, the diagonal being the identity-map case;
 * Budgeted      -- enumerate products of few generators and answer True or
-                   unknown, never False.
+                   unknown, never False; only generator lists whose fold
+                   conflicts on every factor get one.
 
 contains() is three-valued: True, False, or None for "unknown within the
 budget". Only the budgeted oracle ever returns None; the point is that
@@ -21,14 +23,14 @@ Each oracle answers one protocol from its own structure: contains_packed
 (the verdict on a packed element), relative_spheres (the members by ambient
 length, generated rather than filtered from the ambient ball, and the
 undecided count per sphere), sphere_counts (exact member counts per sphere,
-for radii far past enumeration range; the budgeted oracle and non-identity
-pullbacks raise) and spec_string (the canonical subgroup spec).
+for radii far past enumeration range; the budgeted oracle and folded graphs
+with nontrivial labels raise) and spec_string (the canonical subgroup spec).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -44,18 +46,13 @@ from .words import (
     SEP,
     Element,
     GroupDescriptor,
-    Word,
-    _check_word_bytes,
     free_group,
     free_spheres,
     invert_packed,
-    invert_word,
     inverse_byte,
     multiply_packed,
-    multiply_words,
     packed_length,
     product_spheres,
-    render_word_bytes,
 )
 
 # Members by ambient length, spheres 0..radius each shortlex sorted, and
@@ -75,28 +72,42 @@ def _by_sphere(elements: Iterable[bytes], radius: int, num_factors: int) -> list
     return spheres
 
 
+class FoldConflict(UnsupportedConfigurationError):
+    """A fold met a nontrivial element of H whose word in the folded factor is empty."""
+
+
 @dataclass(frozen=True)
 class StallingsGraph:
-    """Folded, based core graph of a free-group subgroup.
+    """Folded, based core graph of a subgroup, read in one free factor.
 
     transitions[v] maps a letter byte to the target vertex; both directions
-    of every edge are stored. Vertex 0 is the basepoint.
+    of every edge are stored. Vertex 0 is the basepoint. labels[v, b] is
+    what the edge from v reading b reads in the other factors, as a packed
+    element of a product of num_factors factors whose folded factor is
+    empty; the reverse edge reads its inverse. Only nontrivial labels are
+    stored, so a subgroup of one free factor has none.
     """
 
     transitions: tuple[dict[int, int], ...]
+    labels: dict[tuple[int, int], bytes] = field(default_factory=dict)
+    num_factors: int = 1
 
     @property
     def num_vertices(self) -> int:
         return len(self.transitions)
 
-    def accepts(self, data: bytes) -> bool:
-        """True when the word reads a closed path at the basepoint."""
+    def read(self, data: bytes) -> bytes | None:
+        """The label of the closed path at the basepoint that the word reads, or None."""
         v = 0
+        label = SEP * (self.num_factors - 1)
         for b in data:
+            step = self.labels.get((v, b))
+            if step is not None:
+                label = multiply_packed(label, step, self.num_factors)
             v = self.transitions[v].get(b)
             if v is None:
-                return False
-        return v == 0
+                return None
+        return label if v == 0 else None
 
     def base_distances(self) -> list[int]:
         """Graph distance from every vertex to the basepoint (breadth first)."""
@@ -126,58 +137,104 @@ class StallingsGraph:
         return (len(order), tuple(sorted(edges)))
 
 
-def fold_graph(loops: Sequence[bytes]) -> StallingsGraph:
-    """Wedge the generator loops at a basepoint and fold (Stallings).
+def fold_graph(
+    loops: Sequence[bytes], rests: Sequence[bytes] = (), num_factors: int = 1
+) -> StallingsGraph:
+    """Wedge the generator loops at a basepoint and fold (Stallings), with labels.
 
-    Every vertex keeps one target per letter. An edge whose letter is
-    already used at its source is not stored; its target and the existing
-    one are queued for a merge instead, and a merge pools the two vertices'
-    edges, which may queue more merges. One union-find records the merges.
-    A merge keeps the lower vertex id, so the basepoint stays 0 and a run
-    is deterministic; the folded graph itself is independent of merge
-    order (folding is confluent).
+    Loop i puts its label rests[i] (trivial when rests is empty) on its
+    first edge. Every vertex keeps one target per letter. An edge whose
+    letter is already used at its source is not stored; its target and the
+    existing one are queued for a merge instead, and a merge pools the two
+    vertices' edges, which may queue more merges. One union-find records
+    the merges, each link with a potential g: the merged vertex is re-based
+    by g, so an edge into it reading l reads l g at its root, and an edge
+    out of it reading l reads g^-1 l. A merge keeps the lower vertex id, so
+    the basepoint stays 0 with a trivial potential and a run is
+    deterministic; the folded graph itself is independent of merge order
+    (folding is confluent).
+
+    Two edges with one letter between the same vertices but different
+    labels, or an empty loop with a nontrivial label, raise FoldConflict:
+    H then holds a nontrivial element whose word in the folded factor is
+    empty, so it is no graph over that factor.
     """
-    adj: list[dict[int, int]] = [{}]
-    pending: list[tuple[int, int]] = []
+    one = SEP * (num_factors - 1)
+    rests = rests or [one] * len(loops)
 
-    def add_edge(u: int, b: int, v: int) -> None:
-        w = adj[u].setdefault(b, v)
-        if w != v:
-            pending.append((w, v))
+    def mul(x: bytes, y: bytes) -> bytes:
+        return y if x == one else x if y == one else multiply_packed(x, y, num_factors)
 
-    for loop in loops:
+    def inv(x: bytes) -> bytes:
+        return x if x == one else invert_packed(x, num_factors)
+
+    adj: list[dict[int, tuple[int, bytes]]] = [{}]
+    # (x, y, h): y is x re-based by h, so an edge into y reading l is one into x reading l h
+    pending: list[tuple[int, int, bytes]] = []
+
+    def add_edge(u: int, b: int, v: int, label: bytes) -> None:
+        edge = adj[u].setdefault(b, (v, label))
+        if edge != (v, label):
+            pending.append((edge[0], v, mul(inv(label), edge[1])))
+
+    for loop, rest in zip(loops, rests):
+        if not loop and rest != one:
+            raise FoldConflict("a generator is trivial in the folded factor but not elsewhere")
         prev = 0
         for i, b in enumerate(loop):
             nxt = 0 if i == len(loop) - 1 else len(adj)
             if nxt:
                 adj.append({})
-            add_edge(prev, b, nxt)
-            add_edge(nxt, inverse_byte(b), prev)
+            label = one if i else rest
+            add_edge(prev, b, nxt, label)
+            add_edge(nxt, inverse_byte(b), prev, inv(label))
             prev = nxt
 
     parent = list(range(len(adj)))
+    potential = [one] * len(adj)
 
-    def find(v: int) -> int:
+    def find(v: int) -> tuple[int, bytes]:
+        """v's root, and v's potential there (the product of the links' potentials)."""
+        path = []
         while parent[v] != v:
-            parent[v] = parent[parent[v]]
+            path.append(v)
             v = parent[v]
-        return v
+        acc = one
+        for u in reversed(path):
+            acc = mul(potential[u], acc)
+            parent[u], potential[u] = v, acc
+        return v, acc
 
     while pending:
-        lo, hi = sorted(map(find, pending.pop()))
+        x, y, h = pending.pop()
+        (lo, px), (hi, py) = find(x), find(y)
+        g = mul(mul(inv(py), h), px)  # hi is lo re-based by g
         if lo == hi:
+            if g != one:
+                raise FoldConflict("two edges with one letter and one end read different labels")
             continue
-        parent[hi] = lo
+        if hi < lo:
+            lo, hi, g = hi, lo, inv(g)
+        parent[hi], potential[hi] = lo, g
         # the reverse edges into hi stay put; find() sends them to lo
-        for b, v in adj[hi].items():
-            add_edge(lo, b, v)
+        for b, (v, label) in adj[hi].items():
+            add_edge(lo, b, v, mul(inv(g), label))
         adj[hi] = {}
 
     roots = [v for v in range(len(adj)) if parent[v] == v]
     index = {r: i for i, r in enumerate(roots)}
-    return StallingsGraph(
-        tuple({b: index[find(v)] for b, v in adj[r].items()} for r in roots)
-    )
+    transitions: list[dict[int, int]] = []
+    labels: dict[tuple[int, int], bytes] = {}
+    for i, r in enumerate(roots):
+        row = {}
+        for b, (v, label) in adj[r].items():
+            root, pv = find(v)
+            row[b] = index[root]
+            label = mul(label, pv)
+            if label != one:
+                labels[i, b] = label
+        transitions.append(row)
+    return StallingsGraph(tuple(transitions), labels, num_factors)
 
 
 class SubgroupOracle:
@@ -239,37 +296,62 @@ def as_oracle(domain: GroupDescriptor | SubgroupOracle) -> SubgroupOracle:
     return WholeGroupOracle(domain) if isinstance(domain, GroupDescriptor) else domain
 
 
-def factor_support(generators: Sequence[Element]) -> set[int]:
-    """Indices of the factors on which some generator is nontrivial."""
-    return {i for g in generators for i, p in enumerate(g.packed.split(SEP)) if p}
-
-
 class StallingsOracle(SubgroupOracle):
-    """Exact membership in a subgroup of one free factor."""
+    """Exact membership in a subgroup that is a graph over one free factor.
+
+    Factor f's words of the generators are folded (fold_graph), and each
+    edge is labelled with what it reads in the other factors. A factor j is
+    a copy when every generator's j-word equals its f-word: it then holds w
+    wherever f holds w, carries no label and adds |w| to the length.
+    Without a conflict, the member whose f-word is w is unique: w in f and
+    its copies and the label of w's closed path elsewhere. So one class
+    covers a subgroup of one factor (every label trivial), the diagonal
+    (every other factor a copy) and every graph {(w, phi(w)) : w in K} of a
+    homomorphism. The first factor whose fold has no conflict is taken;
+    with none, the generators raise FoldConflict.
+    """
 
     kind = "stallings"
 
-    def __init__(self, group: GroupDescriptor, generators: Sequence[Element]):
+    def __init__(
+        self, group: GroupDescriptor, generators: Sequence[Element], *, spec: str | None = None
+    ):
         self.group = group
         self.generators = tuple(generators)
         if any(g.group != group for g in self.generators):
             raise UnsupportedConfigurationError("generator outside the group")
-        support = factor_support(self.generators)
-        if len(support) > 1:
-            raise UnsupportedConfigurationError(
-                "Stallings oracle needs generators inside a single free factor"
-            )
-        self.factor = min(support, default=0)
-        self.graph = fold_graph([g.packed.split(SEP)[self.factor] for g in self.generators])
+        self._spec = spec
+        nf = group.num_factors
+        parts = [g.packed.split(SEP) for g in self.generators]
+        for f in range(nf):
+            # f and its copies hold the word w; the rest is each loop's label
+            placed = [j for j in range(nf) if all(p[j] == p[f] for p in parts)]
+            rests = [SEP.join(b"" if j in placed else w for j, w in enumerate(p)) for p in parts]
+            try:
+                self.graph = fold_graph([p[f] for p in parts], rests, nf)
+            except FoldConflict:
+                continue
+            self.factor = f
+            self.spread = len(placed)
+            # SEP runs around the coordinates that hold w
+            self._gaps = [SEP * (j - i) for i, j in zip([0, *placed], [*placed, nf - 1])]
+            return
+        raise FoldConflict(
+            f"<{self.spec_string()}> is no graph over any one factor of {group.spec()}"
+        )
+
+    def _member(self, w: bytes) -> bytes | None:
+        """The member whose word in the folded factor is w, or None if there is none."""
+        label = self.graph.read(w)
+        if label is None:
+            return None
+        placed = w.join(self._gaps)
+        if not self.graph.labels:
+            return placed
+        return multiply_packed(label, placed, self.group.num_factors)
 
     def contains_packed(self, packed: bytes) -> bool:
-        if self.group.num_factors == 1:
-            return self.graph.accepts(packed)
-        parts = packed.split(SEP)
-        for i, p in enumerate(parts):
-            if i != self.factor and p:
-                return False
-        return self.graph.accepts(parts[self.factor])
+        return self._member(packed.split(SEP)[self.factor]) == packed
 
     @cached_property
     def _moves(self) -> dict[tuple[int, bytes], list[tuple[bytes, int]]]:
@@ -282,44 +364,63 @@ class StallingsOracle(SubgroupOracle):
             for last in range(2 * self.group.ranks[self.factor] + 1)
         }
 
-    def relative_spheres(self, radius: int) -> Spheres:
-        """Reduced closed paths at the basepoint, extended letter by letter.
+    def _closed_words(self, top: int) -> list[list[bytes]]:
+        """Reduced closed paths at the basepoint of length 0..top, extended letter by letter.
 
-        Extending sphere-n paths in order by each non-cancelling letter in
-        letter order keeps every sphere shortlex sorted, as in a free
-        factor's tree. A path is dropped once the way back to the basepoint
-        is longer than the length it has left.
+        A path is dropped once the way back to the basepoint is longer than
+        the length it has left.
         """
         moves = self._moves
         dist = self.graph.base_distances()
-        # the other factors' empty words, around the factor's word
-        before = SEP * self.factor
-        after = SEP * (self.group.num_factors - 1 - self.factor)
         paths = [(b"", 0)]
-        spheres = [[before + after]]
-        for n in range(1, radius + 1):
-            left = radius - n
+        words = [[b""]]
+        for n in range(1, top + 1):
+            left = top - n
             paths = [
                 (p + x, w) for p, v in paths for x, w in moves[v, p[-1:]] if dist[w] <= left
             ]
-            spheres.append([before + p + after for p, v in paths if v == 0])
-        return spheres, [0] * (radius + 1)
+            words.append([p for p, v in paths if v == 0])
+        return words
+
+    def relative_spheres(self, radius: int) -> Spheres:
+        """The members of the reduced closed paths at the basepoint.
+
+        A path of length n reads a member of length at least spread * n, its
+        word in the folded factor and its copies, so paths are searched to
+        length radius // spread. Labels only add to that length.
+        """
+        words = chain.from_iterable(self._closed_words(radius // self.spread))
+        if self.graph.labels:
+            members = map(self._member, words)
+        else:
+            members = (w.join(self._gaps) for w in words)
+        return _by_sphere(members, radius, self.group.num_factors), [0] * (radius + 1)
 
     def sphere_counts(self, radius: int) -> list[int]:
-        """Reduced closed paths at the basepoint per length, summed by state."""
+        """Reduced closed paths at the basepoint per length, summed by state.
+
+        With every label trivial, a path of length n reads a member of
+        length spread * n, so the path counts land spread apart.
+        """
+        if self.graph.labels:
+            raise UnsupportedConfigurationError(
+                "no exact counting formula for a labelled folded graph; enumerate instead"
+            )
         states: dict[tuple[int, bytes], int] = {(0, b""): 1}
-        counts = [1]
-        for _ in range(radius):
+        paths = [1]
+        for _ in range(radius // self.spread):
             new: dict[tuple[int, bytes], int] = defaultdict(int)
             for (v, last), c in states.items():
                 for x, w in self._moves[v, last]:
                     new[w, x] += c
             states = new
-            counts.append(sum(c for (v, _), c in states.items() if v == 0))
+            paths.append(sum(c for (v, _), c in states.items() if v == 0))
+        counts = [0] * (radius + 1)
+        counts[:: self.spread] = paths
         return counts
 
     def spec_string(self) -> str:
-        return ",".join(g.render() for g in self.generators)
+        return self._spec or ",".join(g.render() for g in self.generators)
 
 
 def cyclic_core(data: bytes) -> tuple[bytes, bytes]:
@@ -461,136 +562,15 @@ class ProductOracle(SubgroupOracle):
         return "prod(" + ";".join(o.spec_string() for o in self.factor_oracles) + ")"
 
 
-class PullbackOracle(SubgroupOracle):
-    """{(w, phi_2(w), ..., phi_m(w)) : w in K} inside a product.
-
-    Each phi_j is a homomorphism from factor 0's free group into factor j's,
-    given by generator images; K is a base oracle over factor 0, by default
-    all of it. The diagonal of a product of equal-rank factors is the identity-map
-    case, for which membership short-circuits to comparing factor words.
-    """
-
-    kind = "pullback"
-
-    def __init__(
-        self,
-        group: GroupDescriptor,
-        images: Sequence[Sequence[Word]],
-        base: SubgroupOracle | None = None,
-    ):
-        if group.num_factors < 2:
-            raise UnsupportedConfigurationError("pullback needs at least two factors")
-        if len(images) != group.num_factors - 1:
-            raise UnsupportedConfigurationError(
-                "one image list per non-source factor required"
-            )
-        source_rank = group.ranks[0]
-        for j, imgs in enumerate(images, start=1):
-            if len(imgs) != source_rank:
-                raise UnsupportedConfigurationError(
-                    f"factor {j} needs {source_rank} generator images"
-                )
-            for w in imgs:
-                _check_word_bytes(w.data, group.ranks[j], f"factor {j} image")
-        self.base = base or WholeGroupOracle(free_group(source_rank))
-        if self.base.group != free_group(source_rank):
-            raise UnsupportedConfigurationError("base oracle must live in factor 0")
-        self.group = group
-        self.images = tuple(tuple(imgs) for imgs in images)
-        self._identity_maps = all(
-            imgs[i].data == bytes([2 * i + 1])
-            for imgs in self.images
-            for i in range(source_rank)
-        )
-        self.generators = tuple(
-            Element(group, self._image(g.packed)) for g in self.base.generators
-        )
-
-    @property
-    def is_diagonal(self) -> bool:
-        """Identity maps on all of factor 0: the diagonal {(w, ..., w)}."""
-        return self._identity_maps and isinstance(self.base, WholeGroupOracle)
-
-    def _apply(self, image_index: int, data: bytes) -> bytes:
-        imgs = self.images[image_index]
-        out = b""
-        for b in data:
-            piece = imgs[(b - 1) // 2].data
-            out = multiply_words(out, piece if b % 2 else invert_word(piece))
-        return out
-
-    def contains_packed(self, packed: bytes) -> bool | None:
-        parts = packed.split(SEP)
-        w = parts[0]
-        if self._identity_maps:
-            if any(p != w for p in parts[1:]):
-                return False
-        else:
-            for j, p in enumerate(parts[1:]):
-                if self._apply(j, w) != p:
-                    return False
-        return self.base.contains_packed(w)
-
-    def relative_spheres(self, radius: int) -> Spheres:
-        """Images (w, phi_2(w), ...) of factor-0 words, kept while they fit.
-
-        The words are the base's members; a base that leaves words undecided
-        is asked about each word for the unknown tally. Identity maps make
-        the image m times as long as w.
-        """
-        nf = self.group.num_factors
-        top = radius // nf if self._identity_maps else radius
-        kept, unknown = self.base.relative_spheres(top)
-        doubtful: list[bytes] = []
-        if any(unknown):
-            every = chain.from_iterable(free_spheres(self.group.ranks[0], top))
-            doubtful = [w for w in every if self.base.contains_packed(w) is None]
-        undecided = _by_sphere(map(self._image, doubtful), radius, nf)
-        words = chain.from_iterable(kept)
-        return _by_sphere(map(self._image, words), radius, nf), [len(s) for s in undecided]
-
-    def sphere_counts(self, radius: int) -> list[int]:
-        """Under identity maps |(w, ..., w)| = m |w|, so the base's spheres land m apart.
-
-        A base without exact counts (a budgeted one) raises in its own sphere_counts.
-        """
-        if not self._identity_maps:
-            raise UnsupportedConfigurationError(
-                "no exact counting formula for a general pullback; enumerate instead"
-            )
-        m = self.group.num_factors
-        counts = [0] * (radius + 1)
-        counts[::m] = self.base.sphere_counts(radius // m)
-        return counts
-
-    def _image(self, w: bytes) -> bytes:
-        """(w, phi_2(w), ..., phi_m(w)) in packed form."""
-        if self._identity_maps:
-            return SEP.join([w] * self.group.num_factors)
-        return SEP.join([w] + [self._apply(j, w) for j in range(len(self.images))])
-
-    def spec_string(self) -> str:
-        if self.is_diagonal:
-            return "diag"
-        imgs = ";".join(
-            ",".join(render_word_bytes(w.data) for w in image) for image in self.images
-        )
-        base = "*" if isinstance(self.base, WholeGroupOracle) else self.base.spec_string()
-        return f"pullback({imgs}|{base})"
-
-
-def diagonal_oracle(group: GroupDescriptor) -> PullbackOracle:
+def diagonal_oracle(group: GroupDescriptor) -> StallingsOracle:
     """The diagonal {(w, w, ..., w)} of a product of equal-rank factors."""
     if group.num_factors < 2 or len(set(group.ranks)) != 1:
         raise UnsupportedConfigurationError(
             "diagonal needs a product of at least two equal-rank factors"
         )
-    rank = group.ranks[0]
-    identity_images = [
-        [Word(bytes([2 * i + 1])) for i in range(rank)]
-        for _ in range(group.num_factors - 1)
-    ]
-    return PullbackOracle(group, identity_images)
+    letters = range(1, 2 * group.ranks[0], 2)
+    generators = [Element(group, SEP.join([bytes([b])] * group.num_factors)) for b in letters]
+    return StallingsOracle(group, generators, spec="diag")
 
 
 DEFAULT_ELEMENT_CAP = 1_000_000
@@ -698,16 +678,19 @@ def oracle_for_generators(
     *,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> SubgroupOracle:
-    """The oracle for <generators>: exact on one free factor, else budgeted.
+    """The oracle for <generators>: exact when it is a graph over a factor, else budgeted.
 
-    Generators supported on one free factor give a Stallings oracle.
-    Across factors exact membership is not available in general, so the
-    oracle enumerates products of at most 8 generators, and at most
-    element_cap distinct elements, the first time it is asked.
+    A folded graph with labels decides membership exactly when some
+    factor's fold has no conflict (StallingsOracle). Otherwise H meets the
+    kernel of every factor's projection, where membership is undecidable
+    in general (Mihailova 1958), so the oracle enumerates products of at
+    most 8 generators, and at most element_cap distinct elements, the first
+    time it is asked.
     """
-    if len(factor_support(generators)) <= 1:
+    try:
         return StallingsOracle(group, generators)
-    return BudgetedEnumerationOracle(group, generators, element_cap=element_cap)
+    except FoldConflict:
+        return BudgetedEnumerationOracle(group, generators, element_cap=element_cap)
 
 
 def _split_top_level(text: str, sep: str) -> list[str]:

@@ -1,7 +1,7 @@
 """Ball enumeration, growth tables, and distortion."""
 
 from dataclasses import fields
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +23,9 @@ from growthlab.subgroups import (
     BudgetedEnumerationOracle,
     CyclicOracle,
     ProductOracle,
-    PullbackOracle,
     StallingsOracle,
     WholeGroupOracle,
     diagonal_oracle,
-    factor_support,
     oracle_for_generators,
     parse_subgroup,
 )
@@ -35,8 +33,8 @@ from growthlab.words import (
     SEP,
     Element,
     GroupDescriptor,
-    Word,
     free_group,
+    invert_word,
     parse_element,
     product_group,
     reduce_letter_bytes,
@@ -127,11 +125,20 @@ def free_oracles(draw, rank):
     return StallingsOracle(group, gens)
 
 
+def apply(images, word):
+    """The image of a reduced word under the homomorphism a -> images[0], b -> images[1]."""
+    return reduce_letter_bytes(
+        chain.from_iterable(
+            images[(b - 1) // 2] if b % 2 else invert_word(images[(b - 1) // 2]) for b in word
+        )
+    )
+
+
 @st.composite
 def oracles(draw):
     """Every oracle kind, over F1-F3 and small products, with a radius <= 6."""
     kind = draw(
-        st.sampled_from(["whole", "stallings", "cyclic", "prod", "diag", "pullback", "budgeted"])
+        st.sampled_from(["whole", "stallings", "cyclic", "prod", "diag", "graph", "generators"])
     )
     if kind == "whole":
         group = draw(st.sampled_from([F1, F2, free_group(3), F2xF2, product_group(1, 2)]))
@@ -156,20 +163,22 @@ def oracles(draw):
     elif kind == "diag":
         group = draw(st.sampled_from([F2xF2, product_group(1, 1, 1)]))
         oracle = diagonal_oracle(group)
-    elif kind == "pullback":
+    elif kind == "graph":
+        # {(k, phi(k)) : k in K}: generators k of K and seeded images of a, b
         group = draw(st.sampled_from([F2xF2, product_group(2, 1)]))
         images = [
-            [Word(w) for w in draw(st.lists(reduced_words(rank, 2), min_size=2, max_size=2))]
+            draw(st.lists(reduced_words(rank, 2), min_size=2, max_size=2))
             for rank in group.ranks[1:]
         ]
-        base = draw(st.none() | free_oracles(2))
-        oracle = PullbackOracle(group, images, base=base)
+        words = draw(st.lists(reduced_words(2, 3), max_size=3))
+        gens = [SEP.join([k] + [apply(imgs, k) for imgs in images]) for k in words]
+        oracle = StallingsOracle(group, [Element(group, g) for g in gens])
     else:
+        # any generator list: folded when some factor has no conflict, else budgeted
         group = draw(st.sampled_from([F2xF2, product_group(1, 2)]))
         gens = draw(st.lists(elements(group, 3), max_size=3))
-        if len(factor_support(gens)) <= 1:
-            oracle = oracle_for_generators(group, gens)
-        else:
+        oracle = oracle_for_generators(group, gens)
+        if isinstance(oracle, BudgetedEnumerationOracle):
             # the default of 8 generators would enumerate far past radius 6
             oracle = BudgetedEnumerationOracle(group, gens, radius=draw(st.integers(0, 3)))
     return group, oracle, draw(st.integers(0, 6))
@@ -334,10 +343,7 @@ class TestRelativeBall:
             (F2xF2, lambda: parse_subgroup(F2xF2, "cyclic:(ab,B)")),
             (F2xF2, lambda: parse_subgroup(F2xF2, "prod(aa,bb;cyclic:ab)")),
             (F2xF2, lambda: parse_subgroup(F2xF2, "diag")),
-            (F2xF2, lambda: PullbackOracle(
-                F2xF2, [[Word(b"\x03"), Word(b"\x01\x03")]],
-                base=StallingsOracle(F2, [el("aa"), el("b")]),
-            )),
+            (F2xF2, lambda: parse_subgroup(F2xF2, "(aa,bb),(b,ab)")),
             (F2xF2, lambda: BudgetedEnumerationOracle(
                 F2xF2, [el("(a,b)", F2xF2), el("(b,a)", F2xF2)], radius=3
             )),
@@ -352,7 +358,7 @@ class TestRelativeBall:
             raise AssertionError("relative_ball must not filter")
 
         monkeypatch.setattr(cayley, "enumerate_ball", refuse)
-        for cls in (StallingsOracle, CyclicOracle, ProductOracle, PullbackOracle,
+        for cls in (StallingsOracle, CyclicOracle, ProductOracle,
                     BudgetedEnumerationOracle, WholeGroupOracle):
             monkeypatch.setattr(cls, "contains_packed", refuse)
         rel = relative_ball(group, oracle, 6)

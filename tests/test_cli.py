@@ -270,6 +270,13 @@ class TestSpecLayer:
     def test_flag_does_not_apply(self, text, message):
         assert rejection(text) == message
 
+    @pytest.mark.parametrize("value", ["table:", "table:1,x"])
+    def test_function_spec_error_has_one_position(self, value):
+        # the value's own column, once, however deep the parser raised
+        message = rejection(f"rate --group free:2 --max-radius 3 --epsilon {value}")
+        assert message.endswith(" (line 1, column 46)")
+        assert message.count("(line ") == 1
+
     @pytest.mark.parametrize(
         "command,flag",
         [
@@ -440,14 +447,22 @@ class TestArtifacts:
         assert values == [n // 2 for n in range(7)]
 
     def test_relgrowth_unknown_tally_comment(self, tmp_path):
-        # generators across factors force the budgeted oracle, which
-        # cannot certify non-members; those land in unknown comments
+        # generators whose fold conflicts on every factor force the budgeted
+        # oracle, which cannot certify non-members; those land in unknown comments
         code, body = run_into(
             tmp_path,
-            'relgrowth --group "product(free:1,free:1)" --subgroup "(a,a)" --max-radius 3',
+            'relgrowth --group "product(free:2,free:2)" --subgroup "(a,1),(1,a)" --max-radius 3',
         )
         assert code == 0
         assert any(line.startswith("# unknown,") for line in body.splitlines())
+
+    def test_diagonal_generators_relgrowth_is_the_diagonal(self, tmp_path):
+        # the generator list folds exactly, so it leaves nothing unknown
+        line = 'relgrowth --group "product(free:2,free:2)" --max-radius 6 --subgroup '
+        _, listed = run_into(tmp_path / "list", line + '"(B,B),(a,a)"')
+        _, diag = run_into(tmp_path / "diag", line + "diag")
+        assert data_rows(listed) == data_rows(diag)
+        assert not any(line.startswith("# unknown") for line in listed.splitlines())
 
     def test_growth_json_format(self, tmp_path):
         code, body = run_into(tmp_path, "growth --group free:2 --max-radius 3 --format json")
@@ -609,7 +624,7 @@ class TestExitCodes:
         assert diag["cap"] == 5000
         assert diag["radius_reached"] < diag["target_radius"]
 
-    @pytest.mark.parametrize("subgroup", ["(ab,a),(ba,b),(a,bb),(b,ab)", "(a,a),(b,b)"])
+    @pytest.mark.parametrize("subgroup", ["(ab,a),(ba,b),(a,bb),(b,ab)", "(a,1),(1,a)"])
     def test_rate_refuses_budgeted_oracle_before_enumerating(
         self, tmp_path, capsys, monkeypatch, subgroup
     ):
@@ -694,7 +709,7 @@ def test_budgeted_oracle_is_built_once_per_run(tmp_path, monkeypatch):
     code = main(
         [
             "relgrowth", "--group", "product(free:2,free:2)",
-            "--subgroup", "(a,a),(b,b)", "--max-radius", "2", "--out", str(tmp_path),
+            "--subgroup", "(a,1),(1,a)", "--max-radius", "2", "--out", str(tmp_path),
         ]
     )
     assert code == 0
@@ -703,20 +718,21 @@ def test_budgeted_oracle_is_built_once_per_run(tmp_path, monkeypatch):
 
 def test_library_and_cli_distortion_agree(tmp_path):
     # both give the generators' oracle the default enumeration radius, not
-    # the table's radius
+    # the table's radius: (a,1) is the product of 3 generators, so a radius
+    # of 2 would leave it unknown
     group = product_group(2, 2)
-    gens = [parse_element(group, "(ab,1)"), parse_element(group, "(B,a)")]
+    gens = [parse_element(group, g) for g in ("(ab,1)", "(B,a)", "(1,a)")]
     table = distortion(group, gens, 2)
     code = main(
         [
-            "distortion", "--group", "product(free:2,free:2)", "--subgroup", "(ab,1),(B,a)",
+            "distortion", "--group", "product(free:2,free:2)", "--subgroup", "(ab,1),(B,a),(1,a)",
             "--max-radius", "2", "--format", "json", "--out", str(tmp_path),
         ]
     )
     assert code == 0
     report = json.loads((tmp_path / "distortion.json").read_text())["report"]
-    assert [value for _, value in report["rows"]] == list(table.values) == [0, 0, 3]
-    assert report["unknown"] == list(table.unknown) == [0, 8, 40]
+    assert [value for _, value in report["rows"]] == list(table.values) == [0, 3, 6]
+    assert report["unknown"] == list(table.unknown) == [0, 2, 20]
 
 
 class TestDeterminism:
@@ -824,6 +840,16 @@ RATE_ARTIFACTS = [
 def test_rate_artifact_digest(tmp_path, line, code, digest):
     assert main(shlex.split(line) + ["--out", str(tmp_path)]) == code
     assert hashlib.sha256((tmp_path / "rate.json").read_bytes()).hexdigest() == digest
+
+
+def test_diagonal_generators_give_the_pinned_diagonal_rate(tmp_path):
+    # (a,a),(b,b) folds to the diagonal, so only the spec tells the reports apart
+    line, code, digest = next(a for a in RATE_ARTIFACTS if "--subgroup diag" in a[0])
+    listed = line.replace("--subgroup diag", '--subgroup "(a,a),(b,b)"')
+    assert main(shlex.split(listed) + ["--out", str(tmp_path)]) == code
+    body = (tmp_path / "rate.json").read_text()
+    body = body.replace("--subgroup (a,a),(b,b)", "--subgroup diag")
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 # SHA-256 and exit code of more ambiguity artifacts: the balls workload's

@@ -197,13 +197,14 @@ def assert_matches_reference(kit, domain, s_max, t_max, budget=DEFAULT_PAIR_BUDG
     return report
 
 
-# subgroup domains per group; None stands for the whole group, and
-# "(a,a),(b,b)" gets a budgeted oracle, which generates its ball first
+# subgroup domains per group; None stands for the whole group. "(a,a),(b,b)"
+# folds to the diagonal, while "(a,1),(1,a)" conflicts on both factors, so
+# it gets a budgeted oracle, which generates its ball first
 DOMAINS = {
     F1: [None, "cyclic:aa"],
     F2: [None, "aa,bb", "aab,bAb", "cyclic:ab"],
     F3: [None, "ab,c"],
-    F2xF2: [None, "diag", "prod(aa,b;ab)", "(a,a),(b,b)"],
+    F2xF2: [None, "diag", "prod(aa,b;ab)", "(a,a),(b,b)", "(a,1),(1,a)"],
     F1xF2: [None, "cyclic:(a,ab)"],
 }
 

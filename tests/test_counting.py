@@ -24,7 +24,6 @@ from growthlab.subgroups import (
     BudgetedEnumerationOracle,
     CyclicOracle,
     ProductOracle,
-    PullbackOracle,
     StallingsOracle,
     WholeGroupOracle,
     diagonal_oracle,
@@ -35,7 +34,6 @@ from growthlab.subgroups import (
 from growthlab.words import (
     SEP,
     Element,
-    Word,
     free_group,
     inverse_byte,
     parse_element,
@@ -58,7 +56,9 @@ def cyclic_counts(generator, n_max):
 
 
 # Reference counters: the former per-class counting module, kept verbatim
-# (bar names) to check each oracle's sphere_counts against.
+# (bar names) to check each oracle's sphere_counts against, except that the
+# folded graph's counts spread over the factors that copy the folded one,
+# which replaced the pullback rule.
 
 
 def reference_stallings_ball_counts(graph, n_max):
@@ -86,7 +86,14 @@ def reference_cyclic_ball_counts(generator, n_max):
 
 def reference_relative_ball_counts(oracle, n_max):
     if isinstance(oracle, StallingsOracle):
-        return reference_stallings_ball_counts(oracle.graph, n_max)
+        if oracle.graph.labels:
+            raise UnsupportedConfigurationError(
+                "no exact counting formula for a labelled folded graph; enumerate instead"
+            )
+        # the folded factor and its copies each hold the path's word
+        m = oracle.spread
+        base = reference_stallings_ball_counts(oracle.graph, n_max // m)
+        return [base[n // m] for n in range(n_max + 1)]
     if isinstance(oracle, CyclicOracle):
         return reference_cyclic_ball_counts(oracle.generator, n_max)
     if isinstance(oracle, ProductOracle):
@@ -95,14 +102,6 @@ def reference_relative_ball_counts(oracle, n_max):
             balls = reference_relative_ball_counts(sub, n_max)
             factor_spheres.append([b - a for a, b in zip([0] + balls, balls)])
         return list(accumulate(convolve_spheres(factor_spheres, n_max)))
-    if isinstance(oracle, PullbackOracle):
-        if oracle.is_diagonal:
-            m = oracle.group.num_factors
-            base = free_ball_counts(oracle.group.ranks[0], n_max // m)
-            return [base[n // m] for n in range(n_max + 1)]
-        raise UnsupportedConfigurationError(
-            "no exact counting formula for a general pullback; enumerate instead"
-        )
     if isinstance(oracle, BudgetedEnumerationOracle):
         raise UnsupportedConfigurationError(
             "budgeted oracles have no exact counts; enumerate instead"
@@ -137,7 +136,7 @@ def free_oracles(rank):
 @st.composite
 def countable_oracles(draw):
     """Every oracle shape with exact counts, and a radius up to 150."""
-    kind = draw(st.sampled_from(["stallings", "cyclic", "prod", "diag"]))
+    kind = draw(st.sampled_from(["stallings", "cyclic", "prod", "diag", "copies"]))
     if kind == "stallings":
         group = draw(
             st.sampled_from([free_group(1), F2, F3, F2xF2, product_group(1, 2)])
@@ -149,8 +148,14 @@ def countable_oracles(draw):
     elif kind == "prod":
         group = draw(st.sampled_from([F2xF2, product_group(1, 2), product_group(1, 1, 1)]))
         oracle = ProductOracle(group, [draw(free_oracles(rank)) for rank in group.ranks])
-    else:
+    elif kind == "diag":
         oracle = diagonal_oracle(draw(st.sampled_from([F2xF2, product_group(1, 1, 1)])))
+    else:
+        # generators whose every factor copies the first: the diagonal over a subgroup
+        group = draw(st.sampled_from([F2xF2, product_group(1, 1, 1)]))
+        words = draw(st.lists(reduced_words(group.ranks[0]), max_size=4))
+        gens = [Element(group, SEP.join([w] * group.num_factors)) for w in words]
+        oracle = StallingsOracle(group, gens)
     return oracle, draw(st.integers(0, 150))
 
 
@@ -285,11 +290,9 @@ class TestOracleSphereCounts:
         "make",
         [
             lambda: BudgetedEnumerationOracle(F2, [el("aa")], radius=2),
-            lambda: oracle_for_generators(F2xF2, [el("(a,a)", F2xF2), el("(b,b)", F2xF2)]),
-            lambda: PullbackOracle(F2xF2, [[Word(b"\x03"), Word(b"\x01")]]),
-            lambda: PullbackOracle(
-                F2xF2, [[Word(b"\x03"), Word(b"\x01")]], base=StallingsOracle(F2, [el("a")])
-            ),
+            lambda: oracle_for_generators(F2xF2, [el("(a,1)", F2xF2), el("(1,a)", F2xF2)]),
+            lambda: StallingsOracle(F2xF2, [el("(a,b)", F2xF2), el("(b,a)", F2xF2)]),
+            lambda: StallingsOracle(F2xF2, [el("(a,b)", F2xF2)]),
             lambda: ProductOracle(
                 F2xF2, [StallingsOracle(F2, [el("ab")]), BudgetedEnumerationOracle(F2, [el("b")])]
             ),
@@ -309,20 +312,22 @@ class TestOracleSphereCounts:
         assert "known" not in vars(oracle)
 
     @pytest.mark.parametrize(
-        "base", [lambda: StallingsOracle(F2, [el("aa"), el("bb")]), lambda: CyclicOracle(F2, el("ab"))]
+        "make",
+        [
+            lambda: (
+                parse_subgroup(F2xF2, "(aa,aa),(bb,bb)"),
+                StallingsOracle(F2, [el("aa"), el("bb")]),
+            ),
+            lambda: (parse_subgroup(F2xF2, "(ab,ab)"), CyclicOracle(F2, el("ab"))),
+        ],
     )
-    def test_identity_map_pullbacks_count_their_base(self, base):
-        # the base's spheres spread 2 apart, as on the diagonal
-        ids = [[Word(b"\x01"), Word(b"\x03")]]
-        oracle = PullbackOracle(F2xF2, ids, base=base())
+    def test_identity_map_pullbacks_count_their_base(self, make):
+        # generators whose second words copy the first: the base's spheres
+        # spread 2 apart, as on the diagonal
+        oracle, base = make()
         rel = relative_ball(F2xF2, oracle, 10)
         assert relative_ball_counts(oracle, 10) == list(rel.counts_by_radius)
-
-    def test_identity_maps_over_a_budgeted_base_still_raise(self):
-        ids = [[Word(b"\x01"), Word(b"\x03")]]
-        oracle = PullbackOracle(F2xF2, ids, base=BudgetedEnumerationOracle(F2, [el("ab")]))
-        with pytest.raises(UnsupportedConfigurationError, match="budgeted"):
-            relative_ball_counts(oracle, 6)
+        assert oracle.sphere_counts(10)[::2] == base.sphere_counts(5)
 
 
 class TestLayering:
@@ -364,23 +369,39 @@ class TestLayering:
         for path in sorted(Path(counting.__file__).parent.glob("*.py")):
             yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
-    def test_no_budget_radius_knob(self):
-        # a budgeted oracle's radius is the class default everywhere
-        for name, tree in self.package_trees():
+    @classmethod
+    def assert_no_name(cls, *names):
+        for name, tree in cls.package_trees():
             for node in ast.walk(tree):
                 for field in ("id", "arg", "attr", "name"):
-                    assert getattr(node, field, None) != "budget_radius", name
+                    assert getattr(node, field, None) not in names, name
+
+    @classmethod
+    def callers(cls, callee):
+        """(module file, scope) of every call to the name callee in the package."""
+        return sorted(
+            (name, scope)
+            for name, tree in cls.package_trees()
+            for scope, node in cls.scoped(tree)
+            if isinstance(node, ast.Call)
+            and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        )
+
+    def test_no_budget_radius_knob(self):
+        # a budgeted oracle's radius is the class default everywhere
+        self.assert_no_name("budget_radius")
 
     def test_balls_are_built_only_from_spheres(self):
         # relative_ball builds each Ball from its spheres and up_to slices one
-        callers = [
-            (name, scope)
-            for name, tree in self.package_trees()
-            for scope, node in self.scoped(tree)
-            if isinstance(node, ast.Call)
-            and "Ball" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        assert self.callers("Ball") == [("cayley.py", "Ball.up_to"), ("cayley.py", "relative_ball")]
+
+    def test_one_oracle_path_for_generator_lists(self):
+        # a generator list folds (StallingsOracle) or, conflicting on every
+        # factor, falls back to enumeration, and that choice is made once
+        assert self.callers("BudgetedEnumerationOracle") == [
+            ("subgroups.py", "oracle_for_generators")
         ]
-        assert sorted(callers) == [("cayley.py", "Ball.up_to"), ("cayley.py", "relative_ball")]
+        self.assert_no_name("PullbackOracle", "factor_support")
 
     def test_subgroups_imports_only_at_module_top(self):
         for func in ast.walk(self.tree(subgroups)):

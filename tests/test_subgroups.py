@@ -1,4 +1,4 @@
-"""Membership oracles: folded graphs, cyclic powers, products, pullbacks."""
+"""Membership oracles: folded graphs with labels, cyclic powers, products."""
 
 import itertools
 import random
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthlab.cayley import enumerate_ball, relative_ball
 from growthlab.errors import (
     BudgetError,
     GroupMismatchError,
@@ -16,23 +17,24 @@ from growthlab.errors import (
 from growthlab.subgroups import (
     BudgetedEnumerationOracle,
     CyclicOracle,
+    FoldConflict,
     ProductOracle,
-    PullbackOracle,
     StallingsOracle,
     cyclic_core,
     diagonal_oracle,
     embed,
     fold_graph,
+    oracle_for_generators,
     parse_subgroup,
     project,
 )
 from growthlab.words import (
     Element,
-    Word,
     free_group,
     parse_element,
     parse_word_bytes,
     product_group,
+    reduce_letter_bytes,
 )
 
 F2 = free_group(2)
@@ -138,8 +140,10 @@ class TestStallings:
                     assert graph_orc.contains(g) is True
 
     def test_rejects_mixed_factor_generators(self):
+        # (1,a) folds to an empty loop labelled a over factor 0, and (a,1)
+        # to one labelled a over factor 1: no factor's fold is a graph
         with pytest.raises(UnsupportedConfigurationError):
-            StallingsOracle(F2xF2, [el("(a,b)", F2xF2)])
+            StallingsOracle(F2xF2, [el("(a,1)", F2xF2), el("(1,a)", F2xF2)])
 
     def test_second_factor_subgroup_of_product(self):
         orc = StallingsOracle(F2xF2, [el("(1,a)", F2xF2), el("(1,b)", F2xF2)])
@@ -325,16 +329,14 @@ class TestProductAndPullback:
 
     def test_twisted_graph_membership(self):
         # phi swaps the generators; members are (w, phi(w))
-        images = [[Word(parse_word_bytes("b", 2)), Word(parse_word_bytes("a", 2))]]
-        orc = PullbackOracle(F2xF2, images)
+        orc = StallingsOracle(F2xF2, [el("(a,b)", F2xF2), el("(b,a)", F2xF2)])
         assert orc.contains(el("(ab,ba)", F2xF2)) is True
         assert orc.contains(el("(ab,ab)", F2xF2)) is False
 
     def test_pullback_with_base(self):
         # only squares in the source factor, diagonal images
-        base = StallingsOracle(F2, [el("aa"), el("bb")])
-        ids = [[Word(parse_word_bytes("a", 2)), Word(parse_word_bytes("b", 2))]]
-        orc = PullbackOracle(F2xF2, ids, base=base)
+        orc = StallingsOracle(F2xF2, [el("(aa,aa)", F2xF2), el("(bb,bb)", F2xF2)])
+        assert orc.spread == 2 and not orc.graph.labels
         assert orc.contains(el("(aabb,aabb)", F2xF2)) is True
         assert orc.contains(el("(ab,ab)", F2xF2)) is False
         assert orc.contains(el("(aa,bb)", F2xF2)) is False
@@ -343,10 +345,86 @@ class TestProductAndPullback:
         # phi(a) = phi(b) = a kills b a^-1, yet a member is still fixed by its
         # first word: the only one whose first word is ab is (ab, phi(ab)) =
         # (ab,aa), so False for (ab,ba) is a proof
-        images = [[Word(parse_word_bytes("a", 2)), Word(parse_word_bytes("a", 2))]]
-        orc = PullbackOracle(F2xF2, images)
+        orc = StallingsOracle(F2xF2, [el("(a,a)", F2xF2), el("(b,a)", F2xF2)])
         assert orc.contains(el("(ab,aa)", F2xF2)) is True
         assert orc.contains(el("(ab,ba)", F2xF2)) is False
+
+
+# (ambient group, generators, factor folded without conflict or None)
+FOLD_FACTORS = [
+    (F2xF2, "(a,a),(b,b)", 0),
+    (F2xF2, "(B,B),(a,a)", 0),
+    (F2xF2, "(a,a),(1,b)", 1),
+    (F2xF2, "(ab,1),(B,a)", 0),
+    (F2xF2, "(1,a),(1,b)", 1),
+    (F2xF2, "(a,1),(1,a)", None),
+    (F2xF2, "(ab,a),(ba,b),(a,bb),(b,ab)", None),
+]
+
+
+class TestLabelledFolding:
+    @pytest.mark.parametrize("group,spec,factor", FOLD_FACTORS)
+    def test_first_factor_without_conflict(self, group, spec, factor):
+        gens = [el(g, group) for g in spec.replace("),(", ");(").split(";")]
+        orc = oracle_for_generators(group, gens)
+        if factor is None:
+            assert isinstance(orc, BudgetedEnumerationOracle)
+            with pytest.raises(FoldConflict):
+                StallingsOracle(group, gens)
+        else:
+            assert isinstance(orc, StallingsOracle) and orc.factor == factor
+        assert orc.spec_string() == spec
+
+    @pytest.mark.parametrize("spec", ["(a,a),(b,b)", "(B,B),(a,a)"])
+    def test_diagonal_generators_give_the_diagonal_ball(self, spec):
+        orc = parse_subgroup(F2xF2, spec)
+        diag = diagonal_oracle(F2xF2)
+        for radius in (2, 4, 6, 7):
+            assert relative_ball(F2xF2, orc, radius) == relative_ball(F2xF2, diag, radius)
+            assert orc.sphere_counts(radius) == diag.sphere_counts(radius)
+
+    def test_labels_read_the_image(self):
+        # over factor 1, a reads a in factor 0 and b reads nothing
+        orc = parse_subgroup(F2xF2, "(a,a),(1,b)")
+        assert orc.contains(el("(a,abAba)", F2xF2)) is True
+        assert orc.contains(el("(aa,abAba)", F2xF2)) is False
+        assert orc.contains(el("(a,ba)", F2xF2)) is True
+        assert orc.contains(el("(1,a)", F2xF2)) is False
+        with pytest.raises(UnsupportedConfigurationError, match="labelled"):
+            orc.sphere_counts(4)
+
+    def test_conflicting_labels_on_one_edge(self):
+        # a read with labels a and b over factor 0 puts (1, a^-1 b) in H
+        a, b = parse_word_bytes("a", 2), parse_word_bytes("b", 2)
+        with pytest.raises(FoldConflict):
+            fold_graph([a, a], [b"\x00" + a, b"\x00" + b], 2)
+        orc = StallingsOracle(F2xF2, [el("(a,a)", F2xF2), el("(a,b)", F2xF2)])
+        assert orc.factor == 1
+        assert orc.contains(el("(aa,ab)", F2xF2)) is True
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_folded_lists_are_exact(self, data):
+        group = data.draw(st.sampled_from([F2xF2, F2xF1, product_group(1, 1, 1)]))
+        words = [
+            st.lists(st.integers(1, 2 * rank), max_size=3).map(reduce_letter_bytes)
+            for rank in group.ranks
+        ]
+        element = st.tuples(*words).map(lambda ws: Element(group, b"\x00".join(ws)))
+        gens = data.draw(st.lists(element, min_size=1, max_size=3))
+        orc = oracle_for_generators(group, gens)
+        if not isinstance(orc, StallingsOracle):
+            return
+        radius = 4
+        spheres, unknown = orc.relative_spheres(radius)
+        ball = enumerate_ball(group, radius)
+        filtered = [p for p in ball.packed if orc.contains_packed(p)]
+        assert [p for sphere in spheres for p in sphere] == filtered
+        assert unknown == [0] * (radius + 1)
+        if not orc.graph.labels:
+            assert orc.sphere_counts(radius) == list(map(len, spheres))
+        budgeted = BudgetedEnumerationOracle(group, gens, radius=3)
+        assert all(orc.contains_packed(p) for p in budgeted.known)
 
 
 class TestBudgeted:
@@ -440,7 +518,9 @@ class TestParseSubgroup:
         assert orc.contains(el("(b,bb)", F2xF2)) is False
 
     def test_mixed_factor_generators_fall_back_to_budgeted(self):
-        orc = parse_subgroup(F2xF2, "(a,b),(b,a)")
+        # (a,b),(b,a) folds over factor 0; (a,1),(1,a) conflicts on both
+        assert isinstance(parse_subgroup(F2xF2, "(a,b),(b,a)"), StallingsOracle)
+        orc = parse_subgroup(F2xF2, "(a,1),(1,a)")
         assert isinstance(orc, BudgetedEnumerationOracle)
 
     def test_spec_string_round_trip(self):
