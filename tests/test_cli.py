@@ -811,6 +811,46 @@ def test_readme_artifact_digest(tmp_path, line, name, digest):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 and exit code of each README command's artifact in its other
+# format, then of a starved grid's partial CSV and of a budgeted oracle's
+# unknown tallies in both formats.
+OTHER_FORMAT_ARTIFACTS = [
+    ("growth --group free:2 --max-radius 10 --format json", 0, "growth.json",
+     "cbd6d07a662c13b49492ac63257de26e82e5cf99d3e6ba8591eedc7e819a733b"),
+    ('relgrowth --group free:2 --subgroup "aa,bb" --max-radius 8 --format json', 0,
+     "relgrowth.json", "d9f8028d39e9a2197ffb3cf6c94bf0b174eeacfe91f2059e22a4d8f21ce9d6c8"),
+    ("relgrowth --group free:2 --subgroup cyclic:a --max-radius 3 --format json", 0,
+     "relgrowth.json", "c6e2ee75122600613020e2e9e773133f1569a79d2710a6ca792e169c9478a8fc"),
+    ("distortion --group free:2 --subgroup aa --max-radius 12 --format json", 0,
+     "distortion.json", "89cd9934e95121d12b539e8ed4ec0f35f9cc6a34d252f5f2c2f6d9b0892458b6"),
+    ("delta --group free:2 --max-radius 3 --format csv", 0, "delta.csv",
+     "57c937b2c2f250bd31537282cadf7e5256bdbc64251bd47b01e403c3327c4790"),
+    ("delta --group free:2 --max-radius 4 --mode random --trials 20000 --seed 7 --format csv", 0,
+     "delta.csv", "5b2a4351368df39eb0feab2e5cf12864c7247f9116a4f7b2af02a787e8726254"),
+    ("acyl --group free:2 --x 1 --y aaaaa --epsilon 1 --format csv", 0, "acyl.csv",
+     "246739f7d2af4e384010f5682fbf6a59f036c04d620ad07babc61ec1cf743c6a"),
+    ('ambiguity --group "product(free:2,free:2)" --g "(a,a)" --h "(b,b)" -n 2 --smax 3 --tmax 3'
+     " --format csv", 0, "ambiguity.csv",
+     "abf6fc50151bacaaba33e99576fd0c62906d6defbb7992b8cf74e7fbe7787fef"),
+    ("rate --group free:2 --max-radius 14 --epsilon 4 --shift 0 --format csv", 0, "rate.csv",
+     "3bee2d7e37a56d5976197d34d8cd4e2470f4c6ef88cbb13183eeae928de7fa1d"),
+    ("ambiguity --group free:2 --g a --h b -n 2 --smax 3 --tmax 3 --budget-elements 50"
+     " --format csv", 2, "ambiguity.csv",
+     "d908a19ae0b5725474e2c6bb8b28b20d1c81f1a6b41b5c15282bc2ef3fabef30"),
+    ('relgrowth --group "product(free:2,free:2)" --subgroup "(a,1),(1,a)" --max-radius 3', 0,
+     "relgrowth.csv", "c78a0944ad6f7e5ff725c3534ed0186df5bb280e1bc34efe3c0642e493d46cb9"),
+    ('relgrowth --group "product(free:2,free:2)" --subgroup "(a,1),(1,a)" --max-radius 3'
+     " --format json", 0, "relgrowth.json",
+     "35814331bca2c66aef481a65a62d630823a93c3cc9724360ad2ed23f823f0506"),
+]
+
+
+@pytest.mark.parametrize("line,code,name,digest", OTHER_FORMAT_ARTIFACTS)
+def test_other_format_artifact_digest(tmp_path, line, code, name, digest):
+    assert main(shlex.split(line) + ["--out", str(tmp_path)]) == code
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 # SHA-256 and exit code of more rate artifacts: combine violations, bound
 # violations under an affine epsilon and shift, a table epsilon, and a
 # subgroup table with fractional epsilon and growth bound.
