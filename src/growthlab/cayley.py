@@ -93,8 +93,8 @@ class Ball:
         )
 
 
-def _check_budget(group: GroupDescriptor, radius: int, budget: int) -> None:
-    """Raise BallBudgetError unless the group's ball of this radius fits.
+def ball_sizes(group: GroupDescriptor, radius: int, budget: int = DEFAULT_BUDGET) -> list[int]:
+    """|B(n)| for n = 0..radius; BallBudgetError unless B(radius) fits the budget.
 
     The sizes are closed forms; radius_reached is the last radius that fits.
     Counting a product's balls costs about radius^2 big-integer products,
@@ -113,7 +113,7 @@ def _check_budget(group: GroupDescriptor, radius: int, budget: int) -> None:
                 budget=budget,
             )
         if horizon == radius:
-            return
+            return sizes
         horizon = min(2 * horizon + 1, radius)
 
 
@@ -150,7 +150,7 @@ def relative_ball(
         raise ValueError("oracle is over a different group")
     if ambient is not None and (ambient.group != group or ambient.radius < radius):
         raise ValueError("supplied ambient ball does not cover the request")
-    _check_budget(group, radius, budget)
+    ball_sizes(group, radius, budget)
     spheres, unknown = oracle.relative_spheres(radius)
     return Ball(
         group,

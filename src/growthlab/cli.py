@@ -5,18 +5,23 @@ parse_spec canonicalizes it (group specs, subgroup specs, elements and
 function specs are reparsed and re-rendered, defaults are resolved), so
 render(parse(s)) is a normal form. Building a subgroup's oracle
 enumerates nothing: a budgeted oracle enumerates the first time the
-experiment asks it, so canonicalizing a spec never does. Execution
-writes artifacts whose bytes depend only on the logical spec: CSV for
-tables, JSON for reports, each embedding the canonical spec and the tool
-version. The output directory is an execution knob, excluded from the
-embedded spec, which is what makes artifacts comparable across runs.
+experiment asks it, so canonicalizing a spec never does.
+
+One report per command, one writer: _execute computes each command's
+result once and returns it as a JSON report and a CSV view (header,
+rows, trailing comments), and _artifact alone renders whichever --format
+asks for. Artifact bytes depend only on the logical spec, which they
+embed with the tool version. The output directory is an execution knob,
+excluded from the embedded spec, which is what makes artifacts
+comparable across runs.
+
 Every command runs in one process; --workers K is range-checked (1 to
 256) and discarded. A budgeted subgroup oracle may enumerate at most
 min(1,000,000, --budget-elements) elements, and rate, which only counts,
 never asks it to. _FLAGS declares each flag once, in render order, and
-_COMMANDS each command once; the flag checks, the defaults and the
-canonical render follow from them. A flag given twice, under either
-spelling, is a parse error.
+_COMMANDS each command once, and ExperimentSpec states each default
+once; the flag checks, the defaults and the canonical render follow from
+them. A flag given twice, under either spelling, is a parse error.
 
 Exit codes: 0 success, 2 budget exceeded, 3 hypothesis or invariant
 violation detected, 64 spec parse error, 1 other failures. Errors are
@@ -38,7 +43,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .cayley import DEFAULT_BUDGET, GrowthTable, distortion, enumerate_ball, relative_ball
+from .cayley import DEFAULT_BUDGET, ball_sizes, distortion, enumerate_ball, growth_sequence
 from .concat import DEFAULT_PAIR_BUDGET, build_connector_kit, measure_ambiguity
 from .counting import relative_ball_counts
 from .errors import (
@@ -53,6 +58,7 @@ from .hyperbolic import (
     DEFAULT_TUPLE_CAP,
     FiniteMetric,
     acylindricity_witnesses,
+    check_tuple_cap,
     estimate_delta,
 )
 from .rate import RateHypothesis, default_growth_bound, fekete_lower_bound, parse_funcspec
@@ -295,17 +301,17 @@ def parse_spec(text: str) -> ExperimentSpec:
         subgroup=subgroup,
         g=canonical("g", lambda s: parse_element(group, s).render()),
         h=canonical("h", lambda s: parse_element(group, s).render()),
-        power=_int_flag(raw, "power", 1, 64, 2),
+        power=_int_flag(raw, "power", 1, 64, ExperimentSpec.power),
         x=canonical("x", lambda s: parse_element(group, s).render()),
         y=canonical("y", lambda s: parse_element(group, s).render()),
-        threshold=_int_flag(raw, "threshold", 0, 10**6, 1),
+        threshold=_int_flag(raw, "threshold", 0, 10**6, ExperimentSpec.threshold),
         growth_bound=canonical("growth_bound", lambda s: str(Fraction(s))),
         max_radius=_int_flag(raw, "max_radius", 0, 10**4, None),
         smax=_int_flag(raw, "smax", 0, 64, None),
         tmax=_int_flag(raw, "tmax", 0, 64, None),
         budget=_int_flag(raw, "budget", 1, 10**12, default_budget),
-        trials=_int_flag(raw, "trials", 1, 10**8, 10_000),
-        seed=_int_flag(raw, "seed", 0, 2**62, 0),
+        trials=_int_flag(raw, "trials", 1, 10**8, ExperimentSpec.trials),
+        seed=_int_flag(raw, "seed", 0, 2**62, ExperimentSpec.seed),
         format=default_format,
         out=raw["out"][1] if "out" in raw else None,
     )
@@ -327,7 +333,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         spec = replace(spec, mode=value)
     if spec.mode != "random":
         # sampling knobs are meaningless outside random mode; normalize them
-        spec = replace(spec, trials=10_000, seed=0)
+        spec = replace(spec, trials=ExperimentSpec.trials, seed=ExperimentSpec.seed)
     if "format" in raw:
         _, value, vline, vcol = raw["format"]
         if value not in ("csv", "json"):
@@ -344,85 +350,72 @@ def _diagnose(exc: BaseException) -> None:
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
-def _render_label(label) -> str:
-    return label.render() if hasattr(label, "render") else str(label)
-
-
-def _csv_bytes(spec: ExperimentSpec, header: list[str], rows: list, comments: list[str]) -> str:
+def _artifact(spec: ExperimentSpec, report: dict, view: tuple[list[str], list, list[str]]) -> str:
+    """The artifact text in the spec's format: the JSON report, or the CSV
+    view (header, rows, trailing comments); both embed the logical spec."""
+    if spec.format == "json":
+        doc = {
+            "tool": f"growthlab {__version__}",
+            "spec": spec.render(logical=True),
+            "command": spec.command,
+            "report": report,
+        }
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    header, rows, comments = view
     buf = io.StringIO()
     buf.write(f"# growthlab {__version__}\n")
     buf.write(f"# spec: {spec.render(logical=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     for comment in comments:
         buf.write(f"# {comment}\n")
     return buf.getvalue()
 
 
-def _json_bytes(spec: ExperimentSpec, report: dict) -> str:
-    doc = {
-        "tool": f"growthlab {__version__}",
-        "spec": spec.render(logical=True),
-        "command": spec.command,
-        "report": report,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _table_payload(spec, rows, unknown=None):
+def _table_view(column: str, rows: list, unknown: Sequence[int] | None):
+    """A growth or distortion table's report and CSV view; unknown tallies,
+    when the oracle has them, go in both."""
+    report = {"rows": [list(r) for r in rows]}
     comments = []
     if unknown is not None:
-        for radius, count in enumerate(unknown):
-            if count:
-                comments.append(f"unknown,{radius},{count}")
-    if spec.format == "csv":
-        header = ["radius", "distortion" if spec.command == "distortion" else "count"]
-        return _csv_bytes(spec, header, rows, comments)
-    report = {"rows": [list(r) for r in rows]}
-    if unknown is not None:
         report["unknown"] = list(unknown)
-    return _json_bytes(spec, report)
+        comments = [f"unknown,{radius},{count}" for radius, count in enumerate(unknown) if count]
+    return report, (["radius", column], rows, comments)
 
 
-def _ambiguity_payload(spec, report):
+def _ambiguity_view(grid):
+    """An ambiguity grid's report and CSV view, for a whole or a starved grid."""
     cells = [
         [cell.s, cell.t, cell.radius, cell.pairs, cell.max_fiber, cell.argmax.render()]
-        for cell in report.cells
+        for cell in grid.cells
     ]
-    if spec.format == "csv":
-        comments = [
-            f"connector,{report.connector}",
-            f"c,{report.c}",
-            f"envelope,{report.intercept}+{report.slope}t,fit_t={report.fit_t}",
-            f"complete,{report.complete}",
-        ]
-        comments += [f"violation,{s},{t}" for s, t in report.violations]
-        return _csv_bytes(
-            spec, ["s", "t", "radius", "pairs", "max_fiber", "argmax"], cells, comments
-        )
-    return _json_bytes(
-        spec,
-        {
-            "domain": report.domain,
-            "connector": report.connector,
-            "c": report.c,
-            "s_max": report.s_max,
-            "t_max": report.t_max,
-            "fit_t": report.fit_t,
-            "slope": str(report.slope),
-            "intercept": report.intercept,
-            "cells": cells,
-            "violations": [list(v) for v in report.violations],
-            "max_fiber_by_t": report.max_fiber_by_t(),
-            "complete": report.complete,
-        },
-    )
+    report = {
+        "domain": grid.domain,
+        "connector": grid.connector,
+        "c": grid.c,
+        "s_max": grid.s_max,
+        "t_max": grid.t_max,
+        "fit_t": grid.fit_t,
+        "slope": str(grid.slope),
+        "intercept": grid.intercept,
+        "cells": cells,
+        "violations": [list(v) for v in grid.violations],
+        "max_fiber_by_t": grid.max_fiber_by_t(),
+        "complete": grid.complete,
+    }
+    comments = [
+        f"connector,{grid.connector}",
+        f"c,{grid.c}",
+        f"envelope,{grid.intercept}+{grid.slope}t,fit_t={grid.fit_t}",
+        f"complete,{grid.complete}",
+    ]
+    comments += [f"violation,{s},{t}" for s, t in grid.violations]
+    return report, (["s", "t", "radius", "pairs", "max_fiber", "argmax"], cells, comments)
 
 
-def _execute(spec: ExperimentSpec) -> tuple[int, str]:
-    """Run one experiment; returns (exit_code, artifact_text)."""
+def _execute(spec: ExperimentSpec) -> tuple[int, dict, tuple[list[str], list, list[str]]]:
+    """Run one experiment; returns (exit code, JSON report, CSV view)."""
     group = parse_group(spec.group)
     if spec.subgroup is None:
         oracle = WholeGroupOracle(group)
@@ -430,72 +423,62 @@ def _execute(spec: ExperimentSpec) -> tuple[int, str]:
         cap = min(DEFAULT_ELEMENT_CAP, spec.budget or DEFAULT_ELEMENT_CAP)
         oracle = parse_subgroup(group, spec.subgroup, element_cap=cap)
 
-    if spec.command == "growth":
-        ball = enumerate_ball(group, spec.max_radius, budget=spec.budget)
-        return 0, _table_payload(spec, list(enumerate(ball.counts_by_radius)))
-
-    if spec.command == "relgrowth":
-        ball = relative_ball(group, oracle, spec.max_radius, budget=spec.budget)
-        rows = list(enumerate(ball.counts_by_radius))
-        return 0, _table_payload(spec, rows, unknown=ball.unknown_by_radius)
+    if spec.command in ("growth", "relgrowth"):
+        # the whole group's table carries no unknown tallies
+        whole = spec.subgroup is None
+        table = growth_sequence(
+            group, spec.max_radius, oracle=None if whole else oracle, budget=spec.budget
+        )
+        return (0, *_table_view("count", table.rows(), table.unknown))
 
     if spec.command == "distortion":
         table = distortion(
             group, oracle.generators, spec.max_radius, budget=spec.budget, oracle=oracle
         )
-        return 0, _table_payload(spec, table.rows(), unknown=table.unknown)
+        return (0, *_table_view("distortion", table.rows(), table.unknown))
 
     if spec.command == "delta":
-        ball = enumerate_ball(group, spec.max_radius)
-        metric = FiniteMetric.from_ball(ball)
+        if spec.mode == "exhaustive":
+            # |B(r)| is a closed form: a scan over the cap stops before the ball
+            check_tuple_cap(ball_sizes(group, spec.max_radius)[-1], spec.budget)
+        metric = FiniteMetric.from_ball(enumerate_ball(group, spec.max_radius))
         estimate = estimate_delta(
-            metric,
-            spec.mode,
-            trials=spec.trials,
-            seed=spec.seed,
-            tuple_cap=spec.budget,
+            metric, spec.mode, trials=spec.trials, seed=spec.seed, tuple_cap=spec.budget
         )
         report = {
             "delta": estimate.delta,
-            "witness": [_render_label(label) for label in estimate.witness],
+            "witness": [label.render() for label in estimate.witness],
             "tuples_checked": estimate.tuples_checked,
             "mode": estimate.mode,
             "points": metric.size,
         }
-        if spec.format == "csv":
-            rows = sorted(report.items())
-            rows = [[k, json.dumps(v) if isinstance(v, list) else v] for k, v in rows]
-            return 0, _csv_bytes(spec, ["field", "value"], rows, [])
-        return 0, _json_bytes(spec, report)
+        rows = [[k, json.dumps(v) if isinstance(v, list) else v] for k, v in sorted(report.items())]
+        return 0, report, (["field", "value"], rows, [])
 
     if spec.command == "acyl":
         x = parse_element(group, spec.x)
         y = parse_element(group, spec.y)
-        acyl_report = acylindricity_witnesses(group, x, y, int(spec.epsilon), budget=spec.budget)
-        payload = {
+        acyl = acylindricity_witnesses(group, x, y, int(spec.epsilon), budget=spec.budget)
+        witnesses = [w.render() for w in acyl.witnesses]
+        report = {
             "x": x.render(),
             "y": y.render(),
             "epsilon": int(spec.epsilon),
-            "count": acyl_report.count,
-            "witnesses": [w.render() for w in acyl_report.witnesses],
+            "count": acyl.count,
+            "witnesses": witnesses,
         }
-        if spec.format == "csv":
-            rows = [[i, w] for i, w in enumerate(payload["witnesses"])]
-            comments = [f"count,{payload['count']}"]
-            return 0, _csv_bytes(spec, ["index", "witness"], rows, comments)
-        return 0, _json_bytes(spec, payload)
+        view = (["index", "witness"], list(enumerate(witnesses)), [f"count,{acyl.count}"])
+        return 0, report, view
 
     if spec.command == "ambiguity":
         kit = build_connector_kit(
             group, parse_element(group, spec.g), parse_element(group, spec.h), n=spec.power
         )
-        report = measure_ambiguity(kit, oracle, spec.smax, spec.tmax, budget=spec.budget)
-        code = 3 if report.violations else 0
-        return code, _ambiguity_payload(spec, report)
+        grid = measure_ambiguity(kit, oracle, spec.smax, spec.tmax, budget=spec.budget)
+        return (3 if grid.violations else 0, *_ambiguity_view(grid))
 
     if spec.command == "rate":
         counts = relative_ball_counts(oracle, spec.max_radius)
-        table = GrowthTable(group, tuple(counts), subgroup=spec.subgroup)
         bound = (
             Fraction(spec.growth_bound)
             if spec.growth_bound is not None
@@ -507,20 +490,16 @@ def _execute(spec: ExperimentSpec) -> tuple[int, str]:
             threshold=spec.threshold,
             growth_bound=bound,
         )
-        estimate = fekete_lower_bound(table, hyp)
-        code = 0 if estimate.hypothesis_ok else 3
-        if spec.format == "csv":
-            rows = [
-                [n, counts[n], estimate.roots[n]] for n in range(len(counts))
-            ]
-            comments = [
-                f"lower,{estimate.certified_lower}",
-                f"upper,{estimate.empirical_upper}",
-                f"witness_s,{estimate.witness_s}",
-                f"hypothesis_ok,{estimate.hypothesis_ok}",
-            ]
-            return code, _csv_bytes(spec, ["radius", "count", "root"], rows, comments)
-        return code, _json_bytes(spec, estimate.to_json())
+        estimate = fekete_lower_bound(counts, hyp)
+        rows = [[n, count, root] for n, (count, root) in enumerate(zip(counts, estimate.roots))]
+        comments = [
+            f"lower,{estimate.certified_lower}",
+            f"upper,{estimate.empirical_upper}",
+            f"witness_s,{estimate.witness_s}",
+            f"hypothesis_ok,{estimate.hypothesis_ok}",
+        ]
+        view = (["radius", "count", "root"], rows, comments)
+        return 0 if estimate.hypothesis_ok else 3, estimate.to_json(), view
 
     raise ParseError(f"unknown subcommand {spec.command!r}")
 
@@ -530,10 +509,10 @@ def run(spec: ExperimentSpec) -> int:
     out_dir = Path(spec.out or os.environ.get("GROWTHLAB_OUT") or ".")
     failure: GrowthlabError | None = None
     try:
-        code, text = _execute(spec)
+        code, report, view = _execute(spec)
     except AmbiguityBudgetError as exc:
         # keep the truncated grid on disk next to the diagnostic
-        code, text, failure = 2, _ambiguity_payload(spec, exc.partial), exc
+        code, (report, view), failure = 2, _ambiguity_view(exc.partial), exc
     except ParseError as exc:
         _diagnose(exc)
         return 64
@@ -548,7 +527,7 @@ def run(spec: ExperimentSpec) -> int:
         return 1
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{spec.command}.{spec.format}"
-    path.write_text(text)
+    path.write_text(_artifact(spec, report, view))
     if code == 3:
         failure = HypothesisViolationError(f"{spec.command} detected violations; see {path}")
     if failure is not None:

@@ -39,9 +39,11 @@ from .words import (
     SEP,
     Element,
     GroupDescriptor,
+    common_prefix,
     free_group,
     invert_packed,
     invert_word,
+    letter_columns,
     multiply_packed,
     multiply_words,
     packed_length,
@@ -344,12 +346,6 @@ def _worse_junctions(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.maximum(left[:, None, :], right[None, :, :])
 
 
-def _letter_columns(words: Sequence[bytes], width: int, pad: bytes = b"\0") -> np.ndarray:
-    """The words' first width letters, padded: a width x len(words) uint8 array."""
-    flat = b"".join(w[:width].ljust(width, pad) for w in words)
-    return np.frombuffer(flat, dtype=np.uint8).reshape(len(words), width).T
-
-
 def _coded(words: Sequence[bytes], pows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lengths and base-B codes of reduced words, first letter most significant.
 
@@ -359,19 +355,9 @@ def _coded(words: Sequence[bytes], pows: np.ndarray) -> tuple[np.ndarray, np.nda
     lengths = np.array([len(w) for w in words], dtype=np.int64)
     width = int(lengths.max())
     code = np.zeros(len(words), dtype=pows.dtype)
-    for col in _letter_columns(words, width).astype(pows.dtype):
+    for col in letter_columns(words, width).astype(pows.dtype):
         code = code * pows[1] + col
     return lengths, code // pows[width - lengths]
-
-
-def _common_prefix(a_cols, b_cols, shape: tuple[int, ...]) -> np.ndarray:
-    """Common prefix lengths from letter columns; a's padding never matches b's."""
-    k = np.zeros(shape, dtype=np.int64)
-    same = np.ones(shape, dtype=bool)
-    for a, b in zip(a_cols, b_cols):
-        same &= a == b
-        k += same
-    return k
 
 
 def _unkey(key: int, base: int) -> bytes:
@@ -419,8 +405,8 @@ def _image_keys(
         a_lens, a_codes = _coded(a_words, pows)
         v_lens, v_codes = _coded(v_words, pows)
         width = min(int(a_lens.max()), int(v_lens.max()))
-        a_inv = _letter_columns([invert_word(a) for a in a_words], width, b"\xff")
-        factors.append((a_lens, a_codes, a_inv, v_lens, v_codes, _letter_columns(v_words, width)))
+        a_inv = letter_columns([invert_word(a) for a in a_words], width, b"\xff")
+        factors.append((a_lens, a_codes, a_inv, v_lens, v_codes, letter_columns(v_words, width)))
 
     # u rows that meet the same v's form one segment, cut into blocks
     segments: list[list[int]] = []
@@ -442,7 +428,7 @@ def _image_keys(
             ai = np.arange(lo * n_pieces, hi * n_pieces, n_pieces)[:, None] + pick
             code, length = None, 0
             for a_lens, a_codes, a_inv, v_lens, v_codes, v_cols in factors:
-                k = _common_prefix((col[ai] for col in a_inv), v_cols[:, :n_v], ai.shape)
+                k = common_prefix((col[ai] for col in a_inv), v_cols[:, :n_v], ai.shape)
                 rest = v_lens[:n_v] - k
                 part = a_codes[ai] // pows[k] * pows[rest] + v_codes[:n_v] % pows[rest]
                 part_len = a_lens[ai] + rest - k

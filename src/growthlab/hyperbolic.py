@@ -26,8 +26,10 @@ from .words import (
     SEP,
     Element,
     GroupDescriptor,
+    common_prefix,
     distance,
     invert_packed,
+    letter_columns,
     multiply_packed,
     multiply_words,
     packed_length,
@@ -98,8 +100,9 @@ class FiniteMetric:
         In a product of free groups d(u, v) is the sum over factors of
         |u_i| + |v_i| - 2 lcp(u_i, v_i), lcp being the longest common
         prefix of the reduced factor words. Each factor's words are laid
-        out as an n x width letter array padded with zero bytes (no letter
-        byte is zero), so the common prefixes are one column scan.
+        out as letter columns twice, padded with 0xff on the row side and
+        with zero bytes on the column side, so the common prefixes of all
+        pairs are one column scan.
         """
         elems = tuple(elements)
         if not elems:
@@ -112,14 +115,8 @@ class FiniteMetric:
         for words in zip(*(g.packed.split(SEP) for g in elems)):
             lengths = np.array([len(w) for w in words], dtype=np.int64)
             width = int(lengths.max())
-            letters = np.frombuffer(
-                b"".join(w.ljust(width, b"\0") for w in words), dtype=np.uint8
-            ).reshape(n, width)
-            common = np.ones((n, n), dtype=bool)
-            lcp = np.zeros((n, n), dtype=np.int64)
-            for col in letters.T:
-                common &= (col[:, None] == col) & (col != 0)[:, None]
-                lcp += common
+            rows = (col[:, None] for col in letter_columns(words, width, b"\xff"))
+            lcp = common_prefix(rows, letter_columns(words, width), (n, n))
             d += lengths[:, None] + lengths - 2 * lcp
         return cls(elems, 2 * d)
 
@@ -224,6 +221,14 @@ def _first_witness(sample: FiniteMetric, o: int, target: int) -> tuple[int, int,
     raise AssertionError("target defect not found at its basepoint")
 
 
+def check_tuple_cap(points: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> int:
+    """The points^4 quadruples of an exhaustive scan; TupleBudgetError above the cap."""
+    needed = points**4
+    if needed > tuple_cap:
+        raise TupleBudgetError(needed=needed, cap=tuple_cap)
+    return needed
+
+
 def estimate_delta(
     sample: FiniteMetric,
     mode: str = "exhaustive",
@@ -252,9 +257,7 @@ def estimate_delta(
     """
     n = sample.size
     if mode == "exhaustive":
-        needed = n**4
-        if needed > tuple_cap:
-            raise TupleBudgetError(needed=needed, cap=tuple_cap)
+        needed = check_tuple_cap(n, tuple_cap)
         best, first = 0, 0
         for o in range(n):
             got = _block_defect(sample.gromov4(o)[o:, o:], best)

@@ -22,13 +22,16 @@ letter, with generator i encoded as 2*i+1 and its inverse as 2*i+2. An
 element packs its factor words joined by a zero byte. The encoding makes
 byte order agree with letter order, so shortlex is (length, packed bytes).
 The *_word / *_packed helpers below operate on this layer; they trust their
-inputs and are shared by the enumeration-heavy modules.
+inputs and are shared by the enumeration-heavy modules, and letter_columns
+lays factor words out for numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import GroupMismatchError, ParseError
 
@@ -85,6 +88,22 @@ def invert_packed(x: bytes, num_factors: int) -> bytes:
 
 def packed_length(x: bytes, num_factors: int) -> int:
     return len(x) - (num_factors - 1)
+
+
+def letter_columns(words: Sequence[bytes], width: int, pad: bytes = b"\0") -> np.ndarray:
+    """The words' first width letters, padded: a width x len(words) uint8 array."""
+    flat = b"".join(w[:width].ljust(width, pad) for w in words)
+    return np.frombuffer(flat, dtype=np.uint8).reshape(len(words), width).T
+
+
+def common_prefix(a_cols, b_cols, shape: tuple[int, ...]) -> np.ndarray:
+    """Common prefix lengths of letter columns padded with two different bytes."""
+    k = np.zeros(shape, dtype=np.int64)
+    same = np.ones(shape, dtype=bool)
+    for a, b in zip(a_cols, b_cols):
+        same &= a == b
+        k += same
+    return k
 
 
 def free_spheres(rank: int, radius: int) -> list[list[bytes]]:

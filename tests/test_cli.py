@@ -1,11 +1,13 @@
 """Experiment spec parsing, artifact generation, exit codes."""
 
+import ast
 import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
@@ -14,11 +16,12 @@ from pathlib import Path
 import pytest
 
 import growthlab
-from growthlab import errors
+from growthlab import cli, errors
 from growthlab.cayley import distortion
 from growthlab.cli import ExperimentSpec, _diagnose, main, parse_spec, run
 from growthlab.concat import AmbiguityReport
 from growthlab.errors import ParseError
+from growthlab.hyperbolic import FiniteMetric
 from growthlab.subgroups import BudgetedEnumerationOracle
 from growthlab.words import parse_element, product_group
 
@@ -670,6 +673,23 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "TupleBudgetError"
 
+    def test_delta_tuple_cap_comes_before_the_ball(self, tmp_path, capsys, monkeypatch):
+        # |B(9)| = 39,365 is a closed form; its metric alone would take 12.4 GB
+        built = []
+        monkeypatch.setattr(cli, "enumerate_ball", lambda *a, **k: built.append("ball"))
+        monkeypatch.setattr(
+            FiniteMetric, "from_elements", classmethod(lambda *a: built.append("metric"))
+        )
+        start = time.perf_counter()
+        code = main(["delta", "--group", "free:2", "--max-radius", "9", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "TupleBudgetError"
+        assert (diag["needed"], diag["cap"]) == (39365**4, 200_000_000)
+        assert built == []
+        assert not (tmp_path / "delta.json").exists()
+
     def test_hypothesis_violation_is_3(self, tmp_path, capsys):
         code = main(
             [
@@ -700,6 +720,27 @@ class TestExitCodes:
 
     def test_success_is_0(self, tmp_path):
         assert main(["growth", "--group", "free:2", "--max-radius", "2", "--out", str(tmp_path)]) == 0
+
+
+def test_one_writer_renders_every_format():
+    # _execute computes; only _artifact reads --format and renders bytes
+    tree = ast.parse(Path(cli.__file__).read_text())
+    execute = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_execute"
+    )
+    attributes = {node.attr for node in ast.walk(execute) if isinstance(node, ast.Attribute)}
+    called = {
+        node.func.id
+        for node in ast.walk(execute)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "format" not in attributes
+    assert called.isdisjoint({"_artifact", "_csv_bytes", "_json_bytes"})
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"GrowthTable", "relative_ball"})
 
 
 def test_budgeted_oracle_is_built_once_per_run(tmp_path, monkeypatch):
