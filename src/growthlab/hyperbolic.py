@@ -221,7 +221,7 @@ def _first_witness(sample: FiniteMetric, o: int, target: int) -> tuple[int, int,
     raise AssertionError("target defect not found at its basepoint")
 
 
-def check_tuple_cap(points: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> int:
+def check_tuple_cap(points: int, tuple_cap: int) -> int:
     """The points^4 quadruples of an exhaustive scan; TupleBudgetError above the cap."""
     needed = points**4
     if needed > tuple_cap:
