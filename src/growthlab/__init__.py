@@ -82,7 +82,6 @@ from .subgroups import (
 from .words import (
     Element,
     GroupDescriptor,
-    Word,
     distance,
     free_group,
     parse_element,

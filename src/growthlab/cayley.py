@@ -64,12 +64,6 @@ class Ball:
         for p in self.packed:
             yield Element(self.group, p)
 
-    def __contains__(self, g: Element) -> bool:
-        if g.group != self.group:
-            return False
-        i = bisect.bisect_left(self.packed, (len(g.packed), g.packed), key=lambda p: (len(p), p))
-        return i < len(self.packed) and self.packed[i] == g.packed
-
     def elements(self) -> tuple[Element, ...]:
         return tuple(self)
 
@@ -200,17 +194,17 @@ def growth_sequence(
 ) -> GrowthTable:
     """Growth table via enumeration (the oracle's relative ball, when given).
 
-    Whole-group tables are validated against the submultiplicativity law
-    |B(m+n)| <= |B(m)||B(n)| on every split of every radius in range; a
-    violation means the enumeration itself is broken, so it raises.
+    Whole-group tables are checked against the closed-form ball sizes at
+    every radius; a mismatch means the enumeration itself is broken, so it
+    raises.
     """
     if oracle is None:
-        ball = enumerate_ball(group, radius, budget=budget)
-        counts = ball.counts_by_radius
-        bad = submultiplicativity_violations(counts)
-        if bad:
+        counts = enumerate_ball(group, radius, budget=budget).counts_by_radius
+        exact = tuple(ball_counts(group, radius))
+        if counts != exact:
+            n = next(n for n in range(radius + 1) if counts[n : n + 1] != exact[n : n + 1])
             raise InvariantViolationError(
-                f"ball counts fail submultiplicativity at (m, n) = {bad[:3]}"
+                f"enumerated |B({n})| differs from the closed form {exact[n]}"
             )
         return GrowthTable(group, counts)
     rel = relative_ball(group, oracle, radius, budget=budget)

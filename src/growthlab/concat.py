@@ -122,14 +122,12 @@ def build_connector_kit(
     g: Element,
     h: Element,
     n: int = 2,
-    *,
-    assume_independent: bool = False,
 ) -> ConnectorKit:
     """Kit of pieces (g^n, g^-n, h^n, h^-n) for a pair with no common power.
 
     The common-power check is exact at desk scale (primitive roots per
-    factor); assume_independent skips it for callers who already know.
-    Coinciding pieces are rejected regardless of the flag.
+    factor); coinciding pieces are rejected as well, as a safety net
+    behind it.
     """
     if g.group != group or h.group != group:
         raise GroupMismatchError("kit elements must live in the stated group")
@@ -137,7 +135,7 @@ def build_connector_kit(
         raise ValueError("kit elements must be nontrivial")
     if n < 1:
         raise ValueError("exponent must be at least 1")
-    if not assume_independent and have_common_power(g, h):
+    if have_common_power(g, h):
         raise DependenceError(
             f"{g.render()} and {h.render()} share a common power; "
             "no connector kit exists for a dependent pair"
@@ -224,9 +222,7 @@ def product_concat_apply(
                 f"kit {i} is over {kit.group.spec()}, "
                 f"factor {i} is free of rank {group.ranks[i]}"
             )
-        ui = Element(factor, u.component(i).data)
-        vi = Element(factor, v.component(i).data)
-        parts.append(concat_apply(kit, ui, vi).packed)
+        parts.append(concat_apply(kit, u.component(i), v.component(i)).packed)
     return Element(group, SEP.join(parts))
 
 

@@ -14,6 +14,7 @@ of the ambient space, never an upper bound.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -126,7 +127,7 @@ class FiniteMetric:
 
     @classmethod
     def from_csv(cls, text: str) -> "FiniteMetric":
-        """Parse a square distance matrix; entries must be multiples of 1/2.
+        """Parse a square distance matrix; entries must be finite multiples of 1/2.
 
         Blank lines and lines starting with '#' are skipped. Labels are the
         row indices as strings.
@@ -145,6 +146,10 @@ class FiniteMetric:
                     raise ParseError(
                         f"bad distance {cell!r}", line=lineno, column=col
                     ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"distance {cell!r} is not finite", line=lineno, column=col
+                    )
                 doubled = round(value * 2)
                 if doubled != value * 2:
                     raise ParseError(

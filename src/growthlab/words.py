@@ -1,8 +1,10 @@
-"""Words and elements of finite direct products of free groups.
+"""Elements of finite direct products of free groups.
 
 A group here is F_{k_1} x ... x F_{k_m}, each factor a free group with its
-own generators. Elements are stored in canonical form: every factor word is
-freely reduced, so equal elements compare equal structurally.
+own generators. Element is the one element type: a group and its packed
+canonical form, in which every factor word is freely reduced, so equal
+elements compare equal structurally. A factor's word is itself an Element,
+of the free group of that factor's rank (Element.component).
 
 Text conventions (used by the CLI and all render/parse helpers):
 
@@ -15,7 +17,7 @@ Word length of an element is the sum of factor word lengths, i.e. the word
 metric of the standard generating set that has each factor's generators
 acting on its own coordinate. Shortlex order compares total length first,
 then letters with factor index ascending and, within a factor,
-a < a^-1 < b < b^-1 < ...
+a < a^-1 < b < b^-1 < ...; Element.sort_key is that order.
 
 Internal representation: each factor word is a bytes object, one byte per
 letter, with generator i encoded as 2*i+1 and its inverse as 2*i+2. An
@@ -150,7 +152,7 @@ def reduce_letter_bytes(raw: Iterable[int]) -> bytes:
     return bytes(stack)
 
 
-def _check_word_bytes(data: bytes, rank: int, what: str = "word") -> None:
+def _check_word_bytes(data: bytes, rank: int, what: str) -> None:
     top = 2 * rank
     prev = 0
     for b in data:
@@ -159,72 +161,6 @@ def _check_word_bytes(data: bytes, rank: int, what: str = "word") -> None:
         if prev and prev == ((b - 1) ^ 1) + 1:
             raise ValueError(f"{what} is not freely reduced")
         prev = b
-
-
-@dataclass(frozen=True)
-class GeneratorIndex:
-    """One letter: a generator of one factor, or its inverse."""
-
-    factor: int
-    letter: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.factor < 0:
-            raise ValueError("factor index must be nonnegative")
-        if self.letter < 0:
-            raise ValueError("letter index must be nonnegative")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def inverse(self) -> "GeneratorIndex":
-        return GeneratorIndex(self.factor, self.letter, -self.sign)
-
-
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced word in one free factor.
-
-    Equality is on the letter sequence alone; the factor a word acts in is
-    contextual (it is supplied when extracting GeneratorIndex letters).
-    """
-
-    data: bytes = b""
-
-    def __post_init__(self) -> None:
-        _check_word_bytes(self.data, MAX_RANK)
-
-    @property
-    def length(self) -> int:
-        return len(self.data)
-
-    def letters(self, factor: int = 0) -> tuple[GeneratorIndex, ...]:
-        return tuple(
-            GeneratorIndex(factor, (b - 1) // 2, 1 if b % 2 else -1)
-            for b in self.data
-        )
-
-    def inverse(self) -> "Word":
-        return Word(invert_word(self.data))
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        return Word(multiply_words(self.data, other.data))
-
-    def render(self) -> str:
-        return render_word_bytes(self.data)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Word({self.render()!r})"
-
-
-def reduce(raw: Sequence[GeneratorIndex]) -> Word:
-    """Freely reduce a raw letter sequence. All letters must share a factor."""
-    factors = {g.factor for g in raw}
-    if len(factors) > 1:
-        raise ValueError(f"mixed factor indices in one word: {sorted(factors)}")
-    return Word(reduce_letter_bytes(letter_byte(g.letter, g.sign) for g in raw))
 
 
 @dataclass(frozen=True)
@@ -339,8 +275,9 @@ class Element:
         for i, part in enumerate(parts):
             _check_word_bytes(part, self.group.ranks[i], f"factor {i} word")
 
-    def component(self, factor: int) -> Word:
-        return Word(self.packed.split(SEP)[factor])
+    def component(self, factor: int) -> "Element":
+        """The factor's word, as an element of that free factor."""
+        return Element(free_group(self.group.ranks[factor]), self.packed.split(SEP)[factor])
 
     def length(self) -> int:
         return len(self.packed) - (self.group.num_factors - 1)
@@ -366,9 +303,6 @@ class Element:
     def __pow__(self, n: int) -> "Element":
         return power(self, n)
 
-    def distance(self, other: "Element") -> int:
-        return distance(self, other)
-
     def sort_key(self) -> tuple[int, bytes]:
         return (self.length(), self.packed)
 
@@ -377,14 +311,6 @@ class Element:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Element({self.group.spec()!r}, {self.render()!r})"
-
-
-def multiply(u: Element, v: Element) -> Element:
-    return u * v
-
-
-def invert(g: Element) -> Element:
-    return g.inverse()
 
 
 def power(g: Element, n: int) -> Element:
@@ -401,10 +327,6 @@ def power(g: Element, n: int) -> Element:
     return result
 
 
-def word_length(g: Element) -> int:
-    return g.length()
-
-
 def distance(u: Element, v: Element) -> int:
     """Word metric d(u, v) = |u^-1 v|."""
     if u.group != v.group:
@@ -413,18 +335,6 @@ def distance(u: Element, v: Element) -> int:
     return packed_length(
         multiply_packed(invert_packed(u.packed, nf), v.packed, nf), nf
     )
-
-
-def shortlex_compare(u: Element, v: Element) -> int:
-    """-1, 0, or +1 comparing u and v in shortlex order."""
-    if u.group != v.group:
-        raise GroupMismatchError("shortlex order compares elements of one group")
-    ku, kv = u.sort_key(), v.sort_key()
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
 
 
 def render_word_bytes(data: bytes) -> str:

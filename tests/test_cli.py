@@ -16,14 +16,14 @@ from pathlib import Path
 import pytest
 
 import growthlab
-from growthlab import cli, errors
-from growthlab.cayley import distortion
+from growthlab import cli, errors, subgroups
+from growthlab.cayley import distortion, growth_sequence
 from growthlab.cli import ExperimentSpec, _diagnose, main, parse_spec, run
 from growthlab.concat import AmbiguityReport
-from growthlab.errors import ParseError
+from growthlab.errors import InvariantViolationError, ParseError
 from growthlab.hyperbolic import FiniteMetric
 from growthlab.subgroups import BudgetedEnumerationOracle
-from growthlab.words import parse_element, product_group
+from growthlab.words import free_group, parse_element, product_group
 
 
 def run_into(tmp_path, text):
@@ -700,6 +700,30 @@ class TestExitCodes:
         assert code == 3
         assert (tmp_path / "rate.json").exists()
 
+    def test_corrupted_whole_group_enumeration_is_3(self, tmp_path, capsys, monkeypatch):
+        # one word dropped from sphere 3 of each factor tree: the
+        # enumerated table leaves the closed-form ball sizes there
+        free_spheres = subgroups.free_spheres
+
+        def drop_one(rank, radius):
+            spheres = free_spheres(rank, radius)
+            spheres[3] = spheres[3][1:]
+            return spheres
+
+        monkeypatch.setattr(subgroups, "free_spheres", drop_one)
+        with pytest.raises(InvariantViolationError, match=r"\|B\(3\)\|"):
+            growth_sequence(free_group(2), 4)
+        code = main(["growth", "--group", "free:2", "--max-radius", "4", "--out", str(tmp_path)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolationError"
+
+    def test_long_free_growth_table_is_linear_time(self, tmp_path):
+        # at r = 10,000 the whole-group check must stay linear in the radius
+        start = time.perf_counter()
+        code = main(["growth", "--group", "free:1", "--max-radius", "10000", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -819,6 +843,20 @@ class TestDeterminism:
             assert code == 0
             bodies.append((out / "relgrowth.csv").read_bytes())
         assert bodies[0] == bodies[1]
+
+
+def test_readme_quick_tour_imports_are_exported():
+    # the tour is parsed, not run: its balls take seconds and hundreds of MB
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(tour))
+        if isinstance(node, ast.ImportFrom) and node.module == "growthlab"
+        for alias in node.names
+    ]
+    assert names
+    assert [name for name in names if name not in growthlab.__all__] == []
 
 
 # SHA-256 of the artifact of each README command line. A refactor that

@@ -282,15 +282,11 @@ class TestKitConstruction:
         with pytest.raises(ValueError):
             build_connector_kit(F2, el("a"), el("b"), 0)
 
-    def test_assume_independent_skips_root_check_not_coincidence(self):
-        # the flag trusts the caller about roots, but identical pieces
-        # still cannot form a kit
-        kit = build_connector_kit(
-            F2, el("a"), el("bab") * el("bb"), 1, assume_independent=True
-        )
-        assert len(set(kit.pieces)) == 4
-        with pytest.raises(DependenceError):
-            build_connector_kit(F2, el("a"), el("a"), 2, assume_independent=True)
+    def test_coinciding_pieces_rejected_behind_root_check(self, monkeypatch):
+        # identical pieces cannot form a kit even if the root check missed them
+        monkeypatch.setattr(concat, "have_common_power", lambda g, h: False)
+        with pytest.raises(DependenceError, match="coincide"):
+            build_connector_kit(F2, el("a"), el("a"), 2)
 
     def test_product_group_kit(self):
         kit = build_connector_kit(

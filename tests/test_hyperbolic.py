@@ -243,6 +243,12 @@ class TestFiniteMetric:
             FiniteMetric.from_csv("0, x\nx, 0\n")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "1e400"])
+    def test_csv_rejects_non_finite(self, entry):
+        with pytest.raises(ParseError, match="not finite") as exc:
+            FiniteMetric.from_csv(f"0,{entry}\n{entry},0")
+        assert (exc.value.line, exc.value.column) == (1, 2)
+
 
 class TestEstimateDelta:
     def test_tree_sample_is_zero_hyperbolic(self):

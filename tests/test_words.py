@@ -1,4 +1,4 @@
-"""Word and element layer: frozen examples plus algebraic property tests.
+"""Element layer: frozen examples plus algebraic property tests.
 
 The reduction oracle here is deliberately different from the library's
 stack reducer: it rescans for an adjacent inverse pair until none is left.
@@ -8,24 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthlab import words
 from growthlab.errors import GroupMismatchError, ParseError
 from growthlab.words import (
     Element,
-    GeneratorIndex,
     GroupDescriptor,
-    Word,
     distance,
     free_group,
-    invert,
-    multiply,
     parse_element,
     parse_group,
     power,
     product_group,
-    reduce,
+    reduce_letter_bytes,
     render_element,
-    shortlex_compare,
-    word_length,
+    render_word_bytes,
 )
 
 F2 = free_group(2)
@@ -35,28 +31,26 @@ F2xF1 = product_group(2, 1)
 
 
 def rescan_reduce(letters):
-    """Oracle: delete one adjacent inverse pair at a time until stable."""
+    """Oracle: delete one adjacent inverse pair at a time until stable.
+
+    Letter bytes are 2*i+1 for generator i and 2*i+2 for its inverse, so a
+    pair cancels when both bytes name one generator and differ.
+    """
     out = list(letters)
     changed = True
     while changed:
         changed = False
         for i in range(len(out) - 1):
             a, b = out[i], out[i + 1]
-            if a.factor == b.factor and a.letter == b.letter and a.sign == -b.sign:
+            if (a - 1) // 2 == (b - 1) // 2 and a != b:
                 del out[i : i + 2]
                 changed = True
                 break
-    return out
+    return bytes(out)
 
 
-def gi(letter, sign, factor=0):
-    return GeneratorIndex(factor, letter, sign)
-
-
-# letter sequences over a rank-2 factor
-letter_seqs = st.lists(
-    st.builds(gi, st.integers(0, 1), st.sampled_from([1, -1])), max_size=24
-)
+# letter-byte sequences over a rank-2 factor: a, A, b, B
+letter_seqs = st.lists(st.integers(1, 4), max_size=24)
 
 
 def elements_of(group, max_len=8):
@@ -72,25 +66,44 @@ def elements_of(group, max_len=8):
     return st.builds(build, st.lists(st.integers(0, len(gens) - 1), max_size=max_len))
 
 
+def shortlex(u, v):
+    """-1, 0 or +1 as u is before, equal to or after v in sort_key order."""
+    ku, kv = u.sort_key(), v.sort_key()
+    return (ku > kv) - (ku < kv)
+
+
+def test_one_element_model():
+    for name in ("Word", "GeneratorIndex", "reduce", "multiply", "invert",
+                 "word_length", "shortlex_compare"):
+        assert not hasattr(words, name), name
+    assert not hasattr(Element, "distance")
+
+
 class TestReduce:
     def test_cancelling_sequence_reduces_to_identity(self):
-        seq = [gi(0, 1), gi(1, 1), gi(1, -1), gi(0, -1), gi(0, 1), gi(0, -1)]
-        assert reduce(seq) == Word(b"")
+        assert reduce_letter_bytes([1, 3, 4, 2, 1, 2]) == b""
+        assert F2.parse("abBAaA").is_identity()
 
     def test_mixed_factors_rejected(self):
-        with pytest.raises(ValueError, match="mixed factor"):
-            reduce([gi(0, 1, factor=0), gi(0, 1, factor=1)])
+        # a factor word holds letters of its own factor only
+        with pytest.raises(ParseError, match="outside rank 1"):
+            F2xF1.parse("(a,b)")
+        with pytest.raises(ParseError, match="expected 2"):
+            F2xF1.parse("ab")
+        with pytest.raises(ValueError, match="factor 1 word"):
+            Element(F2xF1, b"\x01\x00\x03")
 
     @given(letter_seqs)
     def test_matches_rescan_oracle(self, seq):
-        got = reduce(seq)
-        expect = reduce(rescan_reduce(seq))
-        assert got == expect
+        got = reduce_letter_bytes(seq)
+        assert got == rescan_reduce(seq)
+        assert F2.parse(render_word_bytes(bytes(seq))).packed == got
 
     @given(letter_seqs)
     def test_idempotent(self, seq):
-        once = reduce(seq)
-        assert reduce(once.letters()) == once
+        once = reduce_letter_bytes(seq)
+        assert reduce_letter_bytes(once) == once
+        assert F2.parse(render_word_bytes(once)).packed == once
 
 
 class TestElementOps:
@@ -101,15 +114,15 @@ class TestElementOps:
 
     def test_invert_in_f2xf1(self):
         g = F2xF1.parse("(ab,a)")
-        assert invert(g).render() == "(BA,A)"
-        assert (g * invert(g)).is_identity()
+        assert g.inverse().render() == "(BA,A)"
+        assert (g * g.inverse()).is_identity()
 
     def test_distance_between_powers(self):
         assert distance(F2.parse("aaa"), F2.parse("bb")) == 5
 
     def test_length_sums_over_factors(self):
-        assert word_length(F2xF1.parse("(ab,a)")) == 3
-        assert word_length(F2xF2.identity()) == 0
+        assert F2xF1.parse("(ab,a)").length() == 3
+        assert F2xF2.identity().length() == 0
 
     def test_power_examples(self):
         a = F2.parse("a")
@@ -119,7 +132,7 @@ class TestElementOps:
 
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
-            multiply(F2.parse("a"), F1.parse("a"))
+            F2.parse("a") * F1.parse("a")
 
     @given(elements_of(F2xF1), elements_of(F2xF1))
     def test_inverse_antihomomorphism(self, u, v):
@@ -148,21 +161,22 @@ class TestElementOps:
 class TestShortlex:
     def test_letter_order(self):
         # a < A < b < B within one factor, length first
-        assert shortlex_compare(F2.parse("b"), F2.parse("A")) == 1
-        assert shortlex_compare(F2.parse("a"), F2.parse("A")) == -1
-        assert shortlex_compare(F2.parse("A"), F2.parse("b")) == -1
-        assert shortlex_compare(F2.parse("B"), F2.parse("aa")) == -1
-        assert shortlex_compare(F2.parse("ab"), F2.parse("ab")) == 0
+        assert shortlex(F2.parse("b"), F2.parse("A")) == 1
+        assert shortlex(F2.parse("a"), F2.parse("A")) == -1
+        assert shortlex(F2.parse("A"), F2.parse("b")) == -1
+        assert shortlex(F2.parse("B"), F2.parse("aa")) == -1
+        assert shortlex(F2.parse("ab"), F2.parse("ab")) == 0
 
     @given(elements_of(F2), elements_of(F2))
     def test_antisymmetric(self, u, v):
-        assert shortlex_compare(u, v) == -shortlex_compare(v, u)
-        assert (shortlex_compare(u, v) == 0) == (u == v)
+        assert shortlex(u, v) == -shortlex(v, u)
+        assert (shortlex(u, v) == 0) == (u == v)
 
     @given(elements_of(F2), elements_of(F2))
     def test_length_dominates(self, u, v):
+        assert u.sort_key() == (u.length(), u.packed)
         if u.length() < v.length():
-            assert shortlex_compare(u, v) == -1
+            assert shortlex(u, v) == -1
 
 
 class TestTextSyntax:
@@ -177,8 +191,13 @@ class TestTextSyntax:
 
     def test_product_syntax(self):
         g = F2xF1.parse("(ab,A)")
-        assert g.component(0).render() == "ab"
+        assert g.component(0) == F2.parse("ab")
+        assert g.component(1) == F1.parse("A")
         assert g.component(1).render() == "A"
+        # equal words in factors of different ranks are different elements
+        h = F2xF1.parse("(a,a)")
+        assert h.component(0).packed == h.component(1).packed
+        assert h.component(0) != h.component(1)
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
