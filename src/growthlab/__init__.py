@@ -17,7 +17,6 @@ from .cayley import (
     growth_sequence,
     relative_ball,
     subgroup_word_length,
-    submultiplicativity_violations,
 )
 from .concat import (
     AmbiguityReport,
@@ -49,15 +48,10 @@ from .errors import (
 from .hyperbolic import (
     AcylindricityReport,
     DeltaEstimate,
-    DiscretePath,
     FiniteMetric,
     acylindricity_witnesses,
     estimate_delta,
     gromov_product,
-    hausdorff_distance,
-    is_quasigeodesic,
-    quasigeodesic_deviation,
-    tree_geodesic,
 )
 from .rate import (
     FuncSpec,

@@ -174,17 +174,6 @@ class GrowthTable:
         return list(enumerate(self.counts))
 
 
-def submultiplicativity_violations(counts: Sequence[int]) -> list[tuple[int, int]]:
-    """Pairs (m, n) with |B(m+n)| > |B(m)| * |B(n)|; empty for real growth."""
-    top = len(counts) - 1
-    bad = []
-    for m in range(top + 1):
-        for n in range(top + 1 - m):
-            if counts[m + n] > counts[m] * counts[n]:
-                bad.append((m, n))
-    return bad
-
-
 def growth_sequence(
     group: GroupDescriptor,
     radius: int,
@@ -283,7 +272,6 @@ def distortion(
     radius: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    depth_cap: int = 64,
     oracle: SubgroupOracle | None = None,
 ) -> DistortionTable:
     """Distortion of H = <generators> inside its ambient group.
@@ -302,9 +290,7 @@ def distortion(
     values = [0] * (radius + 1)
     for p in rel.packed:
         n = len(p) - offset
-        y_len = subgroup_word_length(
-            generators, Element(group, p), depth_cap=depth_cap
-        )
+        y_len = subgroup_word_length(generators, Element(group, p))
         if y_len > values[n]:
             values[n] = y_len
     best = 0

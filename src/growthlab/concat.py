@@ -40,7 +40,6 @@ from .words import (
     Element,
     GroupDescriptor,
     common_prefix,
-    free_group,
     invert_packed,
     invert_word,
     letter_columns,
@@ -196,34 +195,6 @@ def concat_apply(kit: ConnectorKit, u: Element, v: Element) -> Element:
     """u x_{u,v} v; its length never exceeds |u| + |v| + c."""
     piece, _ = select_connector(kit, u, v)
     return u * piece * v
-
-
-def product_concat_apply(
-    kits: Sequence[ConnectorKit], u: Element, v: Element
-) -> Element:
-    """Componentwise connector insertion in a product, one kit per factor.
-
-    The connector tuple is chosen per component independently, so the
-    image generally leaves proper subgroups such as the diagonal even
-    when u and v lie in them.
-    """
-    group = u.group
-    if v.group != group:
-        raise GroupMismatchError("arguments live in different groups")
-    if len(kits) != group.num_factors:
-        raise GroupMismatchError(
-            f"{group.num_factors} factors need as many kits, got {len(kits)}"
-        )
-    parts = []
-    for i, kit in enumerate(kits):
-        factor = free_group(group.ranks[i])
-        if kit.group != factor:
-            raise GroupMismatchError(
-                f"kit {i} is over {kit.group.spec()}, "
-                f"factor {i} is free of rank {group.ranks[i]}"
-            )
-        parts.append(concat_apply(kit, u.component(i), v.component(i)).packed)
-    return Element(group, SEP.join(parts))
 
 
 @dataclass(frozen=True)
@@ -608,24 +579,6 @@ def max_connector_score(kit: ConnectorKit, domain: int | Ball) -> float:
     # the choice depends on each side only through its score row
     worst = _worse_junctions(np.unique(left, axis=0), np.unique(right, axis=0)).min(axis=2)
     return int(worst.max()) / 2
-
-
-def sweep_exponents(
-    domain: GroupDescriptor | SubgroupOracle,
-    g: Element,
-    h: Element,
-    exponents: Sequence[int],
-    s_max: int,
-    t_max: int,
-    **kwargs,
-) -> tuple[AmbiguityReport, ...]:
-    """Ambiguity reports for kits over a range of piece exponents."""
-    return tuple(
-        measure_ambiguity(
-            build_connector_kit(g.group, g, h, n), domain, s_max, t_max, **kwargs
-        )
-        for n in exponents
-    )
 
 
 def verify_supermultiplicativity(

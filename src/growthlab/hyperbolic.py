@@ -1,5 +1,5 @@
-"""Gromov products, four-point hyperbolicity, quasigeodesic and
-acylindricity diagnostics over finite samples.
+"""Gromov products, four-point hyperbolicity and acylindricity
+diagnostics over finite samples.
 
 All metric arithmetic is exact. Distances are stored doubled (so halves
 are integers) and Gromov products quadrupled; results are returned as
@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cayley import DEFAULT_BUDGET, Ball, enumerate_ball
-from .errors import GroupMismatchError, ParseError, TupleBudgetError, UnsupportedConfigurationError
+from .errors import GroupMismatchError, ParseError, TupleBudgetError
 from .words import (
     SEP,
     Element,
@@ -32,11 +32,13 @@ from .words import (
     invert_packed,
     letter_columns,
     multiply_packed,
-    multiply_words,
     packed_length,
 )
 
 DEFAULT_TUPLE_CAP = 200_000_000
+# Largest doubled distance: every Gromov sum and four-point defect is at
+# most 3 times the largest entry, so all of them stay below 2^63 in int64.
+MAX_DIST2 = 1 << 61
 _TRIAL_CHUNK = 1 << 14  # random-mode trials evaluated per numpy batch
 
 
@@ -58,7 +60,8 @@ class FiniteMetric:
 
     dist2[i][j] holds 2 d(i,j) so half-integer metrics stay integral.
     Construction validates symmetry, the zero diagonal, positivity off
-    the diagonal, and every triangle inequality.
+    the diagonal, the bound MAX_DIST2 on every entry, and every triangle
+    inequality.
     """
 
     labels: tuple
@@ -73,6 +76,8 @@ class FiniteMetric:
             raise ValueError("empty sample")
         if (d < 0).any():
             raise ValueError("negative distance")
+        if (d > MAX_DIST2).any():
+            raise ValueError(f"doubled distance above {MAX_DIST2}")
         if (np.diag(d) != 0).any():
             raise ValueError("nonzero diagonal")
         if (d != d.T).any():
@@ -127,7 +132,8 @@ class FiniteMetric:
 
     @classmethod
     def from_csv(cls, text: str) -> "FiniteMetric":
-        """Parse a square distance matrix; entries must be finite multiples of 1/2.
+        """Parse a square distance matrix; entries must be multiples of 1/2
+        in [0, MAX_DIST2 / 2].
 
         Blank lines and lines starting with '#' are skipped. Labels are the
         row indices as strings.
@@ -149,6 +155,12 @@ class FiniteMetric:
                 if not math.isfinite(value):
                     raise ParseError(
                         f"distance {cell!r} is not finite", line=lineno, column=col
+                    )
+                if not 0 <= value * 2 <= MAX_DIST2:
+                    raise ParseError(
+                        f"distance {cell!r} is outside [0, {MAX_DIST2 // 2}]",
+                        line=lineno,
+                        column=col,
                     )
                 doubled = round(value * 2)
                 if doubled != value * 2:
@@ -288,107 +300,6 @@ def estimate_delta(
         raise ValueError(f"unknown mode {mode!r}")
     labels = tuple(sample.labels[i] for i in witness)
     return DeltaEstimate(best / 4, labels, checked, mode)
-
-
-@dataclass(frozen=True)
-class DiscretePath:
-    """A map from an integer parameter interval to group elements."""
-
-    points: tuple[Element, ...]
-    start: int = 0
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("empty path")
-        group = self.points[0].group
-        if any(p.group != group for p in self.points):
-            raise GroupMismatchError("path mixes groups")
-
-    @property
-    def group(self) -> GroupDescriptor:
-        return self.points[0].group
-
-    @property
-    def stop(self) -> int:
-        return self.start + len(self.points) - 1
-
-    def point(self, t: int) -> Element:
-        if not self.start <= t <= self.stop:
-            raise ValueError(f"parameter {t} outside [{self.start}, {self.stop}]")
-        return self.points[t - self.start]
-
-
-@dataclass(frozen=True)
-class QuasigeodesicCheck:
-    ok: bool
-    violating_pair: tuple[int, int] | None = None
-    side: str | None = None  # "lower" or "upper" when a pair violates
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_quasigeodesic(
-    path: DiscretePath, lam: float = 1.0, eps: float = 0.0
-) -> QuasigeodesicCheck:
-    """Both quasigeodesic inequalities on every parameter pair.
-
-    Pairs are scanned widest separation first, so the reported violation
-    is a most-separated one: |t'-t|/lam - eps <= d(c(t), c(t')) <= lam
-    |t'-t| + eps.
-    """
-    if lam < 1:
-        raise ValueError("lam must be at least 1")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    pts = path.points
-    span = len(pts) - 1
-    for gap in range(span, 0, -1):
-        for i in range(span - gap + 1):
-            d = distance(pts[i], pts[i + gap])
-            pair = (path.start + i, path.start + i + gap)
-            if d < gap / lam - eps:
-                return QuasigeodesicCheck(False, pair, "lower")
-            if d > lam * gap + eps:
-                return QuasigeodesicCheck(False, pair, "upper")
-    return QuasigeodesicCheck(True)
-
-
-def hausdorff_distance(a: Iterable[Element], b: Iterable[Element]) -> int:
-    """Max over both directed nearest-point deviations, in the word metric."""
-    aa, bb = list(a), list(b)
-    if not aa or not bb:
-        raise ValueError("Hausdorff distance needs nonempty sets")
-    group = aa[0].group
-    if any(g.group != group for g in aa + bb):
-        raise GroupMismatchError("sets mix groups")
-    inv_b = [h.inverse() for h in bb]
-    d_ab = max(min((ih * g).length() for ih in inv_b) for g in aa)
-    inv_a = [g.inverse() for g in aa]
-    d_ba = max(min((ig * h).length() for ig in inv_a) for h in bb)
-    return max(d_ab, d_ba)
-
-
-def tree_geodesic(p: Element, q: Element) -> tuple[Element, ...]:
-    """The unique geodesic vertices from p to q in a free group."""
-    group = p.group
-    if p.group != q.group:
-        raise GroupMismatchError("endpoints in different groups")
-    if group.num_factors != 1:
-        raise UnsupportedConfigurationError(
-            "geodesics are only unique in a single free factor"
-        )
-    u = (p.inverse() * q).packed
-    return tuple(
-        Element(group, multiply_words(p.packed, u[:i])) for i in range(len(u) + 1)
-    )
-
-
-def quasigeodesic_deviation(path: DiscretePath) -> int:
-    """Hausdorff distance from the path's image to the geodesic joining
-    its endpoints; an empirical witness to quasigeodesic stability."""
-    geo = tree_geodesic(path.points[0], path.points[-1])
-    return hausdorff_distance(set(path.points), geo)
 
 
 @dataclass(frozen=True)

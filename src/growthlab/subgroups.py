@@ -524,8 +524,9 @@ class ProductOracle(SubgroupOracle):
                 )
         self.group = group
         self.factor_oracles = tuple(factor_oracles)
+        nf = group.num_factors
         self.generators = tuple(
-            embed(h, (i,), group)
+            Element(group, SEP * i + h.packed + SEP * (nf - 1 - i))
             for i, oracle in enumerate(factor_oracles)
             for h in oracle.generators
         )
@@ -635,41 +636,6 @@ class BudgetedEnumerationOracle(SubgroupOracle):
 
     def spec_string(self) -> str:
         return ",".join(g.render() for g in self.generators)
-
-
-def project(g: Element, factors: Sequence[int]) -> Element:
-    """Restrict an element to the chosen factors, in ascending order."""
-    chosen = tuple(factors)
-    if len(set(chosen)) != len(chosen) or any(
-        not 0 <= i < g.group.num_factors for i in chosen
-    ):
-        raise ValueError(f"bad factor set {chosen} for {g.group.spec()}")
-    chosen = tuple(sorted(chosen))
-    parts = g.packed.split(SEP)
-    target = GroupDescriptor(tuple(g.group.ranks[i] for i in chosen))
-    return Element(target, SEP.join(parts[i] for i in chosen))
-
-
-def embed(g: Element, factors: Sequence[int], target: GroupDescriptor) -> Element:
-    """Place an element's factors at the chosen coordinates of a bigger product."""
-    chosen = tuple(factors)
-    if len(chosen) != g.group.num_factors:
-        raise ValueError("one target coordinate per source factor required")
-    if len(set(chosen)) != len(chosen) or any(
-        not 0 <= i < target.num_factors for i in chosen
-    ):
-        raise ValueError(f"bad factor set {chosen} for {target.spec()}")
-    for src, dst in enumerate(chosen):
-        if g.group.ranks[src] > target.ranks[dst]:
-            raise GroupMismatchError(
-                f"factor of rank {g.group.ranks[src]} does not fit in "
-                f"rank {target.ranks[dst]}"
-            )
-    parts = g.packed.split(SEP)
-    out = [b""] * target.num_factors
-    for src, dst in enumerate(chosen):
-        out[dst] = parts[src]
-    return Element(target, SEP.join(out))
 
 
 def oracle_for_generators(

@@ -13,7 +13,6 @@ from growthlab.cayley import (
     enumerate_ball,
     growth_sequence,
     relative_ball,
-    submultiplicativity_violations,
     subgroup_word_length,
 )
 from growthlab import cayley
@@ -384,13 +383,6 @@ class TestGrowthSequence:
         assert table.counts == (1, 3, 5, 7, 9)
         assert table.subgroup == "cyclic:a"
         assert table.unknown == (0, 0, 0, 0, 0)
-
-    def test_no_violations_in_real_counts(self):
-        table = growth_sequence(F2xF2, 4)
-        assert submultiplicativity_violations(table.counts) == []
-
-    def test_violation_detector_fires_on_fake_counts(self):
-        assert submultiplicativity_violations([1, 2, 5]) == [(1, 1)]
 
 
 class TestSubgroupWordLength:

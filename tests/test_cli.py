@@ -846,17 +846,33 @@ class TestDeterminism:
 
 
 def test_readme_quick_tour_imports_are_exported():
-    # the tour is parsed, not run: its balls take seconds and hundreds of MB
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     tour = readme.split("## Library quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    module = ast.parse(tour)
     names = [
         alias.name
-        for node in ast.walk(ast.parse(tour))
+        for node in ast.walk(module)
         if isinstance(node, ast.ImportFrom) and node.module == "growthlab"
         for alias in node.names
     ]
     assert names
     assert [name for name in names if name not in growthlab.__all__] == []
+    # run the tour, keeping the value of each bare expression line in order
+    shown = []
+    for i, node in enumerate(module.body):
+        if isinstance(node, ast.Expr):
+            module.body[i] = ast.Expr(ast.Call(ast.Name("show", ast.Load()), [node.value], []))
+    scope = {"show": shown.append}
+    exec(compile(ast.fix_missing_locations(module), "README.md", "exec"), scope)
+    counts, _, distortion_values, delta, (envelope, max_fiber), interval = shown
+    assert len(scope["ball"].packed) == 1_062_881
+    assert counts == (1, 5, 17, 53)
+    assert distortion_values[:6] == (0, 0, 1, 1, 2, 2)
+    assert delta == 0.0
+    assert (envelope, max_fiber) == (7, 7)
+    assert (round(interval[0], 2), round(interval[1], 2)) == (2.69, 3.18)
+    assert interval == (scope["est"].certified_lower, scope["est"].empirical_upper)
+    assert interval[0] <= 3 <= interval[1]
 
 
 # SHA-256 of the artifact of each README command line. A refactor that

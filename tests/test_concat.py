@@ -26,9 +26,7 @@ from growthlab.concat import (
     max_connector_score,
     measure_ambiguity,
     primitive_root,
-    product_concat_apply,
     select_connector,
-    sweep_exponents,
     verify_supermultiplicativity,
 )
 from growthlab.counting import free_ball_counts, relative_ball_counts
@@ -353,48 +351,6 @@ class TestConcatApply:
             assert (u * x).inverse() * w == v
 
 
-class TestProductConcat:
-    def test_componentwise_example(self):
-        kits = [
-            build_connector_kit(F2, el("a"), el("b"), 2),
-            build_connector_kit(F2, el("a"), el("b"), 2),
-        ]
-        w = product_concat_apply(
-            kits, el("(AAA,BBB)", F2xF2), el("(aaa,bbb)", F2xF2)
-        )
-        assert w.render() == "(AAAbbaaa,BBBaabbb)"
-
-    def test_identity_pair(self):
-        kits = [build_connector_kit(F2, el("a"), el("b"), 2)] * 2
-        w = product_concat_apply(kits, F2xF2.identity(), F2xF2.identity())
-        assert w.render() == "(aa,aa)"
-
-    def test_arity_mismatch(self):
-        kits = [build_connector_kit(F2, el("a"), el("b"), 2)]
-        with pytest.raises(GroupMismatchError):
-            product_concat_apply(kits, F2xF2.identity(), F2xF2.identity())
-
-    def test_differing_kits_leave_the_diagonal(self):
-        kits = [
-            build_connector_kit(F2, el("a"), el("b"), 2),
-            build_connector_kit(F2, el("b"), el("a"), 2),
-        ]
-        w = product_concat_apply(kits, F2xF2.identity(), F2xF2.identity())
-        assert w.render() == "(aa,bb)"
-        assert diagonal_oracle(F2xF2).contains(w) is False
-
-    def test_length_bound(self):
-        kits = [
-            build_connector_kit(F2, el("a"), el("b"), 2),
-            build_connector_kit(F2, el("ab"), el("ba"), 1),
-        ]
-        rng = random.Random(19)
-        for _ in range(30):
-            u, v = random_element(rng, F2xF2), random_element(rng, F2xF2)
-            w = product_concat_apply(kits, u, v)
-            assert w.length() <= u.length() + v.length() + sum(k.c for k in kits)
-
-
 class TestMeasureAmbiguity:
     def test_single_pair_cell(self, kit2):
         rep = measure_ambiguity(kit2, F2, 0, 0)
@@ -557,12 +513,6 @@ class TestConnectorScore:
             kit = build_connector_kit(F2, el("ab"), el("ba"), n)
             scores.append(max_connector_score(kit, ball))
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
-
-    def test_sweep_reports_per_exponent(self):
-        reports = sweep_exponents(F2, el("a"), el("b"), (1, 2), 1, 1)
-        assert len(reports) == 2
-        assert reports[0].c == 1 and reports[1].c == 2
-
 
     @pytest.mark.parametrize(
         "group,g,h,n",

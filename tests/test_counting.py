@@ -403,6 +403,29 @@ class TestLayering:
         ]
         self.assert_no_name("PullbackOracle", "factor_support")
 
+    def test_every_imported_name_is_used(self):
+        # __init__ only re-exports, and a name in a module's __all__ counts as used
+        for name, tree in self.package_trees():
+            if name == "__init__.py":
+                continue
+            imported = {
+                (alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+            }
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            exported = {
+                elt.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for elt in ast.walk(node.value)
+                if isinstance(elt, ast.Constant)
+            }
+            assert sorted(imported - used - exported) == [], name
+
     def test_subgroups_imports_only_at_module_top(self):
         for func in ast.walk(self.tree(subgroups)):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -22,11 +22,9 @@ from growthlab.subgroups import (
     StallingsOracle,
     cyclic_core,
     diagonal_oracle,
-    embed,
     fold_graph,
     oracle_for_generators,
     parse_subgroup,
-    project,
 )
 from growthlab.words import (
     Element,
@@ -462,38 +460,6 @@ class TestBudgeted:
         )
         assert orc.contains(el("(ab,ba)", F2xF2)) is True
         assert orc.contains(el("(a,a)", F2xF2)) is None
-
-
-class TestProjectEmbed:
-    def test_project_drops_factors(self):
-        g = el("(ab,ba)", F2xF2)
-        assert project(g, [0]) == el("ab")
-        assert project(g, [1]) == el("ba")
-        assert project(g, [0, 1]) == g
-
-    def test_embed_inserts_identity_elsewhere(self):
-        g = el("ab")
-        assert embed(g, [0], F2xF2) == el("(ab,1)", F2xF2)
-        assert embed(g, [1], F2xF2) == el("(1,ab)", F2xF2)
-
-    def test_round_trip(self):
-        rng = random.Random(41)
-        for _ in range(25):
-            g = random_element(rng, F2, 5)
-            lifted = embed(g, [1], F2xF2)
-            assert project(lifted, [1]) == g
-            assert project(lifted, [0]).is_identity()
-
-    def test_project_is_homomorphism(self):
-        rng = random.Random(43)
-        for _ in range(25):
-            g = random_element(rng, F2xF2, 6)
-            h = random_element(rng, F2xF2, 6)
-            assert project(g * h, [0]) == project(g, [0]) * project(h, [0])
-
-    def test_rank_mismatch_rejected(self):
-        with pytest.raises(GroupMismatchError):
-            embed(el("ab"), [1], F2xF1)
 
 
 class TestParseSubgroup:
