@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .cayley import (
     Ball,
     DistortionTable,
-    GrowthTable,
     distortion,
     enumerate_ball,
     growth_sequence,
@@ -28,7 +27,6 @@ from .concat import (
     measure_ambiguity,
     primitive_root,
     select_connector,
-    verify_supermultiplicativity,
 )
 from .errors import (
     AmbiguityBudgetError,

@@ -154,55 +154,31 @@ def relative_ball(
     )
 
 
-@dataclass(frozen=True)
-class GrowthTable:
-    """Ball sizes by radius, for a whole group or a subgroup within it."""
-
-    group: GroupDescriptor
-    counts: tuple[int, ...]
-    subgroup: str | None = None
-    unknown: tuple[int, ...] | None = None
-
-    @property
-    def max_radius(self) -> int:
-        return len(self.counts) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.counts[n]
-
-    def rows(self) -> list[tuple[int, int]]:
-        return list(enumerate(self.counts))
-
-
 def growth_sequence(
     group: GroupDescriptor,
     radius: int,
     *,
     oracle: SubgroupOracle | None = None,
     budget: int = DEFAULT_BUDGET,
-) -> GrowthTable:
-    """Growth table via enumeration (the oracle's relative ball, when given).
+) -> Ball:
+    """The ball whose counts_by_radius is the growth table (the oracle's
+    relative ball, when given).
 
-    Whole-group tables are checked against the closed-form ball sizes at
+    A whole-group ball is checked against the closed-form ball sizes at
     every radius; a mismatch means the enumeration itself is broken, so it
     raises.
     """
-    if oracle is None:
-        counts = enumerate_ball(group, radius, budget=budget).counts_by_radius
-        exact = tuple(ball_counts(group, radius))
-        if counts != exact:
-            n = next(n for n in range(radius + 1) if counts[n : n + 1] != exact[n : n + 1])
-            raise InvariantViolationError(
-                f"enumerated |B({n})| differs from the closed form {exact[n]}"
-            )
-        return GrowthTable(group, counts)
-    rel = relative_ball(group, oracle, radius, budget=budget)
-    return GrowthTable(
-        group,
-        rel.counts_by_radius,
-        subgroup=oracle.spec_string(),
-        unknown=rel.unknown_by_radius,
-    )
+    if oracle is not None:
+        return relative_ball(group, oracle, radius, budget=budget)
+    ball = enumerate_ball(group, radius, budget=budget)
+    counts = ball.counts_by_radius
+    exact = tuple(ball_counts(group, radius))
+    if counts != exact:
+        n = next(n for n in range(radius + 1) if counts[n : n + 1] != exact[n : n + 1])
+        raise InvariantViolationError(
+            f"enumerated |B({n})| differs from the closed form {exact[n]}"
+        )
+    return ball
 
 
 def subgroup_word_length(

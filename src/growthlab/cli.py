@@ -426,10 +426,11 @@ def _execute(spec: ExperimentSpec) -> tuple[int, dict, tuple[list[str], list, li
     if spec.command in ("growth", "relgrowth"):
         # the whole group's table carries no unknown tallies
         whole = spec.subgroup is None
-        table = growth_sequence(
+        ball = growth_sequence(
             group, spec.max_radius, oracle=None if whole else oracle, budget=spec.budget
         )
-        return (0, *_table_view("count", table.rows(), table.unknown))
+        rows = list(enumerate(ball.counts_by_radius))
+        return (0, *_table_view("count", rows, None if whole else ball.unknown_by_radius))
 
     if spec.command == "distortion":
         table = distortion(

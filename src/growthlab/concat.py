@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cayley import Ball, GrowthTable, enumerate_ball, relative_ball
+from .cayley import Ball, enumerate_ball, relative_ball
 from .counting import relative_ball_counts
 from .errors import (
     AmbiguityBudgetError,
@@ -33,7 +33,6 @@ from .errors import (
     InvariantViolationError,
     UnsupportedConfigurationError,
 )
-from .rate import HypothesisCheck, _as_counts, _combine_violations
 from .subgroups import SubgroupOracle, as_oracle, cyclic_core
 from .words import (
     SEP,
@@ -580,29 +579,3 @@ def max_connector_score(kit: ConnectorKit, domain: int | Ball) -> float:
     worst = _worse_junctions(np.unique(left, axis=0), np.unique(right, axis=0)).min(axis=2)
     return int(worst.max()) / 2
 
-
-def verify_supermultiplicativity(
-    growth: GrowthTable,
-    c: int,
-    l: Callable[[int], object] | int | float,
-    *,
-    s_max: int | None = None,
-    t_max: int | None = None,
-) -> HypothesisCheck:
-    """Check beta(s) beta(t) <= l(t) beta(s+t+c) over the covered grid.
-
-    This is rate's combination inequality with epsilon = l and the constant
-    shift c, from t = 0 and without the unary table checks. l may be a
-    callable or a number, below 1 included; it is evaluated once for each
-    t up to t_max, or up to the table's radius when no bounds are given.
-    Without explicit bounds every (s, t) with s + t + c inside the table
-    is checked; with bounds the table must cover s_max + t_max + c.
-    Violations come as ("combine", s, t, lhs, rhs), t-major.
-    """
-    if (s_max is None) != (t_max is None):
-        raise ValueError("give both bounds or neither")
-    epsilon_at = (lambda t: Fraction(l(t))) if callable(l) else (lambda t: Fraction(l))
-    checked, violations = _combine_violations(
-        _as_counts(growth), epsilon_at, lambda t: c, 0, s_max, t_max
-    )
-    return HypothesisCheck(not violations, checked, tuple(violations))

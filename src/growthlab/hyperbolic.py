@@ -14,9 +14,10 @@ of the ambient space, never an upper bound.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ DEFAULT_TUPLE_CAP = 200_000_000
 # most 3 times the largest entry, so all of them stay below 2^63 in int64.
 MAX_DIST2 = 1 << 61
 _TRIAL_CHUNK = 1 << 14  # random-mode trials evaluated per numpy batch
+_HALF = Fraction(1, 2)
 
 
 def gromov_product(x: Element, y: Element, o: Element) -> float:
@@ -132,8 +134,8 @@ class FiniteMetric:
 
     @classmethod
     def from_csv(cls, text: str) -> "FiniteMetric":
-        """Parse a square distance matrix; entries must be multiples of 1/2
-        in [0, MAX_DIST2 / 2].
+        """Parse a square distance matrix; entries are read exactly as
+        decimals and must be multiples of 1/2 in [0, MAX_DIST2 / 2].
 
         Blank lines and lines starting with '#' are skipped. Labels are the
         row indices as strings.
@@ -147,29 +149,30 @@ class FiniteMetric:
             row = []
             for col, cell in enumerate(cells, start=1):
                 try:
-                    value = float(cell)
-                except ValueError:
+                    value = Decimal(cell)
+                except InvalidOperation:
                     raise ParseError(
                         f"bad distance {cell!r}", line=lineno, column=col
                     ) from None
-                if not math.isfinite(value):
+                if not value.is_finite():
                     raise ParseError(
                         f"distance {cell!r} is not finite", line=lineno, column=col
                     )
-                if not 0 <= value * 2 <= MAX_DIST2:
+                if not 0 <= value <= MAX_DIST2 // 2:
                     raise ParseError(
                         f"distance {cell!r} is outside [0, {MAX_DIST2 // 2}]",
                         line=lineno,
                         column=col,
                     )
-                doubled = round(value * 2)
-                if doubled != value * 2:
+                # no value in (0, 1/2) is a multiple of 1/2; past that test the
+                # entry's digits bound the size of its exact Fraction
+                if 0 < value < _HALF or (doubled := 2 * Fraction(value)).denominator != 1:
                     raise ParseError(
                         f"distance {cell!r} is not a multiple of 1/2",
                         line=lineno,
                         column=col,
                     )
-                row.append(doubled)
+                row.append(int(doubled))
             rows.append(row)
         if not rows:
             raise ParseError("no rows in distance matrix")

@@ -35,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 from .words import GroupDescriptor
@@ -286,16 +286,10 @@ class RateEstimate:
         }
 
 
-def _as_counts(f, max_radius: int | None = None) -> tuple[int, ...]:
-    counts = tuple(f.counts) if hasattr(f, "counts") else tuple(int(x) for x in f)
+def _as_counts(f: Iterable[int]) -> tuple[int, ...]:
+    counts = tuple(int(x) for x in f)
     if not counts:
         raise ValueError("empty growth table")
-    if max_radius is not None:
-        if max_radius >= len(counts):
-            raise ValueError(
-                f"table covers radius {len(counts) - 1}, max_radius {max_radius} requested"
-            )
-        counts = counts[: max_radius + 1]
     return counts
 
 
@@ -328,14 +322,14 @@ def _rational_root(value: Fraction, degree: int) -> float:
     return math.exp((math.log(num) - math.log(den)) / degree)
 
 
-def root_sequence(f, *, max_radius: int | None = None) -> tuple[float, ...]:
+def root_sequence(f: Iterable[int]) -> tuple[float, ...]:
     """Root sequence a_n = f(n)^{1/n}, with a_0 = 1.0 by convention.
 
     Perfect powers come out exact; everything else is exp(ln f(n) / n)
     in doubles (relative error below 2**-40).  Zero or negative table
     entries are rejected.
     """
-    counts = _as_counts(f, max_radius)
+    counts = _as_counts(f)
     for n, value in enumerate(counts):
         if value < 1:
             raise ValueError(f"growth table entry f({n}) = {value} is not positive")
@@ -368,37 +362,10 @@ def _pair_grid(
         yield t, shift, range(s_top + 1)
 
 
-def _combine_violations(
-    counts: Sequence[int],
-    epsilon_at,
-    shift_at,
-    threshold: int,
-    s_max: int | None,
-    t_max: int | None,
-) -> tuple[int, list[HypothesisViolation]]:
-    """Pairs checked and violations of f(s)f(t) <= epsilon(t) f(s+t+shift(t)).
-
-    epsilon_at(t) = p/q runs once for every t of the grid, and each pair is
-    compared as q f(s)f(t) > p f(k) in integers.
-    """
-    checked = 0
-    violations = []
-    for t, shift, s_range in _pair_grid(len(counts) - 1, threshold, shift_at, s_max, t_max):
-        eps = epsilon_at(t)
-        p, q, ft = eps.numerator, eps.denominator, counts[t]
-        checked += len(s_range)
-        for s in s_range:
-            lhs, fk = counts[s] * ft, counts[s + t + shift]
-            if q * lhs > p * fk:
-                violations.append(HypothesisViolation("combine", s, t, Fraction(lhs), eps * fk))
-    return checked, violations
-
-
 def check_hypothesis(
-    f,
+    f: Iterable[int],
     hyp: RateHypothesis,
     *,
-    max_radius: int | None = None,
     m_max: int | None = None,
     n_max: int | None = None,
 ) -> HypothesisCheck:
@@ -411,7 +378,7 @@ def check_hypothesis(
     raise on a range shortfall; without them the scan takes every pair
     that fits.
     """
-    counts = _as_counts(f, max_radius)
+    counts = _as_counts(f)
     violations: list[HypothesisViolation] = []
     checked = 0
 
@@ -437,21 +404,23 @@ def check_hypothesis(
                     HypothesisViolation("bound", None, n, Fraction(counts[n]), Fraction(p, q))
                 )
 
-    pairs, combine = _combine_violations(
-        counts, hyp.epsilon_at, hyp.shift_at, hyp.threshold, m_max, n_max
-    )
+    # epsilon(n) = p/q runs once for every n of the grid, and each pair is
+    # compared as q f(m)f(n) > p f(k) in integers
+    pairs = 0
+    for n, shift, m_range in _pair_grid(len(counts) - 1, hyp.threshold, hyp.shift_at, m_max, n_max):
+        eps = hyp.epsilon_at(n)
+        p, q, fn = eps.numerator, eps.denominator, counts[n]
+        pairs += len(m_range)
+        for m in m_range:
+            lhs, fk = counts[m] * fn, counts[m + n + shift]
+            if q * lhs > p * fk:
+                violations.append(HypothesisViolation("combine", m, n, Fraction(lhs), eps * fk))
     if pairs == 0:
         raise ValueError("table range admits no combination pair at this threshold")
-    violations += combine
     return HypothesisCheck(not violations, checked + pairs, tuple(violations))
 
 
-def fekete_lower_bound(
-    f,
-    hyp: RateHypothesis,
-    *,
-    max_radius: int | None = None,
-) -> RateEstimate:
+def fekete_lower_bound(f: Iterable[int], hyp: RateHypothesis) -> RateEstimate:
     """Bracket lim f(n)^{1/n} from a finite table under a recorded hypothesis.
 
     certified_lower maximises (f(s)/epsilon(s))^{1/(s+shift(s))} over
@@ -459,7 +428,7 @@ def fekete_lower_bound(
     min_n max_{m>=n} a_m of the root sequence.  The embedded hypothesis
     check never raises on failure, it just marks the floor conditional.
     """
-    counts = _as_counts(f, max_radius)
+    counts = _as_counts(f)
     top = len(counts) - 1
     roots = root_sequence(counts)
     check = check_hypothesis(counts, hyp)
@@ -505,7 +474,7 @@ def fekete_lower_bound(
 
 
 def hypothesis_from_growth(
-    f,
+    f: Iterable[int],
     c: int,
     *,
     s_max: int | None = None,
@@ -515,8 +484,7 @@ def hypothesis_from_growth(
 
     Takes the worst ratio f(s)f(t) / f(s+t+c) over the covered grid
     (capped at s_max / t_max when given), floored at 1, as a constant
-    epsilon with shift identically c.  The growth bound defaults to the
-    ball-of-radius-one size when the table knows its group.
+    epsilon with shift identically c, and no growth bound.
     """
     if c < 0:
         raise ValueError("connector length must be nonnegative")
@@ -533,11 +501,8 @@ def hypothesis_from_growth(
                 worst = Fraction(lhs, fk)
     if pairs == 0:
         raise ValueError("table range admits no measurement pair")
-    group = getattr(f, "group", None)
-    bound = default_growth_bound(group) if group is not None else None
     return RateHypothesis(
         epsilon=FuncSpec.constant(worst),
         shift=FuncSpec.constant(c),
         threshold=1,
-        growth_bound=bound,
     )

@@ -240,7 +240,6 @@ def fold_graph(
 class SubgroupOracle:
     """Common surface of all membership oracles."""
 
-    kind = "abstract"
     group: GroupDescriptor
     generators: tuple[Element, ...]
 
@@ -269,8 +268,6 @@ class SubgroupOracle:
 
 class WholeGroupOracle(SubgroupOracle):
     """The whole group as its improper subgroup H = G; every element is a member."""
-
-    kind = "whole"
 
     def __init__(self, group: GroupDescriptor):
         self.group = group
@@ -310,8 +307,6 @@ class StallingsOracle(SubgroupOracle):
     homomorphism. The first factor whose fold has no conflict is taken;
     with none, the generators raise FoldConflict.
     """
-
-    kind = "stallings"
 
     def __init__(
         self, group: GroupDescriptor, generators: Sequence[Element], *, spec: str | None = None
@@ -456,8 +451,6 @@ class CyclicOracle(SubgroupOracle):
     then verified by an exact power computation.
     """
 
-    kind = "cyclic"
-
     def __init__(self, group: GroupDescriptor, generator: Element):
         if generator.group != group:
             raise UnsupportedConfigurationError("generator outside the group")
@@ -508,8 +501,6 @@ class CyclicOracle(SubgroupOracle):
 
 class ProductOracle(SubgroupOracle):
     """H_1 x ... x H_m inside G_1 x ... x G_m, one factor oracle each."""
-
-    kind = "prod"
 
     def __init__(self, group: GroupDescriptor, factor_oracles: Sequence[SubgroupOracle]):
         if len(factor_oracles) != group.num_factors:
@@ -583,8 +574,6 @@ class BudgetedEnumerationOracle(SubgroupOracle):
     Nothing is enumerated until the oracle is first asked (`known`); there,
     passing element_cap distinct elements raises OracleBudgetError.
     """
-
-    kind = "budgeted"
 
     def __init__(
         self,

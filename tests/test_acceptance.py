@@ -15,12 +15,7 @@ import pytest
 
 from growthlab.cayley import distortion, enumerate_ball, relative_ball
 from growthlab.cli import main
-from growthlab.concat import (
-    build_connector_kit,
-    fiber_size,
-    measure_ambiguity,
-    verify_supermultiplicativity,
-)
+from growthlab.concat import build_connector_kit, fiber_size, measure_ambiguity
 from growthlab.counting import (
     ball_counts,
     free_ball_counts,
@@ -28,7 +23,13 @@ from growthlab.counting import (
     relative_ball_counts,
 )
 from growthlab.hyperbolic import FiniteMetric, check_equivariance, estimate_delta
-from growthlab.rate import RateHypothesis, fekete_lower_bound, hypothesis_from_growth
+from growthlab.rate import (
+    FuncSpec,
+    RateHypothesis,
+    check_hypothesis,
+    fekete_lower_bound,
+    hypothesis_from_growth,
+)
 from growthlab.subgroups import StallingsOracle, diagonal_oracle
 from growthlab.words import Element, free_group, parse_element, product_group
 
@@ -122,7 +123,12 @@ def test_criterion_04_connector_effectiveness(criterion, ambiguity_grid):
 
 def test_criterion_05_weak_supermultiplicativity(criterion, ambiguity_grid):
     report, _ = ambiguity_grid
-    envelope = report.envelope  # fitted on t <= 3 in criterion 4
+    # l is the envelope fitted on t <= 3 in criterion 4
+    hyp = RateHypothesis(
+        epsilon=FuncSpec.affine(report.intercept, report.slope),
+        shift=FuncSpec.constant(2),
+        threshold=0,
+    )
     with criterion(5, "beta(s)beta(t) <= l(t) beta(s+t+2) for F2, <aa,bb>, diagonal, s,t<=8"):
         # each target supplies in-subgroup connector pieces of length 2
         kits = [
@@ -139,9 +145,11 @@ def test_criterion_05_weak_supermultiplicativity(criterion, ambiguity_grid):
             relative_ball_counts(diagonal_oracle(F2xF2), 18),
         ]
         for counts in tables:
-            result = verify_supermultiplicativity(counts, 2, envelope, s_max=8, t_max=8)
+            result = check_hypothesis(counts, hyp, m_max=8, n_max=8)
             assert result.ok
             assert result.violations == ()
+            # 19 positivity and 18 monotonicity checks, then the 81 pairs s, t <= 8
+            assert result.checked == 19 + 18 + 81
 
 
 def test_criterion_06_hyperbolicity(criterion, f2_ball12):

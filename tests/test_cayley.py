@@ -373,16 +373,17 @@ class TestRelativeBall:
 
 class TestGrowthSequence:
     def test_whole_group_table(self):
-        table = growth_sequence(F2, 6)
-        assert table.counts == (1, 5, 17, 53, 161, 485, 1457)
-        assert table.subgroup is None
-        assert table.max_radius == 6
+        ball = growth_sequence(F2, 6)
+        assert ball.counts_by_radius == (1, 5, 17, 53, 161, 485, 1457)
+        assert ball.packed == enumerate_ball(F2, 6).packed
+        assert ball.radius == 6
 
     def test_subgroup_table_tracks_oracle(self):
-        table = growth_sequence(F2, 4, oracle=parse_subgroup(F2, "cyclic:a"))
-        assert table.counts == (1, 3, 5, 7, 9)
-        assert table.subgroup == "cyclic:a"
-        assert table.unknown == (0, 0, 0, 0, 0)
+        oracle = parse_subgroup(F2, "cyclic:a")
+        ball = growth_sequence(F2, 4, oracle=oracle)
+        assert ball.counts_by_radius == (1, 3, 5, 7, 9)
+        assert ball.packed == relative_ball(F2, oracle, 4).packed
+        assert ball.unknown_by_radius == (0, 0, 0, 0, 0)
 
 
 class TestSubgroupWordLength:

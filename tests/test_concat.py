@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import concat
-from growthlab.cayley import Ball, GrowthTable, enumerate_ball, growth_sequence, relative_ball
+from growthlab.cayley import Ball, enumerate_ball, growth_sequence, relative_ball
 from growthlab.concat import (
     DEFAULT_PAIR_BUDGET,
     AmbiguityReport,
@@ -27,7 +27,6 @@ from growthlab.concat import (
     measure_ambiguity,
     primitive_root,
     select_connector,
-    verify_supermultiplicativity,
 )
 from growthlab.counting import free_ball_counts, relative_ball_counts
 from growthlab.errors import (
@@ -37,6 +36,7 @@ from growthlab.errors import (
     InvariantViolationError,
 )
 from growthlab.hyperbolic import gromov_product
+from growthlab.rate import FuncSpec, RateHypothesis, check_hypothesis
 from growthlab.subgroups import (
     StallingsOracle,
     SubgroupOracle,
@@ -537,37 +537,44 @@ class TestConnectorScore:
         assert ties > 0  # the first-minimum tie-break is exercised
 
 class TestSupermultiplicativity:
+    """beta(s)beta(t) <= l(t) beta(s+t+c) is rate's combination check with
+    epsilon l, the constant shift c and threshold 0."""
+
+    @staticmethod
+    def check(counts, c, l, **bounds):
+        hyp = RateHypothesis(epsilon=l, shift=FuncSpec.constant(c), threshold=0)
+        return check_hypothesis(counts, hyp, **bounds)
+
     def test_plain_form_fails_without_connectors(self):
-        table = growth_sequence(F2, 4)
-        res = verify_supermultiplicativity(table, 0, 1)
+        table = growth_sequence(F2, 4).counts_by_radius
+        res = self.check(table, 0, FuncSpec.constant(1))
         assert not res.ok
         first = res.violations[0]
-        assert (first.m, first.n) == (1, 1)
+        assert (first.kind, first.m, first.n) == ("combine", 1, 1)
         assert first.lhs == 25 and first.rhs == 17
 
     def test_shifted_form_holds_on_free_group(self):
-        table = GrowthTable(F2, tuple(free_ball_counts(2, 18)))
-        res = verify_supermultiplicativity(table, 2, lambda t: t + 1, s_max=8, t_max=8)
-        assert res.ok and res.checked == 81
+        table = free_ball_counts(2, 18)
+        res = self.check(table, 2, FuncSpec.affine(1, 1), m_max=8, n_max=8)
+        # 19 positivity and 18 monotonicity checks, then 9 x 9 pairs
+        assert res.ok and res.checked == 19 + 18 + 81
 
     def test_holds_on_squares_subgroup(self):
         orc = StallingsOracle(F2, [el("aa"), el("bb")])
-        table = GrowthTable(
-            F2, tuple(relative_ball_counts(orc, 18)), subgroup="aa,bb"
-        )
-        assert verify_supermultiplicativity(table, 2, lambda t: t + 1, s_max=8, t_max=8).ok
+        table = relative_ball_counts(orc, 18)
+        assert self.check(table, 2, FuncSpec.affine(1, 1), m_max=8, n_max=8).ok
 
     def test_trivial_growth_passes_any_envelope(self):
-        table = GrowthTable(free_group(1), (1,) * 9, subgroup="cyclic:1")
-        assert verify_supermultiplicativity(table, 0, 1).ok
+        assert self.check((1,) * 9, 0, FuncSpec.constant(1)).ok
 
     def test_insufficient_range_rejected(self):
-        table = growth_sequence(F2, 4)
+        table = growth_sequence(F2, 4).counts_by_radius
         with pytest.raises(ValueError):
-            verify_supermultiplicativity(table, 2, 1, s_max=8, t_max=8)
+            self.check(table, 2, FuncSpec.constant(1), m_max=8, n_max=8)
 
     def test_fractional_envelope_is_exact(self):
-        # bound 17/25 beta(2) = 11.56 < 25 at (1,1): still a violation
-        table = growth_sequence(F2, 2)
-        res = verify_supermultiplicativity(table, 0, Fraction(17, 25))
-        assert not res.ok
+        # (25/17 - 10^-20) beta(2) is just under 25 at (1,1): still a
+        # violation, although a float epsilon would round the gap away
+        eps = Fraction(25, 17) - Fraction(1, 10**20)
+        res = self.check(growth_sequence(F2, 2).counts_by_radius, 0, FuncSpec.constant(eps))
+        assert [(v.m, v.n, v.lhs, v.rhs) for v in res.violations] == [(1, 1, 25, eps * 17)]

@@ -426,6 +426,14 @@ class TestLayering:
             }
             assert sorted(imported - used - exported) == [], name
 
+    def test_concat_imports_nothing_from_rate(self):
+        # the combination inequality has one checker, rate.check_hypothesis
+        for node in ast.walk(self.tree(concat)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                for name in names:
+                    assert "rate" not in name.split("."), name
+
     def test_subgroups_imports_only_at_module_top(self):
         for func in ast.walk(self.tree(subgroups)):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -243,15 +243,29 @@ class TestFiniteMetric:
             FiniteMetric.from_csv("0, x\nx, 0\n")
         assert exc.value.line == 1
 
-    @pytest.mark.parametrize("entry", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_csv_rejects_non_finite(self, entry):
         with pytest.raises(ParseError, match="not finite") as exc:
             FiniteMetric.from_csv(f"0,{entry}\n{entry},0")
         assert (exc.value.line, exc.value.column) == (1, 2)
 
-    @pytest.mark.parametrize("entry", ["1e300", "-1"])
+    @pytest.mark.parametrize("entry", ["1e300", "-1", "1e400"])
     def test_csv_rejects_out_of_range(self, entry):
         with pytest.raises(ParseError, match="outside") as exc:
+            FiniteMetric.from_csv(f"0,{entry}\n{entry},0")
+        assert (exc.value.line, exc.value.column) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "entry, doubled",
+        [("9007199254740993", 2 * 9007199254740993), ("4503599627370496.5", 9007199254740993)],
+    )
+    def test_csv_reads_entries_above_2_53_exactly(self, entry, doubled):
+        # a float holds neither: both would lose their lowest bit
+        assert FiniteMetric.from_csv(f"0,{entry}\n{entry},0").dist2[0, 1] == doubled
+
+    @pytest.mark.parametrize("entry", ["0.50000000000000000000000000000000001", "1e-999999999"])
+    def test_csv_rejects_near_halves_exactly(self, entry):
+        with pytest.raises(ParseError, match="multiple of 1/2") as exc:
             FiniteMetric.from_csv(f"0,{entry}\n{entry},0")
         assert (exc.value.line, exc.value.column) == (1, 2)
 

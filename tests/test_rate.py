@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab.cayley import GrowthTable
-from growthlab.concat import verify_supermultiplicativity
+from growthlab.cayley import growth_sequence
 from growthlab.counting import free_ball_counts
 from growthlab.errors import ParseError
 from growthlab.rate import (
@@ -121,7 +120,8 @@ class TestRootSequence:
             root_sequence([])
 
     def test_accepts_growth_table(self):
-        table = GrowthTable(free_group(2), tuple(F2_14))
+        # a growth table is its counts: the enumerated ball's counts_by_radius
+        table = growth_sequence(free_group(2), 14).counts_by_radius
         assert root_sequence(table) == root_sequence(F2_14)
 
 
@@ -165,7 +165,7 @@ class TestCheckHypothesis:
 
     def test_max_radius_truncates(self):
         full = check_hypothesis(F2_14, PLAIN)
-        cut = check_hypothesis(F2_14, PLAIN, max_radius=4)
+        cut = check_hypothesis(F2_14[:5], PLAIN)
         assert cut.checked < full.checked
 
 
@@ -208,7 +208,7 @@ class TestFeketeLowerBound:
     def test_lower_monotone_in_range(self):
         hyp = RateHypothesis(epsilon=FuncSpec.constant(4))
         lowers = [
-            fekete_lower_bound(F2_14, hyp, max_radius=k).certified_lower
+            fekete_lower_bound(F2_14[: k + 1], hyp).certified_lower
             for k in range(2, 15)
         ]
         assert all(a <= b for a, b in zip(lowers, lowers[1:]))
@@ -236,15 +236,13 @@ class TestFeketeLowerBound:
 class TestMeasuredHypothesis:
     def test_free_group_measures_to_one(self):
         # worst beta(s)beta(t)/beta(s+t+2) on the 8x8 grid is about 0.222
-        table = GrowthTable(free_group(2), tuple(F2_18))
-        hyp = hypothesis_from_growth(table, 2, s_max=8, t_max=8)
+        hyp = hypothesis_from_growth(F2_18, 2, s_max=8, t_max=8)
         assert hyp.epsilon.render() == "1"
         assert hyp.shift_at(3) == 2
-        assert hyp.growth_bound == 5
+        assert hyp.growth_bound is None
 
     def test_bracket_contains_rate(self):
-        table = GrowthTable(free_group(2), tuple(F2_18))
-        hyp = hypothesis_from_growth(table, 2, s_max=8, t_max=8)
+        hyp = hypothesis_from_growth(F2_18, 2, s_max=8, t_max=8)
         est = fekete_lower_bound(F2_14, hyp)
         assert est.hypothesis_ok
         assert est.certified_lower <= 3.0 <= est.empirical_upper
@@ -359,32 +357,6 @@ def reference_worst_ratio(counts, c, s_max=None, t_max=None):
     return worst
 
 
-def reference_verify(counts, c, l, s_max=None, t_max=None):
-    """(ok, checked, sorted (s, t, lhs, bound)) of the supermultiplicativity loop."""
-    top = len(counts) - 1
-    bound_of = l if callable(l) else (lambda t: l)
-    if s_max is not None or t_max is not None:
-        if s_max is None or t_max is None:
-            raise ValueError("one bound given")
-        if s_max + t_max + c > top:
-            raise ValueError("grid past the table")
-        s_range = range(s_max + 1)
-        t_of = lambda s: range(t_max + 1)
-    else:
-        s_range = range(max(top - c + 1, 0))
-        t_of = lambda s: range(max(top - c - s + 1, 0))
-    violations = []
-    checked = 0
-    for s in s_range:
-        for t in t_of(s):
-            checked += 1
-            lhs = counts[s] * counts[t]
-            bound = Fraction(bound_of(t)) * counts[s + t + c]
-            if lhs > bound:
-                violations.append((s, t, lhs, bound))
-    return not violations, checked, sorted(violations)
-
-
 def outcome(fn, *args, **kwargs):
     """fn's result, or ValueError (the class) when it raises one."""
     try:
@@ -413,15 +385,15 @@ VALUES = st.one_of(
 
 
 @st.composite
-def funcspecs(draw, values=VALUES, table_min=6):
-    """Constant, affine or table function specs over the given values."""
+def funcspecs(draw):
+    """Constant, affine or table function specs over VALUES."""
     kind = draw(st.sampled_from(["constant", "affine", "table"]))
     if kind == "constant":
-        return FuncSpec.constant(draw(values))
+        return FuncSpec.constant(draw(VALUES))
     if kind == "affine":
         slope = draw(st.fractions(min_value=-1, max_value=2, max_denominator=4))
-        return FuncSpec.affine(draw(values), slope)
-    return FuncSpec.table(draw(st.lists(values, min_size=table_min, max_size=18)))
+        return FuncSpec.affine(draw(VALUES), slope)
+    return FuncSpec.table(draw(st.lists(VALUES, min_size=6, max_size=18)))
 
 
 SHIFTS = st.one_of(
@@ -468,30 +440,3 @@ class TestAgainstReference:
         else:
             assert got.epsilon == FuncSpec.constant(want)
             assert got.shift == FuncSpec.constant(c)
-
-    @given(
-        count_tables(),
-        st.integers(0, 3),
-        st.one_of(
-            st.integers(0, 3),
-            st.fractions(min_value=0, max_value=4, max_denominator=7),
-            st.floats(min_value=0, max_value=4),
-            # tables cover every t of the grid: l runs once per t up to the top
-            funcspecs(st.fractions(min_value=0, max_value=4, max_denominator=7), 15),
-        ),
-        BOUNDS,
-        BOUNDS,
-        st.booleans(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_verify_supermultiplicativity(self, counts, c, l, s_max, t_max, bounded):
-        if not bounded:
-            s_max = t_max = None
-        want = outcome(reference_verify, counts, c, l, s_max, t_max)
-        got = outcome(verify_supermultiplicativity, counts, c, l, s_max=s_max, t_max=t_max)
-        if want is ValueError:
-            assert got is ValueError
-        else:
-            found = sorted((v.m, v.n, v.lhs, v.rhs) for v in got.violations)
-            assert (got.ok, got.checked, found) == want
-            assert all(v.kind == "combine" for v in got.violations)
