@@ -226,17 +226,8 @@ def subgroup_word_length(
 class DistortionTable:
     """max |h|_Y over h in H with |h|_X <= n, per radius n."""
 
-    group: GroupDescriptor
-    subgroup: str
     values: tuple[int, ...]
     unknown: tuple[int, ...]
-
-    @property
-    def max_radius(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
 
     def rows(self) -> list[tuple[int, int]]:
         return list(enumerate(self.values))
@@ -274,6 +265,4 @@ def distortion(
     for v in values:
         best = max(best, v)
         out.append(best)
-    return DistortionTable(
-        group, oracle.spec_string(), tuple(out), rel.unknown_by_radius
-    )
+    return DistortionTable(tuple(out), rel.unknown_by_radius)

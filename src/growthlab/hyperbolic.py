@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .cayley import DEFAULT_BUDGET, Ball, enumerate_ball
-from .errors import GroupMismatchError, ParseError, TupleBudgetError
+from .errors import GroupMismatchError, TupleBudgetError
 from .words import (
     SEP,
     Element,
@@ -41,7 +39,6 @@ DEFAULT_TUPLE_CAP = 200_000_000
 # most 3 times the largest entry, so all of them stay below 2^63 in int64.
 MAX_DIST2 = 1 << 61
 _TRIAL_CHUNK = 1 << 14  # random-mode trials evaluated per numpy batch
-_HALF = Fraction(1, 2)
 
 
 def gromov_product(x: Element, y: Element, o: Element) -> float:
@@ -63,7 +60,8 @@ class FiniteMetric:
     dist2[i][j] holds 2 d(i,j) so half-integer metrics stay integral.
     Construction validates symmetry, the zero diagonal, positivity off
     the diagonal, the bound MAX_DIST2 on every entry, and every triangle
-    inequality.
+    inequality. Word-metric samples (from_elements, from_ball) satisfy
+    these by construction; the checks guard a matrix given directly.
     """
 
     labels: tuple
@@ -132,56 +130,6 @@ class FiniteMetric:
     def from_ball(cls, ball: Ball) -> "FiniteMetric":
         return cls.from_elements(ball.elements())
 
-    @classmethod
-    def from_csv(cls, text: str) -> "FiniteMetric":
-        """Parse a square distance matrix; entries are read exactly as
-        decimals and must be multiples of 1/2 in [0, MAX_DIST2 / 2].
-
-        Blank lines and lines starting with '#' are skipped. Labels are the
-        row indices as strings.
-        """
-        rows = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-            cells = [c.strip() for c in body.split(",")]
-            row = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    value = Decimal(cell)
-                except InvalidOperation:
-                    raise ParseError(
-                        f"bad distance {cell!r}", line=lineno, column=col
-                    ) from None
-                if not value.is_finite():
-                    raise ParseError(
-                        f"distance {cell!r} is not finite", line=lineno, column=col
-                    )
-                if not 0 <= value <= MAX_DIST2 // 2:
-                    raise ParseError(
-                        f"distance {cell!r} is outside [0, {MAX_DIST2 // 2}]",
-                        line=lineno,
-                        column=col,
-                    )
-                # no value in (0, 1/2) is a multiple of 1/2; past that test the
-                # entry's digits bound the size of its exact Fraction
-                if 0 < value < _HALF or (doubled := 2 * Fraction(value)).denominator != 1:
-                    raise ParseError(
-                        f"distance {cell!r} is not a multiple of 1/2",
-                        line=lineno,
-                        column=col,
-                    )
-                row.append(int(doubled))
-            rows.append(row)
-        if not rows:
-            raise ParseError("no rows in distance matrix")
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ParseError("distance matrix is not square")
-        labels = tuple(str(i) for i in range(n))
-        return cls(labels, np.array(rows, dtype=np.int64))
-
     def gromov4(self, o: int) -> np.ndarray:
         """Matrix of 4 (x.y)_o, integral for half-integer metrics."""
         d = self.dist2
@@ -196,9 +144,6 @@ class DeltaEstimate:
     witness: tuple
     tuples_checked: int
     mode: str
-
-    def __float__(self) -> float:
-        return self.delta
 
 
 def _block_defect(g4: np.ndarray, above: int) -> int:
@@ -267,7 +212,7 @@ def estimate_delta(
     only needs the points o..n-1. Each basepoint costs one float32 matrix
     product per distinct Gromov product above the best defect so far: at
     most 4r+1 of them on a word-metric ball of radius r, but up to n^2 on
-    an arbitrary metric (from_csv). The witness is the first quadruple in
+    a matrix given to FiniteMetric. The witness is the first quadruple in
     (o, x) order with the largest defect, first argmax y, first argmax z.
 
     Random mode draws the four indices of each trial from

@@ -27,6 +27,7 @@ from growthlab.subgroups import (
     diagonal_oracle,
     oracle_for_generators,
     parse_subgroup,
+    power_lengths,
 )
 from growthlab.words import (
     SEP,
@@ -416,13 +417,25 @@ class TestDistortion:
 
     def test_rows_are_monotone(self):
         table = distortion(F2, [el("ab"), el("ba")], 4)
-        assert all(
-            table.values[i] <= table.values[i + 1]
-            for i in range(table.max_radius)
-        )
+        assert all(a <= b for a, b in zip(table.values, table.values[1:]))
 
     def test_diagonal_of_product(self):
         gens = [el("(a,a)", F2xF2), el("(b,b)", F2xF2)]
         table = distortion(F2xF2, gens, 4, oracle=diagonal_oracle(F2xF2))
         # ambient length 2n reaches diagonal word length n
         assert table.values == (0, 0, 1, 1, 2)
+
+    @pytest.mark.parametrize(
+        "ranks, word",
+        [((2, 2), "(a,bA)"), ((2, 2), "(baB,a)"), ((1, 2), "(a,ab)"), ((1, 1, 1), "(a,1,A)")],
+    )
+    def test_cyclic_over_products(self, ranks, word):
+        # |g^k| = tails + |k| core, so the longest power within length n
+        # is g^k with k = (n - tails) // core, once g itself fits
+        group = product_group(*ranks)
+        oracle = parse_subgroup(group, f"cyclic:{word}")
+        tails, core = power_lengths(el(word, group))
+        table = distortion(group, oracle.generators, 7, oracle=oracle)
+        assert table.values == tuple(
+            (n - tails) // core if n >= tails + core else 0 for n in range(8)
+        )

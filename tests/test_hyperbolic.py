@@ -12,7 +12,6 @@ from growthlab.cayley import enumerate_ball
 from growthlab.errors import (
     BallBudgetError,
     GroupMismatchError,
-    ParseError,
     TupleBudgetError,
 )
 from growthlab.hyperbolic import (
@@ -224,50 +223,10 @@ class TestFiniteMetric:
         with pytest.raises(ValueError, match="distance zero"):
             FiniteMetric(("x", "y"), d)
 
-    def test_csv_round_trip(self):
-        text = "# toy square\n0, 1, 2\n1, 0, 1.5\n2, 1.5, 0\n"
-        m = FiniteMetric.from_csv(text)
-        assert m.size == 3
-        assert m.distance(1, 2) == 1.5
-
-    def test_csv_rejects_non_half_integer(self):
-        with pytest.raises(ParseError):
-            FiniteMetric.from_csv("0, 0.3\n0.3, 0\n")
-
-    def test_csv_rejects_ragged_matrix(self):
-        with pytest.raises(ParseError):
-            FiniteMetric.from_csv("0, 1\n1, 0, 2\n")
-
-    def test_csv_rejects_junk(self):
-        with pytest.raises(ParseError) as exc:
-            FiniteMetric.from_csv("0, x\nx, 0\n")
-        assert exc.value.line == 1
-
-    @pytest.mark.parametrize("entry", ["nan", "inf"])
-    def test_csv_rejects_non_finite(self, entry):
-        with pytest.raises(ParseError, match="not finite") as exc:
-            FiniteMetric.from_csv(f"0,{entry}\n{entry},0")
-        assert (exc.value.line, exc.value.column) == (1, 2)
-
-    @pytest.mark.parametrize("entry", ["1e300", "-1", "1e400"])
-    def test_csv_rejects_out_of_range(self, entry):
-        with pytest.raises(ParseError, match="outside") as exc:
-            FiniteMetric.from_csv(f"0,{entry}\n{entry},0")
-        assert (exc.value.line, exc.value.column) == (1, 2)
-
-    @pytest.mark.parametrize(
-        "entry, doubled",
-        [("9007199254740993", 2 * 9007199254740993), ("4503599627370496.5", 9007199254740993)],
-    )
-    def test_csv_reads_entries_above_2_53_exactly(self, entry, doubled):
-        # a float holds neither: both would lose their lowest bit
-        assert FiniteMetric.from_csv(f"0,{entry}\n{entry},0").dist2[0, 1] == doubled
-
-    @pytest.mark.parametrize("entry", ["0.50000000000000000000000000000000001", "1e-999999999"])
-    def test_csv_rejects_near_halves_exactly(self, entry):
-        with pytest.raises(ParseError, match="multiple of 1/2") as exc:
-            FiniteMetric.from_csv(f"0,{entry}\n{entry},0")
-        assert (exc.value.line, exc.value.column) == (1, 2)
+    def test_rejects_negative_entry(self):
+        d = np.array([[0, -2], [-2, 0]], dtype=np.int64)
+        with pytest.raises(ValueError, match="negative"):
+            FiniteMetric(("x", "y"), d)
 
     def test_rejects_entries_whose_gromov_sums_overflow(self):
         # doubled entries up to 8e18 fit in int64, but gromov4's sums do not
