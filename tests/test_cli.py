@@ -946,6 +946,32 @@ def test_other_format_artifact_digest(tmp_path, line, code, name, digest):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of random-mode delta artifacts over products, in both formats. A
+# free group's ball is a tree, so its delta and witness read 0 and 1,1,1,1
+# whatever indices are drawn; these read positive deltas, so they pin the
+# drawn index stream itself.
+RANDOM_DELTA_ARTIFACTS = [
+    ('delta --group "product(free:2,free:2)" --max-radius 3 --mode random --trials 20000'
+     " --seed 7", "delta.json",
+     "765c6f682d3453e1df8b0d80903980b4b5869437e95a18f8d6b10dfe9d6ab2e4"),
+    ('delta --group "product(free:2,free:2)" --max-radius 3 --mode random --trials 20000'
+     " --seed 7 --format csv", "delta.csv",
+     "f2992149498073c942882374eb320a6469534afc0b5b98d1bfd0f1d94b3eed33"),
+    ('delta --group "product(free:1,free:2)" --max-radius 4 --mode random --trials 777'
+     " --seed 12", "delta.json",
+     "90ba24a3065f0476b014cbc2a55acd39c7ae69f432a58d631c4093d994563f3e"),
+    ('delta --group "product(free:1,free:2)" --max-radius 4 --mode random --trials 777'
+     " --seed 12 --format csv", "delta.csv",
+     "b6479eed731bdc211649d21402b0c0ca01f9da8f7c60c1def449f21981c44f2c"),
+]
+
+
+@pytest.mark.parametrize("line,name,digest", RANDOM_DELTA_ARTIFACTS)
+def test_random_delta_artifact_digest(tmp_path, line, name, digest):
+    assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 # SHA-256 and exit code of more rate artifacts: combine violations, bound
 # violations under an affine epsilon and shift, a table epsilon, and a
 # subgroup table with fractional epsilon and growth bound.
