@@ -57,6 +57,7 @@ from .errors import (
 from .hyperbolic import (
     DEFAULT_TUPLE_CAP,
     FiniteMetric,
+    WordSample,
     acylindricity_witnesses,
     check_tuple_cap,
     estimate_delta,
@@ -442,16 +443,19 @@ def _execute(spec: ExperimentSpec) -> tuple[int, dict, tuple[list[str], list, li
         if spec.mode == "exhaustive":
             # |B(r)| is a closed form: a scan over the cap stops before the ball
             check_tuple_cap(ball_sizes(group, spec.max_radius)[-1], spec.budget)
-        metric = FiniteMetric.from_ball(enumerate_ball(group, spec.max_radius))
+            sample = FiniteMetric.from_ball(enumerate_ball(group, spec.max_radius))
+        else:
+            # sampled distances are read off the words: no n x n metric
+            sample = WordSample(group, enumerate_ball(group, spec.max_radius).packed)
         estimate = estimate_delta(
-            metric, spec.mode, trials=spec.trials, seed=spec.seed, tuple_cap=spec.budget
+            sample, spec.mode, trials=spec.trials, seed=spec.seed, tuple_cap=spec.budget
         )
         report = {
             "delta": estimate.delta,
             "witness": [label.render() for label in estimate.witness],
             "tuples_checked": estimate.tuples_checked,
             "mode": estimate.mode,
-            "points": metric.size,
+            "points": sample.size,
         }
         rows = [[k, json.dumps(v) if isinstance(v, list) else v] for k, v in sorted(report.items())]
         return 0, report, (["field", "value"], rows, [])

@@ -26,7 +26,6 @@ from .words import (
     SEP,
     Element,
     GroupDescriptor,
-    common_prefix,
     distance,
     invert_packed,
     letter_columns,
@@ -51,6 +50,43 @@ def gromov_product(x: Element, y: Element, o: Element) -> float:
 def check_equivariance(g: Element, x: Element, y: Element, z: Element) -> bool:
     """Left translation preserves Gromov products in any word metric."""
     return gromov_product(x, y, z) == gromov_product(g * x, g * y, g * z)
+
+
+class WordSample:
+    """Word-metric sample of a product of free groups, kept as its words.
+
+    d(u, v) is the sum over factors of |u_i| + |v_i| - 2 lcp(u_i, v_i),
+    lcp being the longest common prefix of the reduced factor words. Each
+    factor's words are laid out once as rows of width + 1 letters, padded
+    with 0xff on the row side and with zero bytes on the column side, so
+    every pair has a first mismatch and it sits at their lcp. A distance
+    is read when asked for: no n x n matrix is built.
+    """
+
+    def __init__(self, group: GroupDescriptor, packed: Sequence[bytes]):
+        self.group = group
+        self.packed = tuple(packed)
+        self._factors = []
+        for words in zip(*(p.split(SEP) for p in self.packed)):
+            lengths = np.array([len(w) for w in words], dtype=np.int64)
+            width = int(lengths.max()) + 1
+            rows = letter_columns(words, width, b"\xff").T
+            self._factors.append((lengths, rows, letter_columns(words, width).T))
+
+    @property
+    def size(self) -> int:
+        return len(self.packed)
+
+    def label(self, i: int) -> Element:
+        return Element(self.group, self.packed[i])
+
+    def pair_dist2(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """2 d(i, j) for index arrays i and j, broadcast against each other."""
+        d = 0
+        for lengths, rows, cols in self._factors:
+            lcp = (rows[i] != cols[j]).argmax(axis=-1)
+            d = d + lengths[i] + lengths[j] - 2 * lcp
+        return 2 * d
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,35 +132,28 @@ class FiniteMetric:
     def size(self) -> int:
         return len(self.labels)
 
+    def label(self, i: int):
+        return self.labels[i]
+
     def distance(self, i: int, j: int) -> float:
         return self.dist2[i, j] / 2
 
+    def pair_dist2(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return self.dist2[i, j]
+
     @classmethod
     def from_elements(cls, elements: Sequence[Element]) -> "FiniteMetric":
-        """Word-metric sample on the given elements.
-
-        In a product of free groups d(u, v) is the sum over factors of
-        |u_i| + |v_i| - 2 lcp(u_i, v_i), lcp being the longest common
-        prefix of the reduced factor words. Each factor's words are laid
-        out as letter columns twice, padded with 0xff on the row side and
-        with zero bytes on the column side, so the common prefixes of all
-        pairs are one column scan.
-        """
+        """Word-metric sample on the given elements: every distance of
+        their WordSample, read at once."""
         elems = tuple(elements)
         if not elems:
             raise ValueError("empty sample")
         group = elems[0].group
         if any(g.group != group for g in elems):
             raise GroupMismatchError("sample mixes groups")
-        n = len(elems)
-        d = np.zeros((n, n), dtype=np.int64)
-        for words in zip(*(g.packed.split(SEP) for g in elems)):
-            lengths = np.array([len(w) for w in words], dtype=np.int64)
-            width = int(lengths.max())
-            rows = (col[:, None] for col in letter_columns(words, width, b"\xff"))
-            lcp = common_prefix(rows, letter_columns(words, width), (n, n))
-            d += lengths[:, None] + lengths - 2 * lcp
-        return cls(elems, 2 * d)
+        points = np.arange(len(elems))
+        d2 = WordSample(group, [g.packed for g in elems]).pair_dist2(points[:, None], points)
+        return cls(elems, d2)
 
     @classmethod
     def from_ball(cls, ball: Ball) -> "FiniteMetric":
@@ -186,6 +215,28 @@ def _first_witness(sample: FiniteMetric, o: int, target: int) -> tuple[int, int,
     raise AssertionError("target defect not found at its basepoint")
 
 
+def _randrange_bulk(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """[rng.randrange(n) for _ in range(count)] as an array, drawn in bulk.
+
+    For n < 2^32 CPython's randrange(n) takes one 32-bit Mersenne Twister
+    word per try, keeps its top n.bit_length() bits and rejects values
+    >= n; getrandbits(32 m) returns the next m words, least significant
+    first. Each round draws one word per value still missing, which every
+    remaining value needs at least, so no word past the last accepted one
+    is taken and rng ends where the count calls would leave it.
+    """
+    if not 0 < n < 1 << 32:
+        raise ValueError(f"bulk draw needs 0 < n < 2^32, got {n}")
+    shift = 32 - n.bit_length()
+    kept, missing = [np.zeros(0, dtype=np.uint32)], count
+    while missing:
+        bits = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        values = np.frombuffer(bits, dtype="<u4") >> shift
+        kept.append(values[values < n])
+        missing -= len(kept[-1])
+    return np.concatenate(kept)
+
+
 def check_tuple_cap(points: int, tuple_cap: int) -> int:
     """The points^4 quadruples of an exhaustive scan; TupleBudgetError above the cap."""
     needed = points**4
@@ -195,7 +246,7 @@ def check_tuple_cap(points: int, tuple_cap: int) -> int:
 
 
 def estimate_delta(
-    sample: FiniteMetric,
+    sample: FiniteMetric | WordSample,
     mode: str = "exhaustive",
     *,
     trials: int = 10_000,
@@ -215,10 +266,13 @@ def estimate_delta(
     a matrix given to FiniteMetric. The witness is the first quadruple in
     (o, x) order with the largest defect, first argmax y, first argmax z.
 
-    Random mode draws the four indices of each trial from
-    random.Random(seed).randrange(n) in o, x, y, z order and yields a
-    lower bound for the exhaustive answer; its witness is the first trial
-    with the largest positive defect.
+    Random mode draws the four indices of each trial as
+    random.Random(seed).randrange(n) would, in o, x, y, z order, but in
+    bulk, _TRIAL_CHUNK trials at a time; it needs n < 2^32. It reads only
+    the sampled distances, so a WordSample serves it with no n x n
+    matrix. It yields a lower bound for the exhaustive answer, and its
+    witness is the first trial with the largest positive defect.
+    Exhaustive mode needs a FiniteMetric.
     """
     n = sample.size
     if mode == "exhaustive":
@@ -232,21 +286,21 @@ def estimate_delta(
         checked = needed
     elif mode == "random":
         rng = random.Random(seed)
-        d2 = sample.dist2
+        d2 = sample.pair_dist2
         best, witness = 0, (0, 0, 0, 0)
         for start in range(0, trials, _TRIAL_CHUNK):
             m = min(_TRIAL_CHUNK, trials - start)
-            quads = np.array([rng.randrange(n) for _ in range(4 * m)]).reshape(m, 4)
+            quads = _randrange_bulk(rng, n, 4 * m).reshape(m, 4)
             o, x, y, z = quads.T
-            xo, yo, zo = d2[x, o], d2[y, o], d2[z, o]
-            defects = np.minimum(xo + zo - d2[x, z], zo + yo - d2[z, y]) - (xo + yo - d2[x, y])
+            xo, yo, zo = d2(x, o), d2(y, o), d2(z, o)
+            defects = np.minimum(xo + zo - d2(x, z), zo + yo - d2(z, y)) - (xo + yo - d2(x, y))
             i = int(defects.argmax())
             if defects[i] > best:
                 best, witness = int(defects[i]), tuple(int(v) for v in quads[i])
         checked = trials
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    labels = tuple(sample.labels[i] for i in witness)
+    labels = tuple(sample.label(i) for i in witness)
     return DeltaEstimate(best / 4, labels, checked, mode)
 
 

@@ -690,6 +690,18 @@ class TestExitCodes:
         assert built == []
         assert not (tmp_path / "delta.json").exists()
 
+    def test_random_delta_builds_no_metric(self, tmp_path, monkeypatch):
+        # B(7) has 4,373 points; the sampled distances are read off the words
+        built = []
+        monkeypatch.setattr(
+            FiniteMetric, "from_elements", classmethod(lambda *a: built.append("metric"))
+        )
+        line = "delta --group free:2 --max-radius 7 --mode random --trials 1000"
+        assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "delta.json").read_text())["report"]
+        assert (report["points"], report["delta"], report["witness"]) == (4373, 0.0, ["1"] * 4)
+        assert built == []
+
     def test_hypothesis_violation_is_3(self, tmp_path, capsys):
         code = main(
             [

@@ -17,6 +17,7 @@ from growthlab.errors import (
 from growthlab.hyperbolic import (
     AcylindricityReport,
     FiniteMetric,
+    WordSample,
     acylindricity_witnesses,
     check_equivariance,
     estimate_delta,
@@ -309,6 +310,57 @@ class TestEstimateDelta:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             estimate_delta(c4_metric(), "antic")
+
+    def test_random_on_words_matches_random_on_the_matrix(self, monkeypatch):
+        for group, r in ((F2, 3), (F2xF1, 2), (product_group(1, 1, 1), 2), (product_group(2, 2), 2)):
+            ball = enumerate_ball(group, r)
+            words, metric = WordSample(group, ball.packed), FiniteMetric.from_ball(ball)
+            for chunk in (hyperbolic._TRIAL_CHUNK, 7):
+                monkeypatch.setattr(hyperbolic, "_TRIAL_CHUNK", chunk)
+                for seed in range(5):
+                    on_words = estimate_delta(words, "random", trials=300, seed=seed)
+                    assert on_words == estimate_delta(metric, "random", trials=300, seed=seed)
+                    assert all(isinstance(label, Element) for label in on_words.witness)
+
+
+# n = 1, 2, 3 and every power of two below 2^32 with its neighbours
+DRAW_BOUNDS = sorted({1, 2, 3} | {(1 << k) + e for k in range(1, 33) for e in (-1, 0, 1)} - {1 << 32, (1 << 32) + 1})
+
+
+class TestBulkDraw:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(DRAW_BOUNDS), st.integers(0, 3000), st.integers(0, 2**64))
+    def test_matches_randrange_and_leaves_the_same_state(self, n, count, seed):
+        # relies on CPython's randrange: one 32-bit word per try, top bits, rejection
+        bulk, calls = random.Random(seed), random.Random(seed)
+        got = hyperbolic._randrange_bulk(bulk, n, count)
+        assert got.tolist() == [calls.randrange(n) for _ in range(count)]
+        assert bulk.getstate() == calls.getstate()
+
+    def test_refuses_bounds_past_one_word(self):
+        for n in (0, 1 << 32):
+            with pytest.raises(ValueError, match="bulk draw"):
+                hyperbolic._randrange_bulk(random.Random(0), n, 1)
+
+
+class TestWordSample:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(2,), (2, 1), (1, 1, 1)]),
+        st.integers(0, 10**6),
+    )
+    def test_distances_match_the_validated_matrix(self, ranks, seed):
+        # random samples with the identity: unequal lengths in any order
+        rng = random.Random(seed)
+        group = product_group(*ranks)
+        elems = [group.identity()] + [random_element(rng, group, 7) for _ in range(rng.randrange(25))]
+        elems = list(dict.fromkeys(elems))
+        rng.shuffle(elems)
+        metric = FiniteMetric.from_elements(elems)
+        i, j = (np.array([rng.randrange(len(elems)) for _ in range(60)]) for _ in range(2))
+        got = WordSample(group, [g.packed for g in elems]).pair_dist2(i, j)
+        assert got.tolist() == metric.dist2[i, j].tolist()
+        assert got.tolist() == [2 * distance(elems[a], elems[b]) for a, b in zip(i, j)]
 
 
 class TestTreeGeodesics:
