@@ -67,11 +67,16 @@ class WordSample:
         self.group = group
         self.packed = tuple(packed)
         self._factors = []
-        for words in zip(*(p.split(SEP) for p in self.packed)):
-            lengths = np.array([len(w) for w in words], dtype=np.int64)
+        # every packed word holds num_factors - 1 separators, so one split
+        # of them all lists the factor words element by element
+        k = group.num_factors
+        parts = SEP.join(self.packed).split(SEP)
+        for words in (parts[f::k] for f in range(k)):
+            lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
             width = int(lengths.max()) + 1
-            rows = letter_columns(words, width, b"\xff").T
-            self._factors.append((lengths, rows, letter_columns(words, width).T))
+            cols = letter_columns(words, width).T
+            rows = np.where(np.arange(width) < lengths[:, None], cols, np.uint8(0xFF))
+            self._factors.append((lengths, rows, cols))
 
     @property
     def size(self) -> int:
