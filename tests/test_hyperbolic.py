@@ -312,7 +312,8 @@ class TestEstimateDelta:
             estimate_delta(c4_metric(), "antic")
 
     def test_random_on_words_matches_random_on_the_matrix(self, monkeypatch):
-        for group, r in ((F2, 3), (F2xF1, 2), (product_group(1, 1, 1), 2), (product_group(2, 2), 2)):
+        groups = ((F2, 3), (F2xF1, 2), (product_group(1, 1, 1), 2), (product_group(2, 2), 2))
+        for group, r in groups:
             ball = enumerate_ball(group, r)
             words, metric = WordSample(group, ball.packed), FiniteMetric.from_ball(ball)
             for chunk in (hyperbolic._TRIAL_CHUNK, 7):
@@ -324,7 +325,9 @@ class TestEstimateDelta:
 
 
 # n = 1, 2, 3 and every power of two below 2^32 with its neighbours
-DRAW_BOUNDS = sorted({1, 2, 3} | {(1 << k) + e for k in range(1, 33) for e in (-1, 0, 1)} - {1 << 32, (1 << 32) + 1})
+DRAW_BOUNDS = sorted(
+    {1, 2, 3} | {(1 << k) + e for k in range(1, 33) for e in (-1, 0, 1)} - {1 << 32, (1 << 32) + 1}
+)
 
 
 class TestBulkDraw:
@@ -353,8 +356,8 @@ class TestWordSample:
         # random samples with the identity: unequal lengths in any order
         rng = random.Random(seed)
         group = product_group(*ranks)
-        elems = [group.identity()] + [random_element(rng, group, 7) for _ in range(rng.randrange(25))]
-        elems = list(dict.fromkeys(elems))
+        elems = [random_element(rng, group, 7) for _ in range(rng.randrange(25))]
+        elems = list(dict.fromkeys([group.identity(), *elems]))
         rng.shuffle(elems)
         metric = FiniteMetric.from_elements(elems)
         i, j = (np.array([rng.randrange(len(elems)) for _ in range(60)]) for _ in range(2))
