@@ -984,6 +984,28 @@ def test_random_delta_artifact_digest(tmp_path, line, name, digest):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of exhaustive delta artifacts over products, in both formats.
+# Their delta is 2 and their witnesses are not 1,1,1,1, so these pin the
+# scan's witness order: (a,a),(a,A),(A,a),(A,A) on 49 points, and
+# (1,a),(1,A),(aa,a),(aa,A) on 99.
+EXHAUSTIVE_DELTA_ARTIFACTS = [
+    ('delta --group "product(free:2,free:2)" --max-radius 2', "delta.json",
+     "d2fe1712359ba077f1a2c0296b65cf43f27501fa048e52b1eb1bebdb81e3731e"),
+    ('delta --group "product(free:2,free:2)" --max-radius 2 --format csv', "delta.csv",
+     "307821b07b09063b148bbd1c30dc1fb96fc74eae44d9f90d21be0c9e58f9f5c9"),
+    ('delta --group "product(free:1,free:2)" --max-radius 3', "delta.json",
+     "55561efd06ee46c7a8fa24002784484247c435f4b3a5cf56427c70f1d2d050b1"),
+    ('delta --group "product(free:1,free:2)" --max-radius 3 --format csv', "delta.csv",
+     "eb5b969520e5bb30d255fa894d70562d4f13c1441b6711c74c41c9aa4c3ba74c"),
+]
+
+
+@pytest.mark.parametrize("line,name,digest", EXHAUSTIVE_DELTA_ARTIFACTS)
+def test_exhaustive_delta_artifact_digest(tmp_path, line, name, digest):
+    assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 # SHA-256 and exit code of more rate artifacts: combine violations, bound
 # violations under an affine epsilon and shift, a table epsilon, and a
 # subgroup table with fractional epsilon and growth bound.
