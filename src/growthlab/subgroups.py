@@ -451,12 +451,13 @@ class CyclicOracle(SubgroupOracle):
     then verified by an exact power computation.
     """
 
-    def __init__(self, group: GroupDescriptor, generator: Element):
+    def __init__(self, group: GroupDescriptor, generator: Element, *, spec: str | None = None):
         if generator.group != group:
             raise UnsupportedConfigurationError("generator outside the group")
         self.group = group
         self.generator = generator
         self.generators = (generator,)
+        self._spec = spec
         self._tail_len, self._core_len = power_lengths(generator)
         self._powers = [group.identity().packed, generator.packed]
 
@@ -496,7 +497,7 @@ class CyclicOracle(SubgroupOracle):
         return counts
 
     def spec_string(self) -> str:
-        return f"cyclic:{self.generator.render()}"
+        return self._spec or f"cyclic:{self.generator.render()}"
 
 
 class ProductOracle(SubgroupOracle):
@@ -633,15 +634,18 @@ def oracle_for_generators(
     *,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> SubgroupOracle:
-    """The oracle for <generators>: exact when it is a graph over a factor, else budgeted.
+    """The oracle for <generators>: exact when cyclic or a graph over a factor, else budgeted.
 
-    A folded graph with labels decides membership exactly when some
-    factor's fold has no conflict (StallingsOracle). Otherwise H meets the
-    kernel of every factor's projection, where membership is undecidable
-    in general (Mihailova 1958), so the oracle enumerates products of at
-    most 8 generators, and at most element_cap distinct elements, the first
-    time it is asked.
+    One generator spans a cyclic subgroup (CyclicOracle, which keeps the
+    list's spelling as its spec). A folded graph with labels decides
+    membership exactly when some factor's fold has no conflict
+    (StallingsOracle). Otherwise H meets the kernel of every factor's
+    projection, where membership is undecidable in general (Mihailova
+    1958), so the oracle enumerates products of at most 8 generators, and
+    at most element_cap distinct elements, the first time it is asked.
     """
+    if len(generators) == 1:
+        return CyclicOracle(group, generators[0], spec=generators[0].render())
     try:
         return StallingsOracle(group, generators)
     except FoldConflict:

@@ -410,8 +410,9 @@ class TestLabelledFolding:
         ]
         element = st.tuples(*words).map(lambda ws: Element(group, b"\x00".join(ws)))
         gens = data.draw(st.lists(element, min_size=1, max_size=3))
-        orc = oracle_for_generators(group, gens)
-        if not isinstance(orc, StallingsOracle):
+        try:
+            orc = StallingsOracle(group, gens)
+        except FoldConflict:
             return
         radius = 4
         spheres, unknown = orc.relative_spheres(radius)
@@ -488,6 +489,14 @@ class TestParseSubgroup:
         assert isinstance(parse_subgroup(F2xF2, "(a,b),(b,a)"), StallingsOracle)
         orc = parse_subgroup(F2xF2, "(a,1),(1,a)")
         assert isinstance(orc, BudgetedEnumerationOracle)
+
+    @pytest.mark.parametrize("group,spec", [(F2, "aa"), (F2xF2, "(ab,B)"), (F2xF2, "(1,a)")])
+    def test_one_generator_list_is_cyclic(self, group, spec):
+        # the list keeps its spelling; the fold of one loop has the same members
+        orc = parse_subgroup(group, spec)
+        assert isinstance(orc, CyclicOracle) and orc.spec_string() == spec
+        folded = StallingsOracle(group, orc.generators)
+        assert relative_ball(group, orc, 6) == relative_ball(group, folded, 6)
 
     def test_spec_string_round_trip(self):
         for text in ["aa,bb", "cyclic:ab", "diag", "prod(cyclic:a;bb)"]:
