@@ -56,7 +56,6 @@ from .errors import (
 )
 from .hyperbolic import (
     DEFAULT_TUPLE_CAP,
-    FiniteMetric,
     WordSample,
     acylindricity_witnesses,
     check_tuple_cap,
@@ -443,10 +442,7 @@ def _execute(spec: ExperimentSpec) -> tuple[int, dict, tuple[list[str], list, li
         if spec.mode == "exhaustive":
             # |B(r)| is a closed form: a scan over the cap stops before the ball
             check_tuple_cap(ball_sizes(group, spec.max_radius)[-1], spec.budget)
-            sample = FiniteMetric.from_ball(enumerate_ball(group, spec.max_radius))
-        else:
-            # sampled distances are read off the words: no n x n metric
-            sample = WordSample(group, enumerate_ball(group, spec.max_radius).packed)
+        sample = WordSample(group, enumerate_ball(group, spec.max_radius).packed)
         estimate = estimate_delta(
             sample, spec.mode, trials=spec.trials, seed=spec.seed, tuple_cap=spec.budget
         )

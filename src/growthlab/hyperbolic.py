@@ -28,7 +28,6 @@ from .words import (
     GroupDescriptor,
     distance,
     invert_packed,
-    letter_columns,
     multiply_packed,
     packed_length,
 )
@@ -59,23 +58,31 @@ class WordSample:
     lcp being the longest common prefix of the reduced factor words. Each
     factor's words are laid out once as rows of width + 1 letters, padded
     with 0xff on the row side and with zero bytes on the column side, so
-    every pair has a first mismatch and it sits at their lcp. A distance
-    is read when asked for: no n x n matrix is built.
+    every pair has a first mismatch and it sits at their lcp. The layout
+    is read from the joined bytes one letter position at a time, with no
+    per-word object. A distance is read when asked for: no n x n matrix
+    is built.
     """
 
     def __init__(self, group: GroupDescriptor, packed: Sequence[bytes]):
         self.group = group
         self.packed = tuple(packed)
         self._factors = []
-        # every packed word holds num_factors - 1 separators, so one split
-        # of them all lists the factor words element by element
+        # every packed word holds num_factors - 1 separators, so the zero
+        # bytes of the joined words end the factor words element by element
         k = group.num_factors
-        parts = SEP.join(self.packed).split(SEP)
-        for words in (parts[f::k] for f in range(k)):
-            lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+        joined = np.frombuffer(SEP.join(self.packed) + SEP, dtype=np.uint8)
+        ends = np.flatnonzero(joined == 0)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        for f in range(k):
+            start, lengths = starts[f::k], ends[f::k] - starts[f::k]
             width = int(lengths.max()) + 1
-            cols = letter_columns(words, width).T
-            rows = np.where(np.arange(width) < lengths[:, None], cols, np.uint8(0xFF))
+            cols = np.empty((len(lengths), width), dtype=np.uint8)
+            rows = np.empty_like(cols)
+            for p in range(width):
+                # past its end a word reads its closing zero byte
+                cols[:, p] = joined[start + np.minimum(p, lengths)]
+                rows[:, p] = np.where(p < lengths, cols[:, p], np.uint8(0xFF))
             self._factors.append((lengths, rows, cols))
 
     @property
@@ -96,13 +103,13 @@ class WordSample:
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetric:
-    """A finite metric space: point labels plus a doubled-distance matrix.
+    """A finite metric space given directly: labels and a doubled-distance matrix.
 
     dist2[i][j] holds 2 d(i,j) so half-integer metrics stay integral.
     Construction validates symmetry, the zero diagonal, positivity off
     the diagonal, the bound MAX_DIST2 on every entry, and every triangle
-    inequality. Word-metric samples (from_elements, from_ball) satisfy
-    these by construction; the checks guard a matrix given directly.
+    inequality. A word metric (from_elements, from_ball) passes them by
+    construction, and its WordSample answers estimate_delta unchecked.
     """
 
     labels: tuple
@@ -164,11 +171,6 @@ class FiniteMetric:
     def from_ball(cls, ball: Ball) -> "FiniteMetric":
         return cls.from_elements(ball.elements())
 
-    def gromov4(self, o: int) -> np.ndarray:
-        """Matrix of 4 (x.y)_o, integral for half-integer metrics."""
-        d = self.dist2
-        return np.add.outer(d[:, o], d[:, o]) - d
-
 
 @dataclass(frozen=True)
 class DeltaEstimate:
@@ -178,6 +180,11 @@ class DeltaEstimate:
     witness: tuple
     tuples_checked: int
     mode: str
+
+
+def _gromov4(d: np.ndarray, o: int) -> np.ndarray:
+    """Matrix of 4 (x.y)_o from doubled distances d; integral on half-integer metrics."""
+    return np.add.outer(d[:, o], d[:, o]) - d
 
 
 def _block_defect(g4: np.ndarray, above: int) -> int:
@@ -206,11 +213,11 @@ def _block_defect(g4: np.ndarray, above: int) -> int:
     return best
 
 
-def _first_witness(sample: FiniteMetric, o: int, target: int) -> tuple[int, int, int, int]:
+def _first_witness(d: np.ndarray, o: int, target: int) -> tuple[int, int, int, int]:
     """The first (o, x, y, z) at basepoint o whose defect is target, in
     x order, then first argmax y, then first argmax z."""
-    g4 = sample.gromov4(o)
-    for x in range(sample.size):
+    g4 = _gromov4(d, o)
+    for x in range(len(d)):
         row = g4[x]
         defects = np.minimum(row[:, None], g4).max(axis=0) - row
         y = int(defects.argmax())
@@ -258,18 +265,20 @@ def estimate_delta(
     seed: int = 0,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> DeltaEstimate:
-    """Smallest delta making the four-point condition hold on the sample.
+    """Smallest delta making the four-point condition hold on the sample,
+    which answers size, label(i) and pair_dist2(i, j) in both modes.
 
-    Exhaustive mode covers all n^4 ordered quadruples and refuses beyond
-    tuple_cap. The defect 4(min((x.z)_o, (z.y)_o) - (x.y)_o) equals
-    d(x,y) + d(z,o) - max(d(x,z) + d(y,o), d(y,z) + d(x,o)) (doubled),
-    which the 8 permutations keeping the pairing {{x,y},{z,o}} leave
-    unchanged; they move any point to the basepoint slot, so basepoint o
-    only needs the points o..n-1. Each basepoint costs one float32 matrix
-    product per distinct Gromov product above the best defect so far: at
-    most 4r+1 of them on a word-metric ball of radius r, but up to n^2 on
-    a matrix given to FiniteMetric. The witness is the first quadruple in
-    (o, x) order with the largest defect, first argmax y, first argmax z.
+    Exhaustive mode reads all n^2 distances at once, covers all n^4
+    ordered quadruples and refuses beyond tuple_cap. The defect
+    4(min((x.z)_o, (z.y)_o) - (x.y)_o) equals d(x,y) + d(z,o) -
+    max(d(x,z) + d(y,o), d(y,z) + d(x,o)) (doubled), which the 8
+    permutations keeping the pairing {{x,y},{z,o}} leave unchanged; they
+    move any point to the basepoint slot, so basepoint o only needs the
+    points o..n-1. Each basepoint costs one float32 matrix product per
+    distinct Gromov product above the best defect so far: at most 4r+1
+    of them on a word-metric ball of radius r, but up to n^2 on a matrix
+    given to FiniteMetric. The witness is the first quadruple in (o, x)
+    order with the largest defect, first argmax y, first argmax z.
 
     Random mode draws the four indices of each trial as
     random.Random(seed).randrange(n) would, in o, x, y, z order, but in
@@ -277,17 +286,18 @@ def estimate_delta(
     the sampled distances, so a WordSample serves it with no n x n
     matrix. It yields a lower bound for the exhaustive answer, and its
     witness is the first trial with the largest positive defect.
-    Exhaustive mode needs a FiniteMetric.
     """
     n = sample.size
     if mode == "exhaustive":
         needed = check_tuple_cap(n, tuple_cap)
+        points = np.arange(n)
+        d = sample.pair_dist2(points[:, None], points)
         best, first = 0, 0
         for o in range(n):
-            got = _block_defect(sample.gromov4(o)[o:, o:], best)
+            got = _block_defect(_gromov4(d, o)[o:, o:], best)
             if got > best:
                 best, first = got, o
-        witness = _first_witness(sample, first, best) if best else (0, 0, 0, 0)
+        witness = _first_witness(d, first, best) if best else (0, 0, 0, 0)
         checked = needed
     elif mode == "random":
         rng = random.Random(seed)

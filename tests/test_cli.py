@@ -690,16 +690,21 @@ class TestExitCodes:
         assert built == []
         assert not (tmp_path / "delta.json").exists()
 
-    def test_random_delta_builds_no_metric(self, tmp_path, monkeypatch):
-        # B(7) has 4,373 points; the sampled distances are read off the words
+    @pytest.mark.parametrize(
+        "line,points",
+        [
+            ("delta --group free:2 --max-radius 7 --mode random --trials 1000", 4373),
+            ("delta --group free:2 --max-radius 3", 53),
+        ],
+        ids=["random", "exhaustive"],
+    )
+    def test_delta_builds_no_metric(self, tmp_path, monkeypatch, line, points):
+        # both modes read the distances off the ball's words
         built = []
-        monkeypatch.setattr(
-            FiniteMetric, "from_elements", classmethod(lambda *a: built.append("metric"))
-        )
-        line = "delta --group free:2 --max-radius 7 --mode random --trials 1000"
+        monkeypatch.setattr(FiniteMetric, "__post_init__", lambda self: built.append("metric"))
         assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "delta.json").read_text())["report"]
-        assert (report["points"], report["delta"], report["witness"]) == (4373, 0.0, ["1"] * 4)
+        assert (report["points"], report["delta"], report["witness"]) == (points, 0.0, ["1"] * 4)
         assert built == []
 
     def test_hypothesis_violation_is_3(self, tmp_path, capsys):
@@ -1045,6 +1050,16 @@ def test_diagonal_generators_give_the_pinned_diagonal_rate(tmp_path):
     body = (tmp_path / "rate.json").read_text()
     body = body.replace("--subgroup (a,a),(b,b)", "--subgroup diag")
     assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def test_one_generator_list_rates_as_its_cyclic_spelling(tmp_path):
+    # both spellings take the cyclic oracle, so only the spec tells the reports apart
+    bodies = []
+    for subgroup in ("(ab,B)", "cyclic:(ab,B)"):
+        line = f'rate --group "product(free:2,free:2)" --subgroup "{subgroup}" --max-radius 12'
+        assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 3
+        bodies.append((tmp_path / "rate.json").read_text())
+    assert bodies[0] == bodies[1].replace("--subgroup cyclic:(ab,B)", "--subgroup (ab,B)")
 
 
 # SHA-256 and exit code of more ambiguity artifacts: the balls workload's

@@ -311,16 +311,18 @@ class TestEstimateDelta:
         with pytest.raises(ValueError):
             estimate_delta(c4_metric(), "antic")
 
-    def test_random_on_words_matches_random_on_the_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    def test_words_match_the_matrix(self, monkeypatch, mode):
+        # delta, witness and tuples_checked; exhaustive mode reads no seed
         groups = ((F2, 3), (F2xF1, 2), (product_group(1, 1, 1), 2), (product_group(2, 2), 2))
         for group, r in groups:
             ball = enumerate_ball(group, r)
             words, metric = WordSample(group, ball.packed), FiniteMetric.from_ball(ball)
             for chunk in (hyperbolic._TRIAL_CHUNK, 7):
                 monkeypatch.setattr(hyperbolic, "_TRIAL_CHUNK", chunk)
-                for seed in range(5):
-                    on_words = estimate_delta(words, "random", trials=300, seed=seed)
-                    assert on_words == estimate_delta(metric, "random", trials=300, seed=seed)
+                for seed in range(5 if mode == "random" else 1):
+                    on_words = estimate_delta(words, mode, trials=300, seed=seed)
+                    assert on_words == estimate_delta(metric, mode, trials=300, seed=seed)
                     assert all(isinstance(label, Element) for label in on_words.witness)
 
 
