@@ -75,7 +75,8 @@ class WordSample:
         ends = np.flatnonzero(joined == 0)
         starts = np.concatenate(([0], ends[:-1] + 1))
         for f in range(k):
-            start, lengths = starts[f::k], ends[f::k] - starts[f::k]
+            start = starts[f::k]
+            lengths = ends[f::k] - start
             width = int(lengths.max()) + 1
             cols = np.empty((len(lengths), width), dtype=np.uint8)
             rows = np.empty_like(cols)
@@ -109,7 +110,7 @@ class FiniteMetric:
     Construction validates symmetry, the zero diagonal, positivity off
     the diagonal, the bound MAX_DIST2 on every entry, and every triangle
     inequality. A word metric (from_elements, from_ball) passes them by
-    construction, and its WordSample answers estimate_delta unchecked.
+    construction; estimate_delta takes its words unchecked as a WordSample.
     """
 
     labels: tuple
