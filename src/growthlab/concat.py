@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cayley import Ball, enumerate_ball, relative_ball
+from .cayley import Ball, relative_ball
 from .counting import relative_ball_counts
 from .errors import (
     AmbiguityBudgetError,
@@ -39,9 +39,9 @@ from .words import (
     Element,
     GroupDescriptor,
     common_prefix,
+    factor_columns,
     invert_packed,
     invert_word,
-    letter_columns,
     multiply_packed,
     multiply_words,
     packed_length,
@@ -284,22 +284,27 @@ def _admitted(
 
 
 def _junctions(
-    kit: ConnectorKit | None, us: Sequence[bytes], vs: Sequence[bytes], nf: int
+    kit: ConnectorKit | None, us: Sequence[bytes], v_layout: list[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[list[bytes], np.ndarray, np.ndarray]:
     """The products u x (u-major) and the doubled junction score matrices.
 
-    Row i of the left matrix is u_i's _junction_scores, row j of the right
-    one v_j's. kit=None has one empty piece, whose junctions never cancel.
+    v_layout is factor_columns of the v words. Row i of the left matrix is
+    u_i's _junction_scores, row j of the right one v_j's: x v cancels
+    lcp(x_f^-1, v_f) letters in each factor f. kit=None has one empty
+    piece, whose junctions never cancel.
     """
+    nf = len(v_layout)
     xs = [p.packed for p in kit.pieces] if kit is not None else [SEP * (nf - 1)]
     prods = [multiply_packed(u, x, nf) for u in us for x in xs]
     lu = np.array([len(u) for u in us], dtype=np.int64)
     lx = np.array([len(x) for x in xs], dtype=np.int64)
     la = np.array([len(a) for a in prods], dtype=np.int64).reshape(len(us), len(xs))
     left = lu[:, None] + lx - la - (nf - 1)
-    if kit is None:
-        return prods, left, np.zeros((len(vs), 1), dtype=np.int64)
-    right = np.array([_junction_scores(kit, v, nf, left=False) for v in vs], dtype=np.int64)
+    x_inv = factor_columns([invert_packed(x, nf) for x in xs], nf)
+    right = 0
+    for (x_lens, x_cols), (v_lens, v_cols) in zip(x_inv, v_layout):
+        cap = np.minimum(v_lens[:, None], x_lens)
+        right = right + 2 * common_prefix(x_cols, v_cols[:, :, None], cap)
     return prods, left, right
 
 
@@ -312,18 +317,17 @@ def _worse_junctions(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.maximum(left[:, None, :], right[None, :, :])
 
 
-def _coded(words: Sequence[bytes], pows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and base-B codes of reduced words, first letter most significant.
+def _coded(lengths: np.ndarray, cols: np.ndarray, pows: np.ndarray) -> np.ndarray:
+    """Base-B codes of reduced words from their factor_columns, first letter
+    most significant.
 
     The digits are the letter bytes 1..2k, all below B = pows[1], so a
     longer word always has the larger code and code order is shortlex.
     """
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
-    width = int(lengths.max())
-    code = np.zeros(len(words), dtype=pows.dtype)
-    for col in letter_columns(words, width).astype(pows.dtype):
+    code = np.zeros(len(lengths), dtype=pows.dtype)
+    for col in cols.astype(pows.dtype):
         code = code * pows[1] + col
-    return lengths, code // pows[width - lengths]
+    return code // pows[len(cols) - lengths]
 
 
 def _unkey(key: int, base: int) -> bytes:
@@ -360,19 +364,17 @@ def _image_keys(
     )
 
     us, vs = ball.packed[: counts[s_top]], ball.packed[: counts[t_top]]
-    prods, left, right = _junctions(kit, us, vs, nf)
+    v_layout = factor_columns(vs, nf)
+    prods, left, right = _junctions(kit, us, v_layout)
     n_pieces = left.shape[1]
     u_len = np.array([len(u) for u in us], dtype=np.int64) - (nf - 1)
     v_len = np.array([len(v) for v in vs], dtype=np.int64) - (nf - 1)
-    factors = []
-    for a_words, v_words in zip(
-        zip(*(a.split(SEP) for a in prods)), zip(*(v.split(SEP) for v in vs))
-    ):
-        a_lens, a_codes = _coded(a_words, pows)
-        v_lens, v_codes = _coded(v_words, pows)
-        width = min(int(a_lens.max()), int(v_lens.max()))
-        a_inv = letter_columns([invert_word(a) for a in a_words], width, b"\xff")
-        factors.append((a_lens, a_codes, a_inv, v_lens, v_codes, letter_columns(v_words, width)))
+    a_layout = factor_columns(prods, nf)
+    inv_layout = factor_columns([invert_packed(a, nf) for a in prods], nf)
+    factors = [
+        (a_lens, _coded(a_lens, a_cols, pows), a_inv, v_lens, _coded(v_lens, v_cols, pows), v_cols)
+        for (a_lens, a_cols), (_, a_inv), (v_lens, v_cols) in zip(a_layout, inv_layout, v_layout)
+    ]
 
     # u rows that meet the same v's form one segment, cut into blocks
     segments: list[list[int]] = []
@@ -394,10 +396,11 @@ def _image_keys(
             ai = np.arange(lo * n_pieces, hi * n_pieces, n_pieces)[:, None] + pick
             code, length = None, 0
             for a_lens, a_codes, a_inv, v_lens, v_codes, v_cols in factors:
-                k = common_prefix((col[ai] for col in a_inv), v_cols[:, :n_v], ai.shape)
+                a_len = a_lens[ai]
+                k = common_prefix((col[ai] for col in a_inv), v_cols[:, :n_v], a_len)
                 rest = v_lens[:n_v] - k
                 part = a_codes[ai] // pows[k] * pows[rest] + v_codes[:n_v] % pows[rest]
-                part_len = a_lens[ai] + rest - k
+                part_len = a_len + rest - k
                 code = part if code is None else code * pows[part_len + 1] + part
                 length = length + part_len
             # (|u|, |v|) is the tightest cell holding the pair
@@ -560,22 +563,3 @@ def fiber_size(
             if _select(_junction_scores(kit, up, nf, left=True), right)[0] == p:
                 count += 1
     return count
-
-
-def max_connector_score(kit: ConnectorKit, domain: int | Ball) -> float:
-    """Largest selected junction score over all pairs of a ball.
-
-    An empirical stand-in for the selection lemma's constant A: the
-    selected piece's score stays small even as the ball grows.
-    """
-    if isinstance(domain, Ball):
-        ball = domain
-        if ball.group != kit.group:
-            raise GroupMismatchError("ball and kit groups differ")
-    else:
-        ball = enumerate_ball(kit.group, domain)
-    _, left, right = _junctions(kit, ball.packed, ball.packed, kit.group.num_factors)
-    # the choice depends on each side only through its score row
-    worst = _worse_junctions(np.unique(left, axis=0), np.unique(right, axis=0)).min(axis=2)
-    return int(worst.max()) / 2
-

@@ -23,10 +23,11 @@ import numpy as np
 from .cayley import DEFAULT_BUDGET, Ball, enumerate_ball
 from .errors import GroupMismatchError, TupleBudgetError
 from .words import (
-    SEP,
     Element,
     GroupDescriptor,
+    common_prefix,
     distance,
+    factor_columns,
     invert_packed,
     multiply_packed,
     packed_length,
@@ -56,35 +57,15 @@ class WordSample:
 
     d(u, v) is the sum over factors of |u_i| + |v_i| - 2 lcp(u_i, v_i),
     lcp being the longest common prefix of the reduced factor words. Each
-    factor's words are laid out once as rows of width + 1 letters, padded
-    with 0xff on the row side and with zero bytes on the column side, so
-    every pair has a first mismatch and it sits at their lcp. The layout
-    is read from the joined bytes one letter position at a time, with no
-    per-word object. A distance is read when asked for: no n x n matrix
-    is built.
+    factor's words are laid out once by words.factor_columns, and a
+    distance is read through words.common_prefix when asked for: no n x n
+    matrix is built.
     """
 
     def __init__(self, group: GroupDescriptor, packed: Sequence[bytes]):
         self.group = group
         self.packed = tuple(packed)
-        self._factors = []
-        # every packed word holds num_factors - 1 separators, so the zero
-        # bytes of the joined words end the factor words element by element
-        k = group.num_factors
-        joined = np.frombuffer(SEP.join(self.packed) + SEP, dtype=np.uint8)
-        ends = np.flatnonzero(joined == 0)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        for f in range(k):
-            start = starts[f::k]
-            lengths = ends[f::k] - start
-            width = int(lengths.max()) + 1
-            cols = np.empty((len(lengths), width), dtype=np.uint8)
-            rows = np.empty_like(cols)
-            for p in range(width):
-                # past its end a word reads its closing zero byte
-                cols[:, p] = joined[start + np.minimum(p, lengths)]
-                rows[:, p] = np.where(p < lengths, cols[:, p], np.uint8(0xFF))
-            self._factors.append((lengths, rows, cols))
+        self._factors = factor_columns(self.packed, group.num_factors)
 
     @property
     def size(self) -> int:
@@ -96,9 +77,10 @@ class WordSample:
     def pair_dist2(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """2 d(i, j) for index arrays i and j, broadcast against each other."""
         d = 0
-        for lengths, rows, cols in self._factors:
-            lcp = (rows[i] != cols[j]).argmax(axis=-1)
-            d = d + lengths[i] + lengths[j] - 2 * lcp
+        for lengths, cols in self._factors:
+            li, lj = lengths[i], lengths[j]
+            lcp = common_prefix((c[i] for c in cols), (c[j] for c in cols), np.minimum(li, lj))
+            d = d + li + lj - 2 * lcp
         return 2 * d
 
 

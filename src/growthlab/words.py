@@ -24,8 +24,14 @@ letter, with generator i encoded as 2*i+1 and its inverse as 2*i+2. An
 element packs its factor words joined by a zero byte. The encoding makes
 byte order agree with letter order, so shortlex is (length, packed bytes).
 The *_word / *_packed helpers below operate on this layer; they trust their
-inputs and are shared by the enumeration-heavy modules, and letter_columns
-lays factor words out for numpy.
+inputs and are shared by the enumeration-heavy modules.
+
+The numpy passes (hyperbolic.WordSample's distances and concat's image
+keys) share one layout and one prefix rule. factor_columns gives each
+factor's word lengths and a (width, n) uint8 matrix whose row p holds every
+word's letter p, zero past the word's end; common_prefix reads the longest
+common prefix of two such column sets with a running AND, capped by a
+length, since two equal words also match on their zero padding.
 """
 
 from __future__ import annotations
@@ -92,20 +98,43 @@ def packed_length(x: bytes, num_factors: int) -> int:
     return len(x) - (num_factors - 1)
 
 
-def letter_columns(words: Sequence[bytes], width: int, pad: bytes = b"\0") -> np.ndarray:
-    """The words' first width letters, padded: a width x len(words) uint8 array."""
-    flat = b"".join(w[:width].ljust(width, pad) for w in words)
-    return np.frombuffer(flat, dtype=np.uint8).reshape(len(words), width).T
+def factor_columns(
+    packed: Sequence[bytes], num_factors: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each factor's word lengths and zero-padded (width, n) letter matrix.
+
+    Read from SEP.join(packed) + SEP one letter position at a time: every
+    packed word holds num_factors - 1 separators, so the zero bytes end the
+    factor words element by element, and past its end a word reads its
+    closing zero byte. No per-word object is made.
+    """
+    joined = np.frombuffer(SEP.join(packed) + SEP, dtype=np.uint8)
+    # an empty list still joins to one zero byte, which ends no word
+    ends = np.flatnonzero(joined == 0)[: len(packed) * num_factors]
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    out = []
+    for f in range(num_factors):
+        start = starts[f::num_factors]
+        lengths = ends[f::num_factors] - start
+        cols = np.empty((int(lengths.max(initial=0)), len(lengths)), dtype=np.uint8)
+        for p, row in enumerate(cols):
+            row[:] = joined[start + np.minimum(p, lengths)]
+        out.append((lengths, cols))
+    return out
 
 
-def common_prefix(a_cols, b_cols, shape: tuple[int, ...]) -> np.ndarray:
-    """Common prefix lengths of letter columns padded with two different bytes."""
-    k = np.zeros(shape, dtype=np.int64)
-    same = np.ones(shape, dtype=bool)
+def common_prefix(a_cols, b_cols, cap: np.ndarray) -> np.ndarray:
+    """Common prefix lengths of zero-padded letter columns, at most cap.
+
+    The columns broadcast to cap's shape. Two equal words also match on
+    their padding, so cap is the length of either word, or the smaller.
+    """
+    k = np.zeros(cap.shape, dtype=np.int64)
+    same = np.ones(cap.shape, dtype=bool)
     for a, b in zip(a_cols, b_cols):
         same &= a == b
         k += same
-    return k
+    return np.minimum(k, cap)
 
 
 def free_spheres(rank: int, radius: int) -> list[list[bytes]]:

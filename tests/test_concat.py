@@ -23,7 +23,6 @@ from growthlab.concat import (
     concat_apply,
     fiber_size,
     have_common_power,
-    max_connector_score,
     measure_ambiguity,
     primitive_root,
     select_connector,
@@ -46,6 +45,7 @@ from growthlab.subgroups import (
 from growthlab.words import (
     Element,
     GroupDescriptor,
+    factor_columns,
     free_group,
     multiply_packed,
     parse_element,
@@ -501,17 +501,24 @@ class TestMeasureAmbiguity:
         assert exc.value.pairs_needed == 1
 
 class TestConnectorScore:
+    @staticmethod
+    def max_selected_score(kit, ball):
+        """Largest selected junction score over all pairs of the ball."""
+        layout = factor_columns(ball.packed, kit.group.num_factors)
+        _, left, right = _junctions(kit, ball.packed, layout)
+        return int(_worse_junctions(left, right).min(axis=2).max()) / 2
+
     def test_generator_kit_always_finds_a_clean_piece(self, kit2):
         # u blocks at most one piece and v at most one, so the chosen
         # junctions never cancel at all
-        assert max_connector_score(kit2, 3) == 0.0
+        assert self.max_selected_score(kit2, enumerate_ball(F2, 3)) == 0.0
 
     def test_score_non_increasing_in_exponent(self):
         ball = enumerate_ball(F2, 3)
         scores = []
         for n in (1, 2, 3):
             kit = build_connector_kit(F2, el("ab"), el("ba"), n)
-            scores.append(max_connector_score(kit, ball))
+            scores.append(self.max_selected_score(kit, ball))
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
 
     @pytest.mark.parametrize(
@@ -522,19 +529,28 @@ class TestConnectorScore:
         kit = build_connector_kit(group, el(g, group), el(h, group), n)
         nf = group.num_factors
         ball = enumerate_ball(group, 3)
-        _, left, right = _junctions(kit, ball.packed, ball.packed, nf)
+        _, left, right = _junctions(kit, ball.packed, factor_columns(ball.packed, nf))
+        rights = [_junction_scores(kit, v, nf, left=False) for v in ball.packed]
+        assert right.tolist() == [list(r) for r in rights]
         worse = _worse_junctions(left, right)
         picks, scores = worse.argmin(axis=2), worse.min(axis=2)
-        rights = [_junction_scores(kit, v, nf, left=False) for v in ball.packed]
         ties = 0
         for i, u in enumerate(ball.packed):
             lefts = _junction_scores(kit, u, nf, left=True)
             assert tuple(left[i]) == lefts
             for j, r in enumerate(rights):
-                assert tuple(right[j]) == r
                 assert (picks[i, j], scores[i, j]) == _select(lefts, r)
                 ties += [max(a, b) for a, b in zip(lefts, r)].count(scores[i, j]) > 1
         assert ties > 0  # the first-minimum tie-break is exercised
+
+    @pytest.mark.parametrize("group", [F2, F2xF2])
+    def test_naive_junctions_never_cancel(self, group):
+        ball = enumerate_ball(group, 2)
+        nf = group.num_factors
+        prods, left, right = _junctions(None, ball.packed, factor_columns(ball.packed, nf))
+        assert prods == list(ball.packed)
+        assert left.shape == (len(ball.packed), 1) and not left.any()
+        assert right.shape == (len(ball.packed), 1) and not right.any()
 
 class TestSupermultiplicativity:
     """beta(s)beta(t) <= l(t) beta(s+t+c) is rate's combination check with

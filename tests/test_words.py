@@ -4,6 +4,7 @@ The reduction oracle here is deliberately different from the library's
 stack reducer: it rescans for an adjacent inverse pair until none is left.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from growthlab import words
 from growthlab.errors import GroupMismatchError, ParseError
 from growthlab.words import (
+    SEP,
     Element,
     GroupDescriptor,
     distance,
@@ -28,6 +30,7 @@ F2 = free_group(2)
 F1 = free_group(1)
 F2xF2 = product_group(2, 2)
 F2xF1 = product_group(2, 1)
+F1xF1xF1 = product_group(1, 1, 1)
 
 
 def rescan_reduce(letters):
@@ -64,6 +67,25 @@ def elements_of(group, max_len=8):
         return g
 
     return st.builds(build, st.lists(st.integers(0, len(gens) - 1), max_size=max_len))
+
+
+@st.composite
+def packed_samples(draw):
+    """A group and a list of packed words, drawn from a few factor words per
+    factor, so the list repeats words and shares factor words."""
+    group = draw(st.sampled_from([F2, F2xF1, F1xF1xF1]))
+    pools = [
+        draw(st.lists(elements_of(free_group(k)), min_size=1, max_size=4)) for k in group.ranks
+    ]
+    picks = draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)), max_size=12))
+    return group, [SEP.join(w.packed for w in pick) for pick in picks]
+
+
+def pure_lcp(a, b):
+    k = 0
+    while k < min(len(a), len(b)) and a[k] == b[k]:
+        k += 1
+    return k
 
 
 def shortlex(u, v):
@@ -222,6 +244,30 @@ class TestTextSyntax:
     @given(elements_of(F2xF1))
     def test_render_parse_round_trip(self, g):
         assert parse_element(F2xF1, render_element(g)) == g
+
+
+class TestFactorColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(packed_samples())
+    def test_layout_and_prefixes_match_the_words(self, sample):
+        group, packed = sample
+        layout = words.factor_columns(packed, group.num_factors)
+        assert len(layout) == group.num_factors
+        index = np.arange(len(packed))
+        for f, (lengths, cols) in enumerate(layout):
+            ws = [p.split(SEP)[f] for p in packed]
+            width = max(map(len, ws), default=0)
+            assert lengths.tolist() == [len(w) for w in ws]
+            assert cols.shape == (width, len(ws)) and cols.dtype == np.uint8
+            assert [bytes(col) for col in cols.T] == [w.ljust(width, b"\0") for w in ws]
+            expected = [[pure_lcp(a, b) for b in ws] for a in ws]
+            # the cap is the smaller length, or either word's own length
+            n = len(ws)
+            for cap in (np.minimum(lengths[:, None], lengths), np.broadcast_to(lengths[:, None], (n, n))):
+                got = words.common_prefix(
+                    (c[index[:, None]] for c in cols), (c[index] for c in cols), cap
+                )
+                assert got.tolist() == expected
 
 
 class TestDescriptor:
