@@ -1,9 +1,9 @@
 """Growth-rate bracketing from finite growth tables.
 
 A growth table only ever shows finitely many values, so no limit of
-f(n)^{1/n} can be certified from it.  What can be certified is an
-interval.  Suppose f satisfies, for some threshold C, a combination
-inequality
+f(n)^{1/n} can be certified from it.  What it gives is an interval,
+conditional on a hypothesis.  Suppose f satisfies, for some threshold C,
+a combination inequality
 
     f(m) * f(n) <= epsilon(n) * f(m + n + l(n))   for all m and all n >= C
 
@@ -13,11 +13,16 @@ table entry f(s) into an asymptotic lower bound
 
     liminf f(n)^{1/n}  >=  (f(s) / epsilon(s)) ^ (1 / (s + l(s))),
 
-so the best such bound over the table is a certified floor whenever the
-hypothesis holds on the supplied range.  The ceiling is empirical: the
-monotone envelope min_n max_{m >= n} a_m of the root sequence
-a_n = f(n)^{1/n}, which for genuinely submultiplicative tables is itself
-an upper bound for the limit.
+so the best such bound over the table is a floor for the limit if the
+hypothesis holds at every index.  check_hypothesis tests the table's
+range only, so a passing check (hypothesis_ok) does not certify the
+floor: `rate --group free:1 --max-radius 20 --epsilon 11` passes with a
+floor of 1.0717, though the growth rate of Z is 1, because
+(2m+1)(2n+1) <= 11 (2m+2n+1) holds for m + n <= 20 but fails for larger
+m and n.  The ceiling is empirical: the monotone envelope
+min_n max_{m >= n} a_m of the root sequence a_n = f(n)^{1/n}, which for
+genuinely submultiplicative tables is itself an upper bound for the
+limit.
 
 Arithmetic policy: counts are integers and epsilons and growth bounds
 exact fractions p/q.  Every comparison is an integer cross-multiplication:
@@ -241,11 +246,12 @@ class WalkRow:
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Certified floor and empirical ceiling for lim f(n)^{1/n}.
+    """Conditional floor and empirical ceiling for lim f(n)^{1/n}.
 
-    The floor is certified only when the recorded hypothesis checks out
-    on the supplied range (hypothesis_ok); otherwise it is conditional
-    and the violations say why.  The walk table replays the per-n bound
+    The floor follows only if the recorded hypothesis holds at every
+    index; hypothesis_ok says only that it holds on the table's range
+    (see the module docstring's free:1 example), and when it does not,
+    the violations say why.  The walk table replays the per-n bound
     (f(s)/epsilon(s))^{q/n} at the witness s, exposing how the headline
     bound arises.
     """
@@ -294,20 +300,21 @@ def _as_counts(f: Iterable[int]) -> tuple[int, ...]:
 
 
 def _int_nth_root(value: int, degree: int) -> int:
-    """Largest r with r**degree <= value, exact integer arithmetic."""
+    """Largest r with r**degree <= value, by exact bisection.
+
+    The root lies in [0, 2^ceil(bits/degree)), so the bisection takes about
+    bits/degree steps whatever the size of the root.
+    """
     if value < 0 or degree < 1:
         raise ValueError("nth root needs value >= 0 and degree >= 1")
-    if degree == 1 or value in (0, 1):
-        return value
-    try:
-        root = int(round(value ** (1.0 / degree)))
-    except OverflowError:
-        root = 1 << ((value.bit_length() + degree - 1) // degree)
-    while root > 1 and root**degree > value:
-        root -= 1
-    while (root + 1) ** degree <= value:
-        root += 1
-    return root
+    lo, hi = 0, 1 << -(-value.bit_length() // degree)  # lo**degree <= value < hi**degree
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**degree <= value:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _rational_root(value: Fraction, degree: int) -> float:
@@ -426,7 +433,8 @@ def fekete_lower_bound(f: Iterable[int], hyp: RateHypothesis) -> RateEstimate:
     certified_lower maximises (f(s)/epsilon(s))^{1/(s+shift(s))} over
     s >= threshold in range; empirical_upper is the monotone envelope
     min_n max_{m>=n} a_m of the root sequence.  The embedded hypothesis
-    check never raises on failure, it just marks the floor conditional.
+    check covers the table only and never raises on failure; its
+    violations go into the estimate.
     """
     counts = _as_counts(f)
     top = len(counts) - 1

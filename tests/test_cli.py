@@ -734,6 +734,17 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolationError"
 
+    def test_rate_with_a_huge_epsilon_is_fast(self, tmp_path):
+        # with epsilon 10^50 the floor takes roots of fractions whose
+        # denominators are far past a float guess's 53 bits
+        start = time.perf_counter()
+        code = main(
+            ["rate", "--group", "free:2", "--max-radius", "4", "--epsilon", "1" + "0" * 50,
+             "--out", str(tmp_path)]
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 0
+
     def test_long_free_growth_table_is_linear_time(self, tmp_path):
         # at r = 10,000 the whole-group check must stay linear in the radius
         start = time.perf_counter()

@@ -1,6 +1,7 @@
 """Root sequences, hypothesis checks, and growth-rate bracketing."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab.cayley import growth_sequence
-from growthlab.counting import free_ball_counts
+from growthlab.counting import ball_counts, free_ball_counts
 from growthlab.errors import ParseError
 from growthlab.rate import (
     FuncSpec,
@@ -16,6 +17,7 @@ from growthlab.rate import (
     HypothesisViolation,
     RateHypothesis,
     check_hypothesis,
+    _int_nth_root,
     default_growth_bound,
     fekete_lower_bound,
     hypothesis_from_growth,
@@ -123,6 +125,22 @@ class TestRootSequence:
         # a growth table is its counts: the enumerated ball's counts_by_radius
         table = growth_sequence(free_group(2), 14).counts_by_radius
         assert root_sequence(table) == root_sequence(F2_14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**1500), st.integers(1, 40))
+    def test_int_nth_root_brackets(self, value, degree):
+        # values past 2^1024 have no float guess to start from
+        root = _int_nth_root(value, degree)
+        assert root**degree <= value < (root + 1) ** degree
+
+    def test_measured_epsilon_bracket_is_fast(self):
+        # the measured epsilon's numerator has 173 bits, and its small
+        # degree roots once took one correction step per unit of error
+        table = ball_counts(product_group(2, 2), 100)
+        start = time.perf_counter()
+        est = fekete_lower_bound(table, hypothesis_from_growth(table, 0))
+        assert time.perf_counter() - start < 1
+        assert est.hypothesis_ok and 3 < est.certified_lower < est.empirical_upper
 
 
 class TestCheckHypothesis:
