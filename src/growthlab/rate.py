@@ -300,11 +300,7 @@ def _as_counts(f: Iterable[int]) -> tuple[int, ...]:
 
 
 def _int_nth_root(value: int, degree: int) -> int:
-    """Largest r with r**degree <= value, by exact bisection.
-
-    The root lies in [0, 2^ceil(bits/degree)), so the bisection takes about
-    bits/degree steps whatever the size of the root.
-    """
+    """Largest r with r**degree <= value, by bisection on [0, 2^ceil(bits/degree))."""
     if value < 0 or degree < 1:
         raise ValueError("nth root needs value >= 0 and degree >= 1")
     lo, hi = 0, 1 << -(-value.bit_length() // degree)  # lo**degree <= value < hi**degree

@@ -24,14 +24,9 @@ letter, with generator i encoded as 2*i+1 and its inverse as 2*i+2. An
 element packs its factor words joined by a zero byte. The encoding makes
 byte order agree with letter order, so shortlex is (length, packed bytes).
 The *_word / *_packed helpers below operate on this layer; they trust their
-inputs and are shared by the enumeration-heavy modules.
-
-The numpy passes (hyperbolic.WordSample's distances and concat's image
-keys) share one layout and one prefix rule. factor_columns gives each
-factor's word lengths and a (width, n) uint8 matrix whose row p holds every
-word's letter p, zero past the word's end; common_prefix reads the longest
-common prefix of two such column sets with a running AND, capped by a
-length, since two equal words also match on their zero padding.
+inputs and are shared by the enumeration-heavy modules. The numpy passes
+(hyperbolic.WordSample's distances, concat's image keys) share one layout,
+factor_columns, and one longest-common-prefix reader, common_prefix.
 """
 
 from __future__ import annotations
@@ -101,12 +96,12 @@ def packed_length(x: bytes, num_factors: int) -> int:
 def factor_columns(
     packed: Sequence[bytes], num_factors: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each factor's word lengths and zero-padded (width, n) letter matrix.
+    """Each factor's word lengths and (width, n) uint8 letter matrix, whose
+    row p holds every word's letter p, or 0 past the word's end.
 
-    Read from SEP.join(packed) + SEP one letter position at a time: every
-    packed word holds num_factors - 1 separators, so the zero bytes end the
-    factor words element by element, and past its end a word reads its
-    closing zero byte. No per-word object is made.
+    Read from SEP.join(packed) + SEP one letter position at a time: the
+    zero bytes end the factor words element by element, and past its end a
+    word reads its closing zero byte, so no per-word object is made.
     """
     joined = np.frombuffer(SEP.join(packed) + SEP, dtype=np.uint8)
     # an empty list still joins to one zero byte, which ends no word
@@ -124,10 +119,10 @@ def factor_columns(
 
 
 def common_prefix(a_cols, b_cols, cap: np.ndarray) -> np.ndarray:
-    """Common prefix lengths of zero-padded letter columns, at most cap.
+    """Common prefix lengths of factor_columns rows, by a running AND.
 
-    The columns broadcast to cap's shape. Two equal words also match on
-    their padding, so cap is the length of either word, or the smaller.
+    The rows broadcast to cap's shape. Two equal words also match on their
+    zero padding, so cap is either word's length, or the smaller one.
     """
     k = np.zeros(cap.shape, dtype=np.int64)
     same = np.ones(cap.shape, dtype=bool)
