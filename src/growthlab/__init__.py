@@ -39,7 +39,7 @@ from .errors import (
     InvariantViolationError,
     OracleBudgetError,
     ParseError,
-    SearchDepthError,
+    SearchBudgetError,
     TupleBudgetError,
     UnsupportedConfigurationError,
 )

@@ -27,7 +27,7 @@ from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 from .counting import ball_counts
-from .errors import BallBudgetError, InvariantViolationError, SearchDepthError
+from .errors import BallBudgetError, InvariantViolationError, SearchBudgetError
 from .subgroups import SubgroupOracle, WholeGroupOracle, oracle_for_generators
 from .words import Element, GroupDescriptor, invert_packed, multiply_packed, packed_length
 
@@ -185,41 +185,44 @@ def subgroup_word_length(
     generators: Sequence[Element],
     target: Element,
     *,
-    depth_cap: int = 64,
+    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """|target|_Y by iterative deepening over products of the generators.
 
-    Exact without storing subgroup balls. Search is pruned by the admissible
-    bound that one step changes ambient length by at most max |y|_X, and by
-    never undoing the previous step.
+    Exact without storing subgroup balls, and iterative: one explicit stack
+    of (residual, steps left, last step). The steps come in inverse pairs,
+    so step i ^ 1 undoes step i and is never taken right after it. One step
+    changes ambient length by at most max |y|_X, so the first depth tried
+    is ceil(|target|_X / max |y|_X) and a child is pushed only while its
+    length is at most (steps left) * max |y|_X. Every residual popped, over
+    all depths, counts against the budget; past it, or at once when every
+    generator is trivial and the target is not, SearchBudgetError.
     """
-    group = target.group
-    nf = group.num_factors
-    steps: list[bytes] = []
-    undo: list[int] = []
-    for g in generators:
-        steps.append(invert_packed(g.packed, nf))  # left-division steps
-        steps.append(g.packed)
-        undo.extend([len(steps) - 1, len(steps) - 2])
+    nf = target.group.num_factors
+    # left-division steps, each generator's inverse then itself
+    steps = [s for g in generators for s in (invert_packed(g.packed, nf), g.packed)]
     max_step = max((packed_length(s, nf) for s in steps), default=0)
-    identity = group.identity().packed
-
-    def dfs(residual: bytes, depth: int, last: int) -> bool:
-        if residual == identity:
-            return True
-        if depth == 0 or packed_length(residual, nf) > depth * max_step:
-            return False
-        for i, s in enumerate(steps):
-            if last >= 0 and i == undo[last]:
-                continue
-            if dfs(multiply_packed(s, residual, nf), depth - 1, i):
-                return True
-        return False
-
-    for depth in range(depth_cap + 1):
-        if dfs(target.packed, depth, -1):
-            return depth
-    raise SearchDepthError(target.render(), depth_cap)
+    length = packed_length(target.packed, nf)
+    if length and not max_step:
+        raise SearchBudgetError(target.render(), budget)
+    depth = -(-length // max_step) if length else 0
+    popped = 0
+    while True:
+        stack = [(target.packed, depth, -1)]
+        while stack:
+            residual, left, last = stack.pop()
+            popped += 1
+            if popped > budget:
+                raise SearchBudgetError(target.render(), budget)
+            if len(residual) == nf - 1:  # the identity
+                return depth
+            reach = (left - 1) * max_step + nf - 1  # longest packed child worth pushing
+            for i in reversed(range(len(steps))):  # popped in step order
+                if i ^ 1 != last:
+                    child = multiply_packed(steps[i], residual, nf)
+                    if len(child) <= reach:
+                        stack.append((child, left - 1, i))
+        depth += 1
 
 
 @dataclass(frozen=True)
@@ -244,7 +247,9 @@ def distortion(
     """Distortion of H = <generators> inside its ambient group.
 
     Members come from the oracle's relative ball, generated from its
-    structure, then each gets its exact generator-word length. Without an
+    structure, then each gets its exact generator-word length from one
+    subgroup_word_length search. The budget caps the ambient ball's
+    closed-form size and, separately, each member's search. Without an
     oracle it takes oracle_for_generators's, as the CLI does: when the
     generators' fold conflicts on every factor membership falls back to
     budgeted enumeration, and elements it cannot certify are excluded but
@@ -257,7 +262,7 @@ def distortion(
     values = [0] * (radius + 1)
     for p in rel.packed:
         n = len(p) - offset
-        y_len = subgroup_word_length(generators, Element(group, p))
+        y_len = subgroup_word_length(generators, Element(group, p), budget=budget)
         if y_len > values[n]:
             values[n] = y_len
     best = 0

@@ -526,9 +526,13 @@ def run(spec: ExperimentSpec) -> int:
     except (GrowthlabError, ValueError) as exc:
         _diagnose(exc)
         return 1
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{spec.command}.{spec.format}"
-    path.write_text(_artifact(spec, report, view))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(_artifact(spec, report, view))
+    except OSError as exc:  # e.g. the output directory names an existing file
+        _diagnose(exc)
+        return 1
     if code == 3:
         failure = HypothesisViolationError(f"{spec.command} detected violations; see {path}")
     if failure is not None:

@@ -66,14 +66,18 @@ class OracleBudgetError(BudgetError):
         )
 
 
-class SearchDepthError(BudgetError):
-    """Iterative-deepening word search exceeded its depth cap."""
+class SearchBudgetError(BudgetError):
+    """The subgroup-generator word search popped more residuals than its budget.
 
-    def __init__(self, element_text: str, depth_cap: int):
+    Raised per member: the budget bounds one target's search, over every
+    depth it tried.
+    """
+
+    def __init__(self, element_text: str, budget: int):
         self.element_text = element_text
-        self.depth_cap = depth_cap
+        self.budget = budget
         super().__init__(
-            f"subgroup-generator search for {element_text} exceeded depth cap {depth_cap}"
+            f"subgroup-generator search for {element_text} found no word within {budget} residuals"
         )
 
 

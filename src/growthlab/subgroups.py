@@ -382,14 +382,19 @@ class StallingsOracle(SubgroupOracle):
 
         A path of length n reads a member of length at least spread * n, its
         word in the folded factor and its copies, so paths are searched to
-        length radius // spread. Labels only add to that length.
+        length radius // spread. Labels only add to that length. With every
+        label trivial the member is exactly that long, and each length's
+        closed words come out shortlex sorted, so they are placed as sphere
+        spread * n with no sort.
         """
-        words = chain.from_iterable(self._closed_words(radius // self.spread))
+        words = self._closed_words(radius // self.spread)
+        unknown = [0] * (radius + 1)
         if self.graph.labels:
-            members = map(self._member, words)
-        else:
-            members = (w.join(self._gaps) for w in words)
-        return _by_sphere(members, radius, self.group.num_factors), [0] * (radius + 1)
+            members = map(self._member, chain.from_iterable(words))
+            return _by_sphere(members, radius, self.group.num_factors), unknown
+        spheres: list[list[bytes]] = [[] for _ in range(radius + 1)]
+        spheres[:: self.spread] = [[w.join(self._gaps) for w in ws] for ws in words]
+        return spheres, unknown
 
     def sphere_counts(self, radius: int) -> list[int]:
         """Reduced closed paths at the basepoint per length, summed by state.

@@ -17,7 +17,7 @@ from growthlab.cayley import (
 )
 from growthlab import cayley
 from growthlab.counting import ball_counts, relative_ball_counts
-from growthlab.errors import BallBudgetError, SearchDepthError, UnsupportedConfigurationError
+from growthlab.errors import BallBudgetError, SearchBudgetError, UnsupportedConfigurationError
 from growthlab.subgroups import (
     BudgetedEnumerationOracle,
     CyclicOracle,
@@ -34,7 +34,9 @@ from growthlab.words import (
     Element,
     GroupDescriptor,
     free_group,
+    invert_packed,
     invert_word,
+    multiply_packed,
     parse_element,
     product_group,
     reduce_letter_bytes,
@@ -182,6 +184,44 @@ def oracles(draw):
             # the default of 8 generators would enumerate far past radius 6
             oracle = BudgetedEnumerationOracle(group, gens, radius=draw(st.integers(0, 3)))
     return group, oracle, draw(st.integers(0, 6))
+
+
+def breadth_first_word_lengths(generators, targets):
+    """|h|_Y of each target h in <Y>: the products of k generators, k = 0, 1, ...,
+    each new one kept in a seen set."""
+    group = generators[0].group
+    nf = group.num_factors
+    steps = [g.packed for g in generators] + [invert_packed(g.packed, nf) for g in generators]
+    frontier = seen = {group.identity().packed}
+    lengths = {}
+    k = 0
+    while True:
+        lengths.update((p, k) for p in frontier & set(targets))
+        if len(lengths) == len(set(targets)):
+            return lengths
+        frontier = {multiply_packed(s, p, nf) for p in frontier for s in steps} - seen
+        assert frontier, "a target is not in the subgroup"
+        seen = seen | frontier
+        k += 1
+
+
+@st.composite
+def word_searches(draw):
+    """A generator list over F2, F1 x F1 or F2 x F1, with a duplicate, an
+    inverse or a trivial generator sometimes added, and a small radius."""
+    group, top = draw(
+        st.sampled_from([(F2, 3), (product_group(1, 1), 3), (product_group(2, 1), 2)])
+    )
+    gens = draw(st.lists(elements(group, 2), min_size=1, max_size=3))
+    extra = draw(st.sampled_from(["none", "duplicate", "inverse", "trivial"]))
+    if extra == "duplicate":
+        gens.append(draw(st.sampled_from(gens)))
+    elif extra == "inverse":
+        g = draw(st.sampled_from(gens))
+        gens.append(Element(group, invert_packed(g.packed, group.num_factors)))
+    elif extra == "trivial":
+        gens.insert(draw(st.integers(0, len(gens))), group.identity())
+    return group, gens, draw(st.integers(0, top))
 
 
 class TestEnumerateBall:
@@ -401,9 +441,44 @@ class TestSubgroupWordLength:
         gens = [el("aa"), el("bb")]
         assert subgroup_word_length(gens, el("aabbAA")) == 3
 
-    def test_depth_cap_raises(self):
-        with pytest.raises(SearchDepthError):
-            subgroup_word_length([el("aa")], el("a" * 12), depth_cap=5)
+    def test_non_member_exhausts_the_budget(self):
+        with pytest.raises(SearchBudgetError) as exc:
+            subgroup_word_length([el("aa")], el("a"), budget=100)
+        assert (exc.value.element_text, exc.value.budget) == ("a", 100)
+
+    def test_budget_counts_every_residual_popped(self):
+        # a^12 over <a^2> pops a^12, a^10, ..., 1 at depth 6, its first
+        assert subgroup_word_length([el("aa")], el("a" * 12), budget=7) == 6
+        with pytest.raises(SearchBudgetError):
+            subgroup_word_length([el("aa")], el("a" * 12), budget=6)
+
+    @pytest.mark.parametrize("gens", [[], [F2.identity()], [F2.identity(), el("aA")]])
+    def test_trivial_generators_fail_at_once(self, gens):
+        # no depth can reach a nontrivial target, so the search must not
+        # spend its budget deepening
+        with pytest.raises(SearchBudgetError):
+            subgroup_word_length(gens, el("ab"), budget=10**12)
+        assert subgroup_word_length(gens, F2.identity(), budget=1) == 0
+
+    def test_no_depth_cap(self):
+        assert subgroup_word_length([el("a")], el("a" * 2000)) == 2000
+
+    @settings(max_examples=150, deadline=None)
+    @given(word_searches())
+    def test_matches_breadth_first_reference(self, case):
+        group, gens, radius = case
+        members = relative_ball(group, oracle_for_generators(group, gens), radius).packed
+        want = breadth_first_word_lengths(gens, members)
+        for p in members:
+            assert subgroup_word_length(gens, Element(group, p)) == want[p]
+
+    @pytest.mark.parametrize("spec,radius", [("ab,ba,aab", 3), ("aab,bba", 5), ("ab,ba,ab", 3)])
+    def test_non_bases_match_breadth_first_reference(self, spec, radius):
+        gens = [el(w) for w in spec.split(",")]
+        members = relative_ball(F2, oracle_for_generators(F2, gens), radius).packed
+        want = breadth_first_word_lengths(gens, members)
+        for p in members:
+            assert subgroup_word_length(gens, Element(F2, p)) == want[p]
 
 
 class TestDistortion:

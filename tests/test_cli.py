@@ -375,7 +375,7 @@ ERROR_INSTANCES = {
     errors.BudgetError: errors.BudgetError("spent"),
     errors.BallBudgetError: errors.BallBudgetError(3, 8, 100),
     errors.OracleBudgetError: errors.OracleBudgetError(5000, 2, 4),
-    errors.SearchDepthError: errors.SearchDepthError("aab", 12),
+    errors.SearchBudgetError: errors.SearchBudgetError("aab", 12),
     errors.TupleBudgetError: errors.TupleBudgetError(83521, 1000),
     errors.AmbiguityBudgetError: errors.AmbiguityBudgetError(
         900, 100,
@@ -393,7 +393,7 @@ def reference_diagnostic(exc):
     doc = {"error": type(exc).__name__, "message": str(exc)}
     for attr in (
         "line", "column", "radius_reached", "target_radius", "budget",
-        "needed", "cap", "pairs_needed", "cells_kept", "element_text", "depth_cap",
+        "needed", "cap", "pairs_needed", "cells_kept", "element_text",
     ):
         value = getattr(exc, attr, None)
         if isinstance(value, (int, str)):
@@ -448,6 +448,18 @@ class TestArtifacts:
         assert code == 0
         values = [int(row.split(",")[1]) for row in data_rows(body)[1:]]
         assert values == [n // 2 for n in range(7)]
+
+    def test_distortion_has_no_depth_cap(self, tmp_path):
+        # a^1000 takes 1,000 steps; the search is iterative and only its
+        # budget bounds it
+        code, body = run_into(
+            tmp_path, "distortion --group free:1 --subgroup a --max-radius 1000"
+        )
+        assert code == 0
+        values = [int(row.split(",")[1]) for row in data_rows(body)[1:]]
+        assert values == list(range(1001))
+        digest = hashlib.sha256((tmp_path / "distortion.csv").read_bytes()).hexdigest()
+        assert digest == "ad6f7e73a94ac7c06371bb2894a4775ef7f95eb907bb58eb101e21d5a51aeaaa"
 
     def test_relgrowth_unknown_tally_comment(self, tmp_path):
         # generators whose fold conflicts on every factor force the budgeted
@@ -548,6 +560,36 @@ class TestExitCodes:
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"] == "BallBudgetError"
         assert diag["radius_reached"] == 3
+
+    def test_word_search_budget_is_2(self, tmp_path, capsys):
+        # B(4) of F2 holds 161 elements, so the ball fits the budget and a
+        # member's word search is what runs out
+        code = main(
+            [
+                "distortion", "--group", "free:2", "--subgroup", "ab,ba,aab",
+                "--max-radius", "4", "--budget-elements", "1000", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert not (tmp_path / "distortion.csv").exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        diag = json.loads(line)
+        assert diag["error"] == "SearchBudgetError"
+        assert (diag["element_text"], diag["budget"]) == ("aBB", 1000)
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_out_naming_a_file_is_1(self, tmp_path, monkeypatch, capsys, via_env):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        argv = ["growth", "--group", "free:2", "--max-radius", "2"]
+        if via_env:
+            monkeypatch.setenv("GROWTHLAB_OUT", str(afile))
+        else:
+            argv += ["--out", str(afile)]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "FileExistsError"
+        assert afile.read_text() == "kept\n"
 
     def test_ambiguity_pair_budget_comes_before_the_ball(self, tmp_path, capsys):
         # B(30) is far past the ball budget, but the pair budget stops the

@@ -20,6 +20,7 @@ from growthlab.subgroups import (
     FoldConflict,
     ProductOracle,
     StallingsOracle,
+    _by_sphere,
     cyclic_core,
     diagonal_oracle,
     fold_graph,
@@ -74,6 +75,33 @@ def random_element(rng, group, max_len=6):
 
 
 class TestStallings:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_unlabelled_spheres_need_no_sort(self, data):
+        # generators that read w on some factors (the folded one and its
+        # copies) and 1 on the rest fold with every label trivial
+        group = data.draw(st.sampled_from([
+            F2, free_group(3), F2xF2, product_group(2, 1, 2), product_group(2, 2, 2),
+            product_group(1, 2, 2),
+        ]))
+        nf = group.num_factors
+        placed = data.draw(st.sets(st.integers(0, nf - 1), min_size=1))
+        rank = min(group.ranks[j] for j in placed)
+        words = data.draw(st.lists(
+            st.lists(st.integers(1, 2 * rank), max_size=4).map(reduce_letter_bytes),
+            max_size=3,
+        ))
+        gens = [
+            Element(group, b"\x00".join(w if j in placed else b"" for j in range(nf)))
+            for w in words
+        ]
+        orc = StallingsOracle(group, gens)
+        assert not orc.graph.labels
+        radius = data.draw(st.integers(0, 8))
+        closed = itertools.chain.from_iterable(orc._closed_words(radius // orc.spread))
+        want = _by_sphere(map(orc._member, closed), radius, nf)
+        assert orc.relative_spheres(radius) == (want, [0] * (radius + 1))
+
     def test_squares_subgroup(self):
         orc = StallingsOracle(F2, [el("aa"), el("bb")])
         assert orc.contains(el("aa")) is True
