@@ -1066,7 +1066,8 @@ def test_exhaustive_delta_artifact_digest(tmp_path, line, name, digest):
 
 # SHA-256 and exit code of more rate artifacts: combine violations, bound
 # violations under an affine epsilon and shift, a table epsilon, and a
-# subgroup table with fractional epsilon and growth bound.
+# subgroup table with fractional epsilon and growth bound, and two tables
+# long enough that their counts run to thousands of bits.
 RATE_ARTIFACTS = [
     ("rate --group free:2 --max-radius 30 --epsilon 1", 3,
      "8edd006d502f81a124a6729251288e8a2728e17c352457802d8058bd4528b204"),
@@ -1086,6 +1087,10 @@ RATE_ARTIFACTS = [
     ('rate --group "product(free:2,free:2)" --subgroup "prod(aa,b;ab)" --max-radius 20'
      " --epsilon 4", 0,
      "a6269e67b2c8759c7dd8c8ab8c93c9ad216fd86891e8db150eb96e8122083cc9"),
+    ("rate --group free:2 --max-radius 2000 --epsilon 4", 0,
+     "ba3b0dd7827cdbeda07f510bc646f21f86491a4e6a134702be9f2f6ee6407125"),
+    ("rate --group free:2 --subgroup aab,bAb --max-radius 500 --epsilon 4", 0,
+     "ea78e237bcad36bf02c61c5ad275899242ade5f80a4a7136590c9be236cf57d1"),
 ]
 
 
