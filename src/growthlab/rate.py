@@ -25,22 +25,50 @@ genuinely submultiplicative tables is itself an upper bound for the
 limit.
 
 Arithmetic policy: counts are integers and epsilons and growth bounds
-exact fractions p/q.  Every comparison is an integer cross-multiplication:
+exact fractions p/q.  Every decision is an integer cross-multiplication:
 f(m)f(n) > (p/q) f(k) is tested as q f(m)f(n) > p f(k), and f(n) > B^n as
 q^n f(n) > p^n.  A Fraction is built only for what a report shows: a
-violation's two sides, or a measured epsilon.  Roots are presentation-layer:
-when f(s) / epsilon(s) is a perfect power its root is returned exactly,
-otherwise roots are evaluated as exp(ln(x) / d) in 64-bit floating point
-with relative error below 2**-40 per operation.
+violation's two sides, or a measured epsilon.
+
+Floats only choose which pairs get that comparison.  With u = 2**-53,
+math.log2 of a positive int rounds it to a double (relative error u,
+so under 1.5u in its log2) and then takes a libm log2, assumed within
+4 ulps; past the double range CPython adds the exponent to the log2 of
+the rounded mantissa, one more rounding.  So each lg = math.log2(c)
+is within 10.5u·max(1, lg) of log2(c).  A pair's value
+d = lg f(m) + lg f(n) - lg f(k) - (lg p - lg q) is a signed sum of five
+such logs formed with four float additions, each of which rounds by at
+most u times a partial sum below 5L, where L >= 1 bounds every |lg| in
+it; so d errs by at most 5·10.5uL + 4·5uL < 73uL, below the margin
+2**-46·L = 128uL.  A pair whose computed d is at most -margin therefore
+holds strictly, and only the rest are compared exactly.  The worst
+ratio of a measured epsilon compares values of two pairs (six logs, at
+most six additions, under 100uL), so a pair more than 2·margin below
+the largest value, or below 0 (the floor 1), is never the worst.  A
+nonpositive count has no log: every pair it touches goes to the exact
+comparison, and a table holding one gives no ordered ratios, so then
+every measured pair does.
+
+Roots are presentation-layer: when f(s) / epsilon(s) is a perfect power
+its root is returned exactly, otherwise roots are evaluated as
+exp(ln(x) / d) in 64-bit floating point with relative error below 2**-40
+per operation.  An integer v is tested as a perfect d-th power through
+the float root g = 2.0**(lg v / d): with x = lg v / d < 40 it is within
+(8x + 8)u·g of the true root, far below 1/2, so only a g that close to
+an integer is confirmed exactly; a wider root is found by integer
+bisection.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ParseError
 from .words import GroupDescriptor
@@ -59,6 +87,9 @@ __all__ = [
     "fekete_lower_bound",
     "hypothesis_from_growth",
 ]
+
+# the float filter's margin per unit of the largest |lg| (Arithmetic policy)
+_MARGIN = 2.0**-46
 
 _AFFINE_RE = re.compile(r"^(?:(?P<a>[0-9][0-9/.]*)(?P<sign>[+-]))?(?P<b>[0-9][0-9/.]*)n$")
 
@@ -313,14 +344,27 @@ def _int_nth_root(value: int, degree: int) -> int:
     return lo
 
 
-def _rational_root(value: Fraction, degree: int) -> float:
-    """value**(1/degree) as a float; exact when value is a perfect power."""
-    if value <= 0:
+def _exact_root(value: int, degree: int) -> int | None:
+    """The r with r**degree == value for an int value >= 1, or None if there is none."""
+    x = math.log2(value) / degree
+    if x < 40:
+        # the float root is within (8x + 8)u of the true one (Arithmetic policy)
+        guess = 2.0**x
+        root = round(guess)
+        if abs(guess - root) > guess * (9 * x + 9) * 2.0**-53:
+            return None
+    else:
+        root = _int_nth_root(value, degree)
+    return root if root**degree == value else None
+
+
+def _rational_root(num: int, den: int, degree: int) -> float:
+    """(num/den)**(1/degree) as a float; exact when num/den, in lowest terms, is a perfect power."""
+    if num <= 0:
         raise ValueError("root of a nonpositive value")
-    num, den = value.numerator, value.denominator
-    root_num = _int_nth_root(num, degree)
-    root_den = _int_nth_root(den, degree)
-    if root_num**degree == num and root_den**degree == den:
+    root_num = _exact_root(num, degree)
+    root_den = None if root_num is None else _exact_root(den, degree)
+    if root_den is not None:
         return root_num / root_den
     return math.exp((math.log(num) - math.log(den)) / degree)
 
@@ -338,7 +382,7 @@ def root_sequence(f: Iterable[int]) -> tuple[float, ...]:
             raise ValueError(f"growth table entry f({n}) = {value} is not positive")
     roots = [1.0]
     for n in range(1, len(counts)):
-        roots.append(_rational_root(Fraction(counts[n]), n))
+        roots.append(_rational_root(counts[n], 1, n))
     return tuple(roots)
 
 
@@ -365,6 +409,17 @@ def _pair_grid(
         yield t, shift, range(s_top + 1)
 
 
+def _log2_counts(counts: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """lg f(n) for every n, nan where f(n) <= 0, and an L >= 1 above every lg."""
+    lg = np.array([math.log2(c) if c > 0 else math.nan for c in counts])
+    return lg, math.log2(max(max(counts), 2))
+
+
+def _lg_gaps(lg: np.ndarray, offset: int, width: int) -> np.ndarray:
+    """lg f(s) - lg f(s + offset) for s = 0..width-1."""
+    return lg[:width] - lg[offset : offset + width]
+
+
 def check_hypothesis(
     f: Iterable[int],
     hyp: RateHypothesis,
@@ -381,7 +436,18 @@ def check_hypothesis(
     raise on a range shortfall; without them the scan takes every pair
     that fits.
     """
-    counts = _as_counts(f)
+    return _check_hypothesis(_as_counts(f), hyp, hyp.shift_at, hyp.epsilon_at, m_max, n_max)
+
+
+def _check_hypothesis(
+    counts: tuple[int, ...],
+    hyp: RateHypothesis,
+    shift_at,
+    epsilon_at,
+    m_max: int | None = None,
+    n_max: int | None = None,
+) -> HypothesisCheck:
+    """check_hypothesis with shift(n) and epsilon(n) read from shift_at and epsilon_at."""
     violations: list[HypothesisViolation] = []
     checked = 0
 
@@ -407,14 +473,20 @@ def check_hypothesis(
                     HypothesisViolation("bound", None, n, Fraction(counts[n]), Fraction(p, q))
                 )
 
-    # epsilon(n) = p/q runs once for every n of the grid, and each pair is
-    # compared as q f(m)f(n) > p f(k) in integers
+    # epsilon(n) = p/q runs once for every n of the grid.  A pair whose float
+    # d = lg f(m) + lg f(n) - lg f(k) - lg epsilon(n) is at most -margin holds
+    # (Arithmetic policy); every other pair, in ascending m, is compared as
+    # q f(m)f(n) > p f(k) in integers
+    lg, lg_top = _log2_counts(counts)
+    lg_list = lg.tolist()
     pairs = 0
-    for n, shift, m_range in _pair_grid(len(counts) - 1, hyp.threshold, hyp.shift_at, m_max, n_max):
-        eps = hyp.epsilon_at(n)
+    for n, shift, m_range in _pair_grid(len(counts) - 1, hyp.threshold, shift_at, m_max, n_max):
+        eps = epsilon_at(n)
         p, q, fn = eps.numerator, eps.denominator, counts[n]
         pairs += len(m_range)
-        for m in m_range:
+        lg_p = math.log2(p)
+        bound = -_MARGIN * max(lg_top, lg_p) - (lg_list[n] - (lg_p - math.log2(q)))
+        for m in (~(_lg_gaps(lg, n + shift, len(m_range)) <= bound)).nonzero()[0].tolist():
             lhs, fk = counts[m] * fn, counts[m + n + shift]
             if q * lhs > p * fk:
                 violations.append(HypothesisViolation("combine", m, n, Fraction(lhs), eps * fk))
@@ -435,13 +507,15 @@ def fekete_lower_bound(f: Iterable[int], hyp: RateHypothesis) -> RateEstimate:
     counts = _as_counts(f)
     top = len(counts) - 1
     roots = root_sequence(counts)
-    check = check_hypothesis(counts, hyp)
+    # the check evaluates shift(s) and epsilon(s) first, once for each s
+    shift_at, epsilon_at = functools.cache(hyp.shift_at), functools.cache(hyp.epsilon_at)
+    check = _check_hypothesis(counts, hyp, shift_at, epsilon_at)
 
     best_value = None
     witness_s = None
     for s in range(max(hyp.threshold, 1), top + 1):
-        denom = s + hyp.shift_at(s)
-        value = _rational_root(Fraction(counts[s]) / hyp.epsilon_at(s), denom)
+        ratio = Fraction(counts[s]) / epsilon_at(s)
+        value = _rational_root(ratio.numerator, ratio.denominator, s + shift_at(s))
         if best_value is None or value > best_value:
             best_value, witness_s = value, s
     if witness_s is None:
@@ -457,8 +531,8 @@ def fekete_lower_bound(f: Iterable[int], hyp: RateHypothesis) -> RateEstimate:
     upper = min(suffix[1:]) if top >= 1 else roots[0]
     witness_n = next(n for n in range(1, top + 1) if suffix[n] == upper) if top >= 1 else 0
 
-    period = witness_s + hyp.shift_at(witness_s)
-    ratio = Fraction(counts[witness_s]) / hyp.epsilon_at(witness_s)
+    period = witness_s + shift_at(witness_s)
+    ratio = Fraction(counts[witness_s]) / epsilon_at(witness_s)
     log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
     walk = []
     for n in range(1, top + 1):
@@ -495,16 +569,23 @@ def hypothesis_from_growth(
     if (s_max is None) != (t_max is None):
         raise ValueError("pass both s_max and t_max or neither")
     counts = _as_counts(f)
+    rows = [row for row in _pair_grid(len(counts) - 1, 0, lambda t: c, s_max, t_max) if row[2]]
+    if not rows:
+        raise ValueError("table range admits no measurement pair")
+    # a pair more than 2 margins below the largest float lg ratio, or below
+    # 0 (the floor 1), is never the worst (Arithmetic policy); a nonpositive
+    # count leaves the ratios unordered, so then every pair is compared
+    lg, lg_top = _log2_counts(counts)
+    peaks = [np.max(_lg_gaps(lg, t + c, len(s_range))) + lg[t] for t, _, s_range in rows]
+    cutoff = max(max(peaks), 0.0) - 2 * _MARGIN * lg_top if min(counts) > 0 else -math.inf
     worst = Fraction(1)
-    pairs = 0
-    for t, _, s_range in _pair_grid(len(counts) - 1, 0, lambda t: c, s_max, t_max):
-        pairs += len(s_range)
-        for s in s_range:
+    for (t, _, s_range), peak in zip(rows, peaks):
+        if peak <= cutoff:
+            continue
+        for s in (~(_lg_gaps(lg, t + c, len(s_range)) <= cutoff - lg[t])).nonzero()[0].tolist():
             lhs, fk = counts[s] * counts[t], counts[s + t + c]
             if worst.denominator * lhs > worst.numerator * fk:
                 worst = Fraction(lhs, fk)
-    if pairs == 0:
-        raise ValueError("table range admits no measurement pair")
     return RateHypothesis(
         epsilon=FuncSpec.constant(worst),
         shift=FuncSpec.constant(c),

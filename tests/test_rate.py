@@ -1,7 +1,9 @@
 """Root sequences, hypothesis checks, and growth-rate bracketing."""
 
 import itertools
+import math
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from growthlab.rate import (
     HypothesisViolation,
     RateHypothesis,
     check_hypothesis,
+    _exact_root,
     _int_nth_root,
     default_growth_bound,
     fekete_lower_bound,
@@ -132,6 +135,38 @@ class TestRootSequence:
         # values past 2^1024 have no float guess to start from
         root = _int_nth_root(value, degree)
         assert root**degree <= value < (root + 1) ** degree
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(1, 2**64),
+            st.integers(2**1000, 2**1100),
+            st.integers(1, 2**20000),
+        )
+    )
+    def test_log2_within_the_policy_bound(self, value):
+        # the float filter's margin assumes math.log2 errs by at most
+        # 10.5 * 2^-53 * max(1, lg) on a positive int
+        lg = math.log2(value)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = Decimal(value).ln() / Decimal(2).ln()
+            assert abs(Decimal(lg) - exact) <= Decimal(10.5 * 2.0**-53 * max(1.0, lg))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 40), st.integers(1, 2**45)),
+        st.integers(1, 40),
+        st.sampled_from([-1, 0, 1]),
+    )
+    def test_exact_root_finds_every_perfect_power(self, root, degree, delta):
+        # near a perfect power the float root is near an integer too, and
+        # only the exact power may decide
+        value = root**degree + delta
+        if value < 1:
+            return
+        floor = _int_nth_root(value, degree)
+        assert _exact_root(value, degree) == (floor if floor**degree == value else None)
 
     def test_measured_epsilon_bracket_is_fast(self):
         # the measured epsilon's numerator has 173 bits, and its small
@@ -424,9 +459,54 @@ SHIFTS = st.one_of(
 BOUNDS = st.one_of(st.none(), st.integers(0, 8))
 
 
+@st.composite
+def signed_tables(draw):
+    """Tables holding at least one zero or negative entry."""
+    entry = st.one_of(st.integers(-5, 60), st.integers(-(3**200), 3**200))
+    values = draw(st.lists(entry, min_size=1, max_size=14))
+    values[draw(st.integers(0, len(values) - 1))] = draw(st.integers(-5, 0))
+    return values
+
+
+TABLES = st.one_of(count_tables(), count_tables(max_size=80), signed_tables())
+
+
+@st.composite
+def near_tie_tables(draw):
+    """Counts c*r^n + delta(n), c >= 2^2000, delta(n) in {-1, 0, 1}.
+
+    Every ratio f(s)f(t) / f(s+t+shift) is within a relative 2^-1990 of
+    c / r^shift, far below what a double resolves, so the exact
+    comparison decides every pair's order.
+    """
+    size = draw(st.integers(2, 12))
+    c, r = draw(st.integers(2**2000, 2**2010)), draw(st.integers(1, 5))
+    deltas = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=size, max_size=size))
+    return [c * r**n + d for n, d in enumerate(deltas)]
+
+
+@st.composite
+def row_ties(draw):
+    """Counts of at least 2000 bits, a constant shift, and an epsilon table that
+    puts one pair (m, n) of each row at f(m)f(n) = epsilon(n) f(k) + delta for
+    k = m + n + shift and delta in {-1, 0, 1}."""
+    shift = draw(st.integers(0, 2))
+    size = draw(st.integers(shift + 2, 12))
+    counts = draw(st.lists(st.integers(2**2000, 2**2100), min_size=size, max_size=size))
+    eps = []
+    for n in range(size):
+        value = Fraction(1)
+        if n + shift < size:
+            m = draw(st.integers(0, size - 1 - n - shift))
+            delta = draw(st.sampled_from([-1, 0, 1]))
+            value = Fraction(counts[m] * counts[n] - delta, counts[m + n + shift])
+        eps.append(value)
+    return counts, RateHypothesis(FuncSpec.table(eps), FuncSpec.constant(shift))
+
+
 class TestAgainstReference:
     @given(
-        count_tables(),
+        TABLES,
         funcspecs(),
         SHIFTS,
         st.integers(0, 4),
@@ -458,3 +538,28 @@ class TestAgainstReference:
         else:
             assert got.epsilon == FuncSpec.constant(want)
             assert got.shift == FuncSpec.constant(c)
+
+    @given(row_ties())
+    @settings(max_examples=150, deadline=None)
+    def test_check_hypothesis_decides_row_ties(self, table):
+        counts, hyp = table
+        want = reference_check_hypothesis(counts, hyp)
+        got = check_hypothesis(counts, hyp)
+        assert (got.ok, got.checked, got.violations) == (want.ok, want.checked, want.violations)
+
+    @given(near_tie_tables(), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_measured_epsilon_ties_at_its_worst_pair(self, counts, c):
+        # the measured epsilon is the worst ratio of pairs the float cannot
+        # order, and its own check holds with equality at that pair
+        want = outcome(reference_worst_ratio, counts, c)
+        got = outcome(hypothesis_from_growth, counts, c)
+        if want is ValueError:
+            assert got is ValueError
+            return
+        assert got.epsilon == FuncSpec.constant(want)
+        if len(counts) > c + 1:
+            check = check_hypothesis(counts, got)
+            reference = reference_check_hypothesis(counts, got)
+            assert (check.checked, check.violations) == (reference.checked, reference.violations)
+            assert all(v.kind != "combine" for v in check.violations)
