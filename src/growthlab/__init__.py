@@ -46,7 +46,7 @@ from .errors import (
 from .hyperbolic import (
     AcylindricityReport,
     DeltaEstimate,
-    FiniteMetric,
+    WordSample,
     acylindricity_witnesses,
     estimate_delta,
     gromov_product,

@@ -1,11 +1,17 @@
 """Gromov products, four-point hyperbolicity and acylindricity
-diagnostics over finite samples.
+diagnostics over finite samples of word metrics.
 
-All metric arithmetic is exact. Distances are stored doubled (so halves
+A sample is a WordSample: words of a product of free groups, whose
+distances are read off the words when asked. estimate_delta asks its
+sample only for size, label(i) and pair_dist2(i, j), the doubled
+distances of index arrays, so any finite metric that answers these
+serves it too.
+
+All metric arithmetic is exact. Distances are read doubled (so halves
 are integers) and Gromov products quadrupled; results are returned as
-floats, which represent quarter-integers exactly. On whole-integer
-metrics, such as any word metric, every reported value lands on a
-half-integer as the four-point theory predicts.
+floats, which represent quarter-integers exactly. On a word metric
+every reported value lands on a half-integer as the four-point theory
+predicts.
 
 The hyperbolicity defect reported for a finite sample quantifies over
 that sample only. It is therefore a certified lower bound for the defect
@@ -34,9 +40,6 @@ from .words import (
 )
 
 DEFAULT_TUPLE_CAP = 200_000_000
-# Largest doubled distance: every Gromov sum and four-point defect is at
-# most 3 times the largest entry, so all of them stay below 2^63 in int64.
-MAX_DIST2 = 1 << 61
 _TRIAL_CHUNK = 1 << 14  # random-mode trials evaluated per numpy batch
 
 
@@ -84,75 +87,14 @@ class WordSample:
         return 2 * d
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteMetric:
-    """A finite metric space given directly: labels and a doubled-distance matrix.
-
-    dist2[i][j] holds 2 d(i,j) so half-integer metrics stay integral.
-    Construction validates symmetry, the zero diagonal, positivity off
-    the diagonal, the bound MAX_DIST2 on every entry, and every triangle
-    inequality. A word metric (from_elements, from_ball) passes them by
-    construction; estimate_delta takes its words unchecked as a WordSample.
-    """
-
-    labels: tuple
-    dist2: np.ndarray
-
-    def __post_init__(self):
-        d = self.dist2
-        n = len(self.labels)
-        if d.shape != (n, n):
-            raise ValueError(f"matrix shape {d.shape} does not fit {n} labels")
-        if n == 0:
-            raise ValueError("empty sample")
-        if (d < 0).any():
-            raise ValueError("negative distance")
-        if (d > MAX_DIST2).any():
-            raise ValueError(f"doubled distance above {MAX_DIST2}")
-        if (np.diag(d) != 0).any():
-            raise ValueError("nonzero diagonal")
-        if (d != d.T).any():
-            raise ValueError("asymmetric distance matrix")
-        off = d + np.eye(n, dtype=d.dtype)
-        if (off == 0).any():
-            raise ValueError("distinct points at distance zero")
-        # sums of two entries fit the narrowest unsigned type holding 2 max(d)
-        if d.dtype.kind in "iu":
-            d = d.astype(np.min_scalar_type(2 * int(d.max())))
-        for j in range(n):
-            if (np.add.outer(d[:, j], d[j, :]) < d).any():
-                raise ValueError(f"triangle inequality fails through point {j}")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def label(self, i: int):
-        return self.labels[i]
-
-    def distance(self, i: int, j: int) -> float:
-        return self.dist2[i, j] / 2
-
-    def pair_dist2(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return self.dist2[i, j]
+    """Kept only because the benchmark's span recorder (bench/spans.py)
+    wraps FiniteMetric.from_ball by name; no package code calls it. It
+    goes with ROADMAP item 2, which moves the spans into the package."""
 
     @classmethod
-    def from_elements(cls, elements: Sequence[Element]) -> "FiniteMetric":
-        """Word-metric sample on the given elements: every distance of
-        their WordSample, read at once."""
-        elems = tuple(elements)
-        if not elems:
-            raise ValueError("empty sample")
-        group = elems[0].group
-        if any(g.group != group for g in elems):
-            raise GroupMismatchError("sample mixes groups")
-        points = np.arange(len(elems))
-        d2 = WordSample(group, [g.packed for g in elems]).pair_dist2(points[:, None], points)
-        return cls(elems, d2)
-
-    @classmethod
-    def from_ball(cls, ball: Ball) -> "FiniteMetric":
-        return cls.from_elements(ball.elements())
+    def from_ball(cls, ball: Ball) -> WordSample:
+        return WordSample(ball.group, ball.packed)
 
 
 @dataclass(frozen=True)
@@ -241,7 +183,7 @@ def check_tuple_cap(points: int, tuple_cap: int) -> int:
 
 
 def estimate_delta(
-    sample: FiniteMetric | WordSample,
+    sample: WordSample,
     mode: str = "exhaustive",
     *,
     trials: int = 10_000,
@@ -259,16 +201,16 @@ def estimate_delta(
     move any point to the basepoint slot, so basepoint o only needs the
     points o..n-1. Each basepoint costs one float32 matrix product per
     distinct Gromov product above the best defect so far: at most 4r+1
-    of them on a word-metric ball of radius r, but up to n^2 on a matrix
-    given to FiniteMetric. The witness is the first quadruple in (o, x)
-    order with the largest defect, first argmax y, first argmax z.
+    of them on a ball of radius r, up to n^2 on another finite metric.
+    The witness is the first quadruple in (o, x) order with the largest
+    defect, first argmax y, first argmax z.
 
     Random mode draws the four indices of each trial as
     random.Random(seed).randrange(n) would, in o, x, y, z order, but in
     bulk, _TRIAL_CHUNK trials at a time; it needs n < 2^32. It reads only
-    the sampled distances, so a WordSample serves it with no n x n
-    matrix. It yields a lower bound for the exhaustive answer, and its
-    witness is the first trial with the largest positive defect.
+    the sampled distances and builds no n x n matrix. It yields a lower
+    bound for the exhaustive answer, and its witness is the first trial
+    with the largest positive defect.
     """
     n = sample.size
     if mode == "exhaustive":

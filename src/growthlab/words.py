@@ -373,10 +373,13 @@ def render_word_bytes(data: bytes) -> str:
 
 
 def parse_word_bytes(text: str, rank: int) -> bytes:
-    """Parse one factor word; the input need not be reduced."""
+    """Parse one factor word; the input need not be reduced, and the
+    identity is written 1, never as an empty word."""
     text = text.strip()
     if text == "1":
         return b""
+    if not text:
+        raise ParseError("empty word; the identity is written 1")
     raw = []
     for ch in text:
         if "a" <= ch <= "z":

@@ -22,7 +22,7 @@ from growthlab.counting import (
     free_sphere_counts,
     relative_ball_counts,
 )
-from growthlab.hyperbolic import FiniteMetric, check_equivariance, estimate_delta
+from growthlab.hyperbolic import WordSample, check_equivariance, estimate_delta
 from growthlab.rate import (
     FuncSpec,
     RateHypothesis,
@@ -155,7 +155,7 @@ def test_criterion_05_weak_supermultiplicativity(criterion, ambiguity_grid):
 def test_criterion_06_hyperbolicity(criterion, f2_ball12):
     ball, _ = f2_ball12
     with criterion(6, "exhaustive four-point delta on B(4) is exactly 0; equivariance on 10^4 quadruples"):
-        sample = FiniteMetric.from_ball(ball.up_to(4))
+        sample = WordSample(F2, ball.up_to(4).packed)
         estimate = estimate_delta(sample, tuple_cap=10**9)
         assert estimate.delta == 0.0
         assert estimate.tuples_checked == sample.size**4 == 161**4

@@ -21,7 +21,7 @@ from growthlab.cayley import distortion, growth_sequence
 from growthlab.cli import ExperimentSpec, _diagnose, main, parse_spec, run
 from growthlab.concat import AmbiguityReport
 from growthlab.errors import InvariantViolationError, ParseError
-from growthlab.hyperbolic import FiniteMetric
+from growthlab.hyperbolic import WordSample
 from growthlab.subgroups import BudgetedEnumerationOracle
 from growthlab.words import free_group, parse_element, product_group
 
@@ -116,6 +116,9 @@ class TestParse:
             ("delta --group free:2 --max-radius 2 --mode sideways", "exhaustive or random"),
             ("acyl --group free:2 --x 1 --y b --epsilon nope", "integer"),
             ("rate --group free:2 --max-radius 4 --epsilon bogus%", "function spec"),
+            ('relgrowth --group free:2 --subgroup "prod(a;b)" --max-radius 3', "needs 1 parts"),
+            ('relgrowth --group free:2 --subgroup "prod()" --max-radius 3', "empty subgroup spec"),
+            ("relgrowth --group free:2 --subgroup a,,b --max-radius 3", "empty generator"),
         ],
     )
     def test_rejections(self, text, fragment):
@@ -360,6 +363,26 @@ class TestSpecLayer:
         assert main(["growth", "--group", "free:2", "--max-radius", "3", "--group", "free:3"]) == 64
         diag = json.loads(capsys.readouterr().err)
         assert (diag["error"], diag["column"]) == ("ParseError", 38)
+
+    @pytest.mark.parametrize(
+        "argv,column",
+        [
+            (["relgrowth", "--group", "free:2", "--subgroup", "cyclic:", "--max-radius", "3"], 37),
+            (["acyl", "--group", "free:2", "--x", "", "--y", "b", "--epsilon", "1"], 25),
+            (
+                ["ambiguity", "--group", "product(free:2,free:2)", "--g", "(a,)", "--h", "(b,b)",
+                 "-n", "2", "--smax", "3", "--tmax", "3"],
+                48,
+            ),
+        ],
+        ids=["cyclic", "acyl", "product"],
+    )
+    def test_empty_word_exits_64_at_its_value(self, capsys, argv, column):
+        # the identity is written 1; an empty word is not read as it
+        assert main(argv) == 64
+        diag = json.loads(capsys.readouterr().err)
+        assert (diag["error"], diag["column"]) == ("ParseError", column)
+        assert "identity is written 1" in diag["message"]
 
     def test_workers_is_checked_then_dropped(self):
         spec = parse_spec("growth --group free:2 --max-radius 3 --workers 256")
@@ -719,9 +742,7 @@ class TestExitCodes:
         # |B(9)| = 39,365 is a closed form; its metric alone would take 12.4 GB
         built = []
         monkeypatch.setattr(cli, "enumerate_ball", lambda *a, **k: built.append("ball"))
-        monkeypatch.setattr(
-            FiniteMetric, "from_elements", classmethod(lambda *a: built.append("metric"))
-        )
+        monkeypatch.setattr(cli, "WordSample", lambda *a: built.append("sample"))
         start = time.perf_counter()
         code = main(["delta", "--group", "free:2", "--max-radius", "9", "--out", str(tmp_path)])
         assert time.perf_counter() - start < 1
@@ -741,13 +762,21 @@ class TestExitCodes:
         ids=["random", "exhaustive"],
     )
     def test_delta_builds_no_metric(self, tmp_path, monkeypatch, line, points):
-        # both modes read the distances off the ball's words
-        built = []
-        monkeypatch.setattr(FiniteMetric, "__post_init__", lambda self: built.append("metric"))
+        # both modes read distances off the ball's words: exhaustive mode
+        # all n^2 of them once, random mode six per trial and no more
+        reads = []
+        pair_dist2 = WordSample.pair_dist2
+
+        def recorded(self, i, j):
+            got = pair_dist2(self, i, j)
+            reads.append(got.size)
+            return got
+
+        monkeypatch.setattr(WordSample, "pair_dist2", recorded)
         assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "delta.json").read_text())["report"]
         assert (report["points"], report["delta"], report["witness"]) == (points, 0.0, ["1"] * 4)
-        assert built == []
+        assert reads == ([1000] * 6 if report["mode"] == "random" else [points**2])
 
     def test_hypothesis_violation_is_3(self, tmp_path, capsys):
         code = main(
@@ -1153,3 +1182,18 @@ def test_python_dash_m_runs_readme_command(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_bench_span_recorder_finds_every_name_it_wraps():
+    # bench/spans.py wraps package functions by name from outside, so a
+    # renamed function or a deleted stand-in (hyperbolic.FiniteMetric,
+    # _parallel.parallel_map) fails here, not only in a traced bench run
+    paths = [Path(__file__).parents[1] / "bench", Path(growthlab.__file__).parents[1]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Recorder())"],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -16,7 +16,6 @@ from growthlab.errors import (
 )
 from growthlab.hyperbolic import (
     AcylindricityReport,
-    FiniteMetric,
     WordSample,
     acylindricity_witnesses,
     check_equivariance,
@@ -110,6 +109,39 @@ def acyl_cases(draw):
     return group, random_element(rng, group), random_element(rng, group), epsilon
 
 
+class MatrixSample:
+    """A finite metric given as labels and a doubled-distance matrix:
+    dist2[i, j] = 2 d(i, j). It answers what estimate_delta asks of a
+    sample, so the scans can be checked on metrics that are not word
+    metrics, and on word metrics built apart from WordSample."""
+
+    def __init__(self, labels, dist2):
+        self.labels, self.dist2 = tuple(labels), dist2
+
+    @property
+    def size(self):
+        return len(self.labels)
+
+    def label(self, i):
+        return self.labels[i]
+
+    def pair_dist2(self, i, j):
+        return self.dist2[i, j]
+
+
+def word_matrix(elements):
+    """The word metric on the elements, each distance by words.distance."""
+    elems = tuple(elements)
+    d2 = np.array([[2 * distance(g, h) for h in elems] for g in elems], dtype=np.int64)
+    return MatrixSample(elems, d2)
+
+
+def ball_samples(group, r):
+    """B(r) as a WordSample and as a matrix of words.distance."""
+    ball = enumerate_ball(group, r)
+    return WordSample(group, ball.packed), word_matrix(ball.elements())
+
+
 @st.composite
 def finite_metrics(draw):
     """Shortest-path metrics of complete graphs with doubled edge weights
@@ -122,14 +154,14 @@ def finite_metrics(draw):
     np.fill_diagonal(d, 0)
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
-    return FiniteMetric(tuple(f"p{i}" for i in range(n)), d)
+    return MatrixSample((f"p{i}" for i in range(n)), d)
 
 
 def c4_metric():
     d = 2 * np.array(
         [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], dtype=np.int64
     )
-    return FiniteMetric(("p0", "p1", "p2", "p3"), d)
+    return MatrixSample(("p0", "p1", "p2", "p3"), d)
 
 
 class TestGromovProduct:
@@ -165,90 +197,15 @@ class TestGromovProduct:
         assert check_equivariance(ONE, el("a"), el("b"), el("ab"))
 
 
-class TestFiniteMetric:
-    def test_from_elements_matches_word_metric(self):
-        elems = [ONE, el("a"), el("ab"), el("B")]
-        m = FiniteMetric.from_elements(elems)
-        for i, g in enumerate(elems):
-            for j, h in enumerate(elems):
-                assert m.distance(i, j) == distance(g, h)
-
-    def test_rejects_asymmetry(self):
-        d = np.array([[0, 2], [4, 0]], dtype=np.int64)
-        with pytest.raises(ValueError, match="asymmetric"):
-            FiniteMetric(("x", "y"), d)
-
-    def test_rejects_nonzero_diagonal(self):
-        d = np.array([[2, 2], [2, 0]], dtype=np.int64)
-        with pytest.raises(ValueError, match="diagonal"):
-            FiniteMetric(("x", "y"), d)
-
-    def test_rejects_triangle_violation(self):
-        d = 2 * np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]], dtype=np.int64)
-        with pytest.raises(ValueError, match="triangle"):
-            FiniteMetric(("x", "y", "z"), d)
-
-    def test_rejects_triangle_violation_past_eight_bits(self):
-        # 2 max(d) = 2000 needs 16 bits; a near-miss must still be caught
-        d = 2 * np.array([[0, 250, 501], [250, 0, 250], [501, 250, 0]], dtype=np.int64)
-        with pytest.raises(ValueError, match="triangle"):
-            FiniteMetric(("x", "y", "z"), d)
-        d[0, 2] = d[2, 0] = 1000
-        assert FiniteMetric(("x", "y", "z"), d).distance(0, 2) == 500
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 1, 2), (1, 3), (2, 2)]),
-        st.integers(0, 10**6),
-    )
-    def test_from_elements_matches_pairwise_distance(self, ranks, seed):
-        # random samples, not balls: words of mixed lengths in any order
-        rng = random.Random(seed)
-        group = product_group(*ranks)
-        elems = list(dict.fromkeys(random_element(rng, group, 7) for _ in range(rng.randrange(1, 25))))
-        rng.shuffle(elems)
-        m = FiniteMetric.from_elements(elems)
-        assert m.dist2.dtype == np.int64
-        for i, g in enumerate(elems):
-            for j, h in enumerate(elems):
-                assert m.dist2[i, j] == 2 * distance(g, h)
-
-    def test_from_elements_rejects_empty_and_mixed(self):
-        with pytest.raises(ValueError, match="empty"):
-            FiniteMetric.from_elements([])
-        with pytest.raises(GroupMismatchError):
-            FiniteMetric.from_elements([ONE, F2xF1.identity()])
-
-    def test_rejects_indiscernible_points(self):
-        d = np.zeros((2, 2), dtype=np.int64)
-        with pytest.raises(ValueError, match="distance zero"):
-            FiniteMetric(("x", "y"), d)
-
-    def test_rejects_negative_entry(self):
-        d = np.array([[0, -2], [-2, 0]], dtype=np.int64)
-        with pytest.raises(ValueError, match="negative"):
-            FiniteMetric(("x", "y"), d)
-
-    def test_rejects_entries_whose_gromov_sums_overflow(self):
-        # doubled entries up to 8e18 fit in int64, but gromov4's sums do not
-        c4 = c4_metric()
-        with pytest.raises(ValueError, match="above"):
-            FiniteMetric(c4.labels, c4.dist2 * 2 * 10**18)
-        at_bound = FiniteMetric(c4.labels, c4.dist2 << 59)
-        assert at_bound.dist2.max() == hyperbolic.MAX_DIST2
-        assert estimate_delta(at_bound).delta == 2.0**59
-        assert estimate_delta(at_bound, "random", trials=200).delta == 2.0**59
-
-
 class TestEstimateDelta:
     def test_tree_sample_is_zero_hyperbolic(self):
-        m = FiniteMetric.from_ball(enumerate_ball(F2, 3))
+        m = WordSample(F2, enumerate_ball(F2, 3).packed)
         est = estimate_delta(m)
         assert est.delta == 0.0
         assert est.tuples_checked == m.size**4
 
     def test_product_sample_is_positive(self):
-        m = FiniteMetric.from_ball(enumerate_ball(F2xF1, 2))
+        m = WordSample(F2xF1, enumerate_ball(F2xF1, 2).packed)
         assert estimate_delta(m).delta > 0
 
     def test_four_cycle_needs_one(self):
@@ -257,11 +214,11 @@ class TestEstimateDelta:
         assert len(est.witness) == 4
 
     def test_single_point(self):
-        m = FiniteMetric(("p",), np.zeros((1, 1), dtype=np.int64))
+        m = MatrixSample(("p",), np.zeros((1, 1), dtype=np.int64))
         assert estimate_delta(m).delta == 0.0
 
     def test_cap_refusal(self):
-        m = FiniteMetric.from_ball(enumerate_ball(F2, 2))
+        m = WordSample(F2, enumerate_ball(F2, 2).packed)
         with pytest.raises(TupleBudgetError):
             estimate_delta(m, tuple_cap=100)
 
@@ -284,9 +241,9 @@ class TestEstimateDelta:
 
     def test_exhaustive_matches_reference_scan_on_balls(self):
         for group, r in ((F2, 2), (F2xF1, 2), (product_group(1, 1, 1), 2)):
-            m = FiniteMetric.from_ball(enumerate_ball(group, r))
+            words, m = ball_samples(group, r)
             best, witness = reference_scan(m.dist2)
-            est = estimate_delta(m)
+            est = estimate_delta(words)
             assert (est.delta, est.witness) == (best / 4, tuple(m.labels[i] for i in witness))
 
     @settings(max_examples=40, deadline=None)
@@ -300,11 +257,11 @@ class TestEstimateDelta:
 
     def test_random_batches_keep_the_first_largest_trial(self, monkeypatch):
         # batches of 7 trials: a later batch must not take over a tie
-        m = FiniteMetric.from_ball(enumerate_ball(F2xF1, 2))
+        words, m = ball_samples(F2xF1, 2)
         monkeypatch.setattr(hyperbolic, "_TRIAL_CHUNK", 7)
         for seed in range(20):
             best, witness = reference_random(m.dist2, 50, seed)
-            est = estimate_delta(m, "random", trials=50, seed=seed)
+            est = estimate_delta(words, "random", trials=50, seed=seed)
             assert (est.delta, est.witness) == (best / 4, tuple(m.labels[i] for i in witness))
 
     def test_unknown_mode(self):
@@ -316,8 +273,7 @@ class TestEstimateDelta:
         # delta, witness and tuples_checked; exhaustive mode reads no seed
         groups = ((F2, 3), (F2xF1, 2), (product_group(1, 1, 1), 2), (product_group(2, 2), 2))
         for group, r in groups:
-            ball = enumerate_ball(group, r)
-            words, metric = WordSample(group, ball.packed), FiniteMetric.from_ball(ball)
+            words, metric = ball_samples(group, r)
             for chunk in (hyperbolic._TRIAL_CHUNK, 7):
                 monkeypatch.setattr(hyperbolic, "_TRIAL_CHUNK", chunk)
                 for seed in range(5 if mode == "random" else 1):
@@ -351,21 +307,21 @@ class TestBulkDraw:
 class TestWordSample:
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from([(2,), (2, 1), (1, 1, 1)]),
+        st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 3), (2, 2), (1, 1, 1), (1, 1, 2)]),
         st.integers(0, 10**6),
     )
-    def test_distances_match_the_validated_matrix(self, ranks, seed):
+    def test_distances_match_the_word_matrix(self, ranks, seed):
         # random samples with the identity: unequal lengths in any order
         rng = random.Random(seed)
         group = product_group(*ranks)
         elems = [random_element(rng, group, 7) for _ in range(rng.randrange(25))]
         elems = list(dict.fromkeys([group.identity(), *elems]))
         rng.shuffle(elems)
-        metric = FiniteMetric.from_elements(elems)
+        metric = word_matrix(elems)
         i, j = (np.array([rng.randrange(len(elems)) for _ in range(60)]) for _ in range(2))
         got = WordSample(group, [g.packed for g in elems]).pair_dist2(i, j)
+        assert got.dtype == np.int64
         assert got.tolist() == metric.dist2[i, j].tolist()
-        assert got.tolist() == [2 * distance(elems[a], elems[b]) for a, b in zip(i, j)]
 
 
 class TestTreeGeodesics:

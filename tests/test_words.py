@@ -230,6 +230,9 @@ class TestTextSyntax:
             F2xF1.parse("ab")  # missing factor form
         with pytest.raises(ParseError):
             F2xF1.parse("(a,b,a)")
+        for group, text in ((F2, ""), (F2, " "), (F2xF1, "(a,)"), (F2xF1, "(,1)")):
+            with pytest.raises(ParseError, match="identity is written 1"):
+                group.parse(text)
 
     def test_group_grammar(self):
         assert parse_group("free:2") == F2
