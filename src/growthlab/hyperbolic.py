@@ -211,8 +211,12 @@ def estimate_delta(
     the sampled distances and builds no n x n matrix. It yields a lower
     bound for the exhaustive answer, and its witness is the first trial
     with the largest positive defect.
+
+    An empty sample has no defect to report: ValueError in either mode.
     """
     n = sample.size
+    if n == 0:
+        raise ValueError("empty sample: the four-point condition needs a point")
     if mode == "exhaustive":
         needed = check_tuple_cap(n, tuple_cap)
         points = np.arange(n)

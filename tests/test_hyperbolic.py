@@ -16,6 +16,7 @@ from growthlab.errors import (
 )
 from growthlab.hyperbolic import (
     AcylindricityReport,
+    FiniteMetric,
     WordSample,
     acylindricity_witnesses,
     check_equivariance,
@@ -197,6 +198,16 @@ class TestGromovProduct:
         assert check_equivariance(ONE, el("a"), el("b"), el("ab"))
 
 
+class TestFiniteMetric:
+    def test_from_ball_is_the_word_sample_of_the_ball(self):
+        # the stand-in bench/spans.py wraps: same words, same estimate
+        ball = enumerate_ball(F2xF1, 2)
+        m = FiniteMetric.from_ball(ball)
+        assert isinstance(m, WordSample)
+        assert (m.group, m.packed) == (F2xF1, ball.packed)
+        assert estimate_delta(m) == estimate_delta(WordSample(F2xF1, ball.packed))
+
+
 class TestEstimateDelta:
     def test_tree_sample_is_zero_hyperbolic(self):
         m = WordSample(F2, enumerate_ball(F2, 3).packed)
@@ -216,6 +227,18 @@ class TestEstimateDelta:
     def test_single_point(self):
         m = MatrixSample(("p",), np.zeros((1, 1), dtype=np.int64))
         assert estimate_delta(m).delta == 0.0
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_empty_sample_is_refused(self, mode):
+        with pytest.raises(ValueError, match="empty sample"):
+            estimate_delta(WordSample(F2, []), mode)
+
+    def test_large_entries_stay_exact(self):
+        # doubled entries of 2^61: the Gromov sums reach 2^62 in int64
+        c4 = c4_metric()
+        big = MatrixSample(c4.labels, c4.dist2 << 59)
+        assert estimate_delta(big).delta == 2.0**59
+        assert estimate_delta(big, "random", trials=200).delta == 2.0**59
 
     def test_cap_refusal(self):
         m = WordSample(F2, enumerate_ball(F2, 2).packed)
