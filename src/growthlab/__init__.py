@@ -13,7 +13,6 @@ from .cayley import (
     DistortionTable,
     distortion,
     enumerate_ball,
-    growth_sequence,
     relative_ball,
     subgroup_word_length,
 )

@@ -27,7 +27,7 @@ from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 from .counting import ball_counts
-from .errors import BallBudgetError, InvariantViolationError, SearchBudgetError
+from .errors import BallBudgetError, SearchBudgetError
 from .subgroups import SubgroupOracle, WholeGroupOracle, oracle_for_generators
 from .words import Element, GroupDescriptor, invert_packed, multiply_packed, packed_length
 
@@ -75,8 +75,8 @@ class Ball:
 
     def up_to(self, radius: int) -> "Ball":
         """The sub-ball of smaller radius (a prefix of the sorted elements)."""
-        if radius > self.radius:
-            raise ValueError(f"ball only covers radius {self.radius}")
+        if not 0 <= radius <= self.radius:
+            raise ValueError(f"ball only covers radius 0 to {self.radius}, not {radius}")
         if radius == self.radius:
             return self
         return Ball(
@@ -119,8 +119,9 @@ def enumerate_ball(
 ) -> Ball:
     """Exact ball of the whole group: the relative ball of H = G.
 
-    WholeGroupOracle generates it from the factor trees, and the budget is
-    checked against the closed-form ball sizes before any element is built.
+    WholeGroupOracle generates it from the factor trees and checks each
+    sphere against its closed-form size, and the budget is checked against
+    the closed-form ball sizes before any element is built.
     """
     return relative_ball(group, WholeGroupOracle(group), radius, budget=budget)
 
@@ -152,33 +153,6 @@ def relative_ball(
         tuple(accumulate(map(len, spheres))),
         tuple(accumulate(unknown)),
     )
-
-
-def growth_sequence(
-    group: GroupDescriptor,
-    radius: int,
-    *,
-    oracle: SubgroupOracle | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Ball:
-    """The ball whose counts_by_radius is the growth table (the oracle's
-    relative ball, when given).
-
-    A whole-group ball is checked against the closed-form ball sizes at
-    every radius; a mismatch means the enumeration itself is broken, so it
-    raises.
-    """
-    if oracle is not None:
-        return relative_ball(group, oracle, radius, budget=budget)
-    ball = enumerate_ball(group, radius, budget=budget)
-    counts = ball.counts_by_radius
-    exact = tuple(ball_counts(group, radius))
-    if counts != exact:
-        n = next(n for n in range(radius + 1) if counts[n : n + 1] != exact[n : n + 1])
-        raise InvariantViolationError(
-            f"enumerated |B({n})| differs from the closed form {exact[n]}"
-        )
-    return ball
 
 
 def subgroup_word_length(

@@ -24,8 +24,9 @@ once; the flag checks, the defaults and the canonical render follow from
 them. A flag given twice, under either spelling, is a parse error.
 
 Exit codes: 0 success, 2 budget exceeded, 3 hypothesis or invariant
-violation detected, 64 spec parse error, 1 other failures. Errors are
-also emitted as one-line JSON diagnostics on stderr.
+violation detected, 64 spec parse error, 1 other failures. Each error
+type declares its code as exit_code, and every failure is also emitted
+as a one-line JSON diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -43,17 +44,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .cayley import DEFAULT_BUDGET, ball_sizes, distortion, enumerate_ball, growth_sequence
+from .cayley import DEFAULT_BUDGET, ball_sizes, distortion, enumerate_ball, relative_ball
 from .concat import DEFAULT_PAIR_BUDGET, build_connector_kit, measure_ambiguity
 from .counting import relative_ball_counts
-from .errors import (
-    AmbiguityBudgetError,
-    BudgetError,
-    GrowthlabError,
-    HypothesisViolationError,
-    InvariantViolationError,
-    ParseError,
-)
+from .errors import AmbiguityBudgetError, GrowthlabError, HypothesisViolationError, ParseError
 from .hyperbolic import (
     DEFAULT_TUPLE_CAP,
     WordSample,
@@ -288,8 +282,10 @@ def parse_spec(text: str) -> ExperimentSpec:
             return parser(value)
         except ParseError as exc:
             raise _reposition(exc, vline, vcol) from None
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(str(exc), vline, vcol) from None
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {value!r}", vline, vcol) from None
 
     group_spec = canonical("group", lambda s: parse_group(s).spec())
     group = parse_group(group_spec)
@@ -423,14 +419,15 @@ def _execute(spec: ExperimentSpec) -> tuple[int, dict, tuple[list[str], list, li
         cap = min(DEFAULT_ELEMENT_CAP, spec.budget or DEFAULT_ELEMENT_CAP)
         oracle = parse_subgroup(group, spec.subgroup, element_cap=cap)
 
-    if spec.command in ("growth", "relgrowth"):
+    if spec.command == "growth":
         # the whole group's table carries no unknown tallies
-        whole = spec.subgroup is None
-        ball = growth_sequence(
-            group, spec.max_radius, oracle=None if whole else oracle, budget=spec.budget
-        )
+        ball = enumerate_ball(group, spec.max_radius, budget=spec.budget)
+        return (0, *_table_view("count", list(enumerate(ball.counts_by_radius)), None))
+
+    if spec.command == "relgrowth":
+        ball = relative_ball(group, oracle, spec.max_radius, budget=spec.budget)
         rows = list(enumerate(ball.counts_by_radius))
-        return (0, *_table_view("count", rows, None if whole else ball.unknown_by_radius))
+        return (0, *_table_view("count", rows, ball.unknown_by_radius))
 
     if spec.command == "distortion":
         table = distortion(
@@ -513,19 +510,10 @@ def run(spec: ExperimentSpec) -> int:
         code, report, view = _execute(spec)
     except AmbiguityBudgetError as exc:
         # keep the truncated grid on disk next to the diagnostic
-        code, (report, view), failure = 2, _ambiguity_view(exc.partial), exc
-    except ParseError as exc:
-        _diagnose(exc)
-        return 64
-    except BudgetError as exc:
-        _diagnose(exc)
-        return 2
-    except (HypothesisViolationError, InvariantViolationError) as exc:
-        _diagnose(exc)
-        return 3
+        code, (report, view), failure = exc.exit_code, _ambiguity_view(exc.partial), exc
     except (GrowthlabError, ValueError) as exc:
         _diagnose(exc)
-        return 1
+        return getattr(exc, "exit_code", 1)
     path = out_dir / f"{spec.command}.{spec.format}"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -546,7 +534,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         spec = parse_spec(shlex.join(args))
     except ParseError as exc:
         _diagnose(exc)
-        return 64
+        return exc.exit_code
     return run(spec)
 
 

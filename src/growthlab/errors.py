@@ -1,13 +1,16 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes, so modules should raise the
-most specific type that applies rather than bare ValueError when the
-condition is budget- or input-related.
+Each type declares the process exit code the CLI returns for it as the
+class attribute exit_code, so modules should raise the most specific type
+that applies rather than bare ValueError when the condition is budget- or
+input-related.
 """
 
 
 class GrowthlabError(Exception):
     """Base class for package-specific errors."""
+
+    exit_code = 1
 
 
 class ParseError(GrowthlabError, ValueError):
@@ -16,6 +19,8 @@ class ParseError(GrowthlabError, ValueError):
     args[0] is the message without its position, so the error can be
     placed again; str() appends the position.
     """
+
+    exit_code = 64
 
     def __init__(self, message: str, line: int = 1, column: int | None = None):
         self.line = line
@@ -34,7 +39,9 @@ class GroupMismatchError(GrowthlabError, ValueError):
 
 
 class BudgetError(GrowthlabError, RuntimeError):
-    """Base for all exhausted-budget conditions (exit code 2)."""
+    """Base for all exhausted-budget conditions."""
+
+    exit_code = 2
 
 
 class BallBudgetError(BudgetError):
@@ -112,11 +119,15 @@ class DependenceError(GrowthlabError, ValueError):
 
 
 class HypothesisViolationError(GrowthlabError, RuntimeError):
-    """A growth-rate hypothesis failed its exhaustive check (exit code 3)."""
+    """A growth-rate hypothesis failed its exhaustive check."""
+
+    exit_code = 3
 
 
 class InvariantViolationError(GrowthlabError, RuntimeError):
     """An internal mathematical invariant failed; indicates a bug or bad input."""
+
+    exit_code = 3
 
 
 class UnsupportedConfigurationError(GrowthlabError, ValueError):

@@ -173,8 +173,10 @@ def parse_funcspec(text: str) -> FuncSpec:
         return FuncSpec.constant(Fraction(stripped))
     except ParseError:
         raise
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad function spec {text!r}: {exc}", column=1) from None
+    except ZeroDivisionError:
+        raise ParseError(f"bad function spec {text!r}: zero denominator", column=1) from None
 
 
 def default_growth_bound(group: GroupDescriptor) -> Fraction:
@@ -420,6 +422,12 @@ def _lg_gaps(lg: np.ndarray, offset: int, width: int) -> np.ndarray:
     return lg[:width] - lg[offset : offset + width]
 
 
+def _undecided(lg: np.ndarray, offset: int, width: int, bound: float) -> list[int]:
+    """The s in 0..width-1 that the float filter leaves to the exact comparison:
+    every s whose gap is not at most bound, a nan gap (a count <= 0) included."""
+    return (~(_lg_gaps(lg, offset, width) <= bound)).nonzero()[0].tolist()
+
+
 def check_hypothesis(
     f: Iterable[int],
     hyp: RateHypothesis,
@@ -486,7 +494,7 @@ def _check_hypothesis(
         pairs += len(m_range)
         lg_p = math.log2(p)
         bound = -_MARGIN * max(lg_top, lg_p) - (lg_list[n] - (lg_p - math.log2(q)))
-        for m in (~(_lg_gaps(lg, n + shift, len(m_range)) <= bound)).nonzero()[0].tolist():
+        for m in _undecided(lg, n + shift, len(m_range), bound):
             lhs, fk = counts[m] * fn, counts[m + n + shift]
             if q * lhs > p * fk:
                 violations.append(HypothesisViolation("combine", m, n, Fraction(lhs), eps * fk))
@@ -582,7 +590,7 @@ def hypothesis_from_growth(
     for (t, _, s_range), peak in zip(rows, peaks):
         if peak <= cutoff:
             continue
-        for s in (~(_lg_gaps(lg, t + c, len(s_range)) <= cutoff - lg[t])).nonzero()[0].tolist():
+        for s in _undecided(lg, t + c, len(s_range), cutoff - lg[t]):
             lhs, fk = counts[s] * counts[t], counts[s + t + c]
             if worst.denominator * lhs > worst.numerator * fk:
                 worst = Fraction(lhs, fk)

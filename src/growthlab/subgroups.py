@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 from .counting import convolve_spheres, product_sphere_counts
 from .errors import (
     GroupMismatchError,
+    InvariantViolationError,
     OracleBudgetError,
     ParseError,
     UnsupportedConfigurationError,
@@ -277,9 +278,21 @@ class WholeGroupOracle(SubgroupOracle):
         return True
 
     def relative_spheres(self, radius: int) -> Spheres:
-        """The group's spheres, from the factor trees; nothing is undecided."""
-        factors = [free_spheres(rank, radius) for rank in self.group.ranks]
-        return product_spheres(factors), [0] * (radius + 1)
+        """The group's spheres, from the factor trees; nothing is undecided.
+
+        Every whole-group ball is generated here, so each sphere's size is
+        checked against its closed form: a mismatch means the generator
+        itself is broken, and InvariantViolationError names the first
+        ball it spoils.
+        """
+        spheres = product_spheres([free_spheres(rank, radius) for rank in self.group.ranks])
+        sizes, exact = [len(s) for s in spheres], self.sphere_counts(radius)
+        if sizes != exact:
+            n = next(n for n in range(radius + 1) if sizes[n : n + 1] != exact[n : n + 1])
+            raise InvariantViolationError(
+                f"enumerated |B({n})| differs from the closed form {sum(exact[: n + 1])}"
+            )
+        return spheres, [0] * (radius + 1)
 
     def sphere_counts(self, radius: int) -> list[int]:
         return product_sphere_counts(self.group.ranks, radius)

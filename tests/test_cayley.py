@@ -12,13 +12,17 @@ from growthlab.cayley import (
     Ball,
     distortion,
     enumerate_ball,
-    growth_sequence,
     relative_ball,
     subgroup_word_length,
 )
-from growthlab import cayley
+from growthlab import cayley, subgroups
 from growthlab.counting import ball_counts, relative_ball_counts
-from growthlab.errors import BallBudgetError, SearchBudgetError, UnsupportedConfigurationError
+from growthlab.errors import (
+    BallBudgetError,
+    InvariantViolationError,
+    SearchBudgetError,
+    UnsupportedConfigurationError,
+)
 from growthlab.subgroups import (
     BudgetedEnumerationOracle,
     CyclicOracle,
@@ -265,6 +269,12 @@ class TestEnumerateBall:
         assert small.counts_by_radius == (1, 5, 17, 53)
         assert small.packed == ball.packed[: len(small.packed)]
 
+    @pytest.mark.parametrize("radius", [-2, -1, 4])
+    def test_up_to_refuses_a_radius_outside_the_ball(self, radius):
+        # a negative radius must not slice the tuples from their end
+        with pytest.raises(ValueError, match=f"radius 0 to 3, not {radius}"):
+            enumerate_ball(F2, 3).up_to(radius)
+
     @pytest.mark.parametrize(
         "group,radius", [(F1, 8), (F2, 6), (free_group(3), 5), (F2xF2, 4)]
     )
@@ -320,6 +330,13 @@ class TestEnumerateBall:
 
 
 class TestRelativeBall:
+    @pytest.mark.parametrize(
+        "oracle", [WholeGroupOracle(F1), CyclicOracle(F2xF2, el("(a,b)", F2xF2))]
+    )
+    def test_oracle_over_another_group_is_refused(self, oracle):
+        with pytest.raises(ValueError, match="oracle is over a different group"):
+            relative_ball(F2, oracle, 2)
+
     def test_cyclic_line(self):
         rel = relative_ball(F2, CyclicOracle(F2, el("a")), 3)
         assert rel.counts_by_radius == (1, 3, 5, 7)
@@ -413,19 +430,35 @@ class TestRelativeBall:
         assert (exc.value.radius_reached, exc.value.target_radius) == (3, 4)
 
 
-class TestGrowthSequence:
-    def test_whole_group_table(self):
-        ball = growth_sequence(F2, 6)
-        assert ball.counts_by_radius == (1, 5, 17, 53, 161, 485, 1457)
-        assert ball.packed == enumerate_ball(F2, 6).packed
-        assert ball.radius == 6
+class TestWholeGroupCheck:
+    """WholeGroupOracle checks each sphere it generates against its closed
+    form, so every whole-group ball is checked, whichever caller asks."""
 
-    def test_subgroup_table_tracks_oracle(self):
-        oracle = parse_subgroup(F2, "cyclic:a")
-        ball = growth_sequence(F2, 4, oracle=oracle)
-        assert ball.counts_by_radius == (1, 3, 5, 7, 9)
-        assert ball.packed == relative_ball(F2, oracle, 4).packed
-        assert ball.unknown_by_radius == (0, 0, 0, 0, 0)
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda spheres: spheres[2].pop(), r"\|B\(2\)\| differs from the closed form 49"),
+            (
+                lambda spheres: spheres[1].append(spheres[1][0]),
+                r"\|B\(1\)\| differs from the closed form 9",
+            ),
+            (lambda spheres: spheres.pop(), r"\|B\(3\)\| differs from the closed form 217"),
+        ],
+        ids=["word-lost", "word-repeated", "sphere-lost"],
+    )
+    def test_corrupted_product_spheres_raise(self, monkeypatch, corrupt, message):
+        product_spheres = subgroups.product_spheres
+
+        def corrupted(factors):
+            spheres = product_spheres(factors)
+            corrupt(spheres)
+            return spheres
+
+        monkeypatch.setattr(subgroups, "product_spheres", corrupted)
+        with pytest.raises(InvariantViolationError, match=message):
+            enumerate_ball(F2xF2, 3)
+        with pytest.raises(InvariantViolationError, match=message):
+            relative_ball(F2xF2, WholeGroupOracle(F2xF2), 3)
 
 
 class TestSubgroupWordLength:

@@ -17,7 +17,7 @@ import pytest
 
 import growthlab
 from growthlab import cli, errors, subgroups
-from growthlab.cayley import distortion, growth_sequence
+from growthlab.cayley import distortion, enumerate_ball
 from growthlab.cli import ExperimentSpec, _diagnose, main, parse_spec, run
 from growthlab.concat import AmbiguityReport
 from growthlab.errors import InvariantViolationError, ParseError
@@ -384,6 +384,22 @@ class TestSpecLayer:
         assert (diag["error"], diag["column"]) == ("ParseError", column)
         assert "identity is written 1" in diag["message"]
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--growth-bound", "1/0", "zero denominator in '1/0'"),
+            ("--growth-bound", "x", "Invalid literal for Fraction: 'x'"),
+            ("--epsilon", "1/0", "bad function spec '1/0': zero denominator"),
+            ("--shift", "table:1,2/0", "bad function spec 'table:1,2/0': zero denominator"),
+        ],
+    )
+    def test_bad_fraction_exits_64_naming_value_and_reason(self, capsys, flag, value, message):
+        assert main(shlex.split(f"rate --group free:2 --max-radius 4 {flag} {value}")) == 64
+        diag = json.loads(capsys.readouterr().err)
+        column = len(f"rate --group free:2 --max-radius 4 {flag} ") + 1
+        assert (diag["error"], diag["column"]) == ("ParseError", column)
+        assert diag["message"] == f"{message} (line 1, column {column})"
+
     def test_workers_is_checked_then_dropped(self):
         spec = parse_spec("growth --group free:2 --max-radius 3 --workers 256")
         assert spec == parse_spec("growth --group free:2 --max-radius 3")
@@ -436,6 +452,26 @@ class TestDiagnose:
     def test_matches_reference(self, capsys, kind):
         exc = ERROR_INSTANCES[kind]
         _diagnose(exc)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == reference_diagnostic(exc)
+
+    @pytest.mark.parametrize("kind", [*ERROR_INSTANCES, ValueError], ids=lambda k: k.__name__)
+    def test_each_error_type_exits_with_its_code(self, tmp_path, capsys, monkeypatch, kind):
+        # the codes each type declares give the CLI's documented mapping
+        exc = ERROR_INSTANCES.get(kind) or kind("plain")
+        want = (
+            64 if isinstance(exc, errors.ParseError)
+            else 2 if isinstance(exc, errors.BudgetError)
+            else 3 if isinstance(exc, (errors.HypothesisViolationError, InvariantViolationError))
+            else 1
+        )
+
+        def fail(spec):
+            raise exc
+
+        monkeypatch.setattr(cli, "_execute", fail)
+        spec = replace(parse_spec("growth --group free:2 --max-radius 1"), out=str(tmp_path))
+        assert run(spec) == want
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line) == reference_diagnostic(exc)
 
@@ -788,9 +824,19 @@ class TestExitCodes:
         assert code == 3
         assert (tmp_path / "rate.json").exists()
 
-    def test_corrupted_whole_group_enumeration_is_3(self, tmp_path, capsys, monkeypatch):
-        # one word dropped from sphere 3 of each factor tree: the
-        # enumerated table leaves the closed-form ball sizes there
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "growth --group free:2 --max-radius 4",
+            "acyl --group free:2 --x a --y b --epsilon 4",
+            "delta --group free:2 --max-radius 3",
+            "delta --group free:2 --max-radius 3 --mode random --trials 100",
+            "ambiguity --group free:2 --g a --h b --smax 3 --tmax 3",
+        ],
+    )
+    def test_corrupted_whole_group_enumeration_is_3(self, tmp_path, capsys, monkeypatch, line):
+        # one word dropped from sphere 3 of each factor tree: every command
+        # that reads a whole-group ball stops at the closed-form check
         free_spheres = subgroups.free_spheres
 
         def drop_one(rank, radius):
@@ -799,11 +845,12 @@ class TestExitCodes:
             return spheres
 
         monkeypatch.setattr(subgroups, "free_spheres", drop_one)
-        with pytest.raises(InvariantViolationError, match=r"\|B\(3\)\|"):
-            growth_sequence(free_group(2), 4)
-        code = main(["growth", "--group", "free:2", "--max-radius", "4", "--out", str(tmp_path)])
-        assert code == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolationError"
+        with pytest.raises(InvariantViolationError, match=r"\|B\(3\)\| .* closed form 53"):
+            enumerate_ball(free_group(2), 4)
+        assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 3
+        (diag_line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(diag_line)["error"] == "InvariantViolationError"
+        assert not list(tmp_path.iterdir())
 
     def test_rate_with_a_huge_epsilon_is_fast(self, tmp_path):
         # with epsilon 10^50 the floor takes roots of fractions whose
@@ -863,7 +910,9 @@ def test_one_writer_renders_every_format():
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert imported.isdisjoint({"GrowthTable", "relative_ball"})
+    # a whole-group ball comes only from WholeGroupOracle, which checks it
+    # against the closed forms, never from the bare sphere generators
+    assert imported.isdisjoint({"GrowthTable", "free_spheres", "product_spheres"})
 
 
 def test_budgeted_oracle_is_built_once_per_run(tmp_path, monkeypatch):
@@ -1169,6 +1218,27 @@ AMBIGUITY_ARTIFACTS = [
 def test_ambiguity_artifact_digest(tmp_path, line, code, digest):
     assert main(shlex.split(line) + ["--out", str(tmp_path)]) == code
     assert hashlib.sha256((tmp_path / "ambiguity.json").read_bytes()).hexdigest() == digest
+
+
+def test_product_grid_past_its_envelope_exits_3(tmp_path, capsys):
+    # the envelope is fitted on t <= 3; cell (5,4) has max fiber 12 at
+    # (aaaaa,aaaaa), above 1 + (8/3)*4, and the default budget admits the
+    # grid's 4,999,862 pairs
+    line = (
+        'ambiguity --group "product(free:2,free:2)" --g "(a,a)" --h "(b,b)" -n 2 --smax 5 --tmax 4'
+    )
+    assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "HypothesisViolationError"
+    body = (tmp_path / "ambiguity.json").read_bytes()
+    assert hashlib.sha256(body).hexdigest() == (
+        "7a7e2876d3f6a92e60fb7acfae15061d9bcce27cd828e2aa0228348f71a8596f"
+    )
+    report = json.loads(body)["report"]
+    assert (report["fit_t"], report["intercept"], report["slope"]) == (3, 1, "8/3")
+    assert report["violations"] == [[5, 4]]
+    assert [5, 4, 13, 2803465, 12, "(aaaaa,aaaaa)"] in report["cells"]
+    assert main(shlex.split(line) + ["--format", "csv", "--out", str(tmp_path)]) == 3
+    assert (tmp_path / "ambiguity.csv").read_text().endswith("# violation,5,4\n")
 
 
 def test_python_dash_m_runs_readme_command(tmp_path):

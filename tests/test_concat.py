@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import concat
-from growthlab.cayley import Ball, enumerate_ball, growth_sequence, relative_ball
+from growthlab.cayley import Ball, enumerate_ball, relative_ball
 from growthlab.concat import (
     DEFAULT_PAIR_BUDGET,
     AmbiguityReport,
@@ -562,7 +562,7 @@ class TestSupermultiplicativity:
         return check_hypothesis(counts, hyp, **bounds)
 
     def test_plain_form_fails_without_connectors(self):
-        table = growth_sequence(F2, 4).counts_by_radius
+        table = enumerate_ball(F2, 4).counts_by_radius
         res = self.check(table, 0, FuncSpec.constant(1))
         assert not res.ok
         first = res.violations[0]
@@ -584,7 +584,7 @@ class TestSupermultiplicativity:
         assert self.check((1,) * 9, 0, FuncSpec.constant(1)).ok
 
     def test_insufficient_range_rejected(self):
-        table = growth_sequence(F2, 4).counts_by_radius
+        table = enumerate_ball(F2, 4).counts_by_radius
         with pytest.raises(ValueError):
             self.check(table, 2, FuncSpec.constant(1), m_max=8, n_max=8)
 
@@ -592,5 +592,5 @@ class TestSupermultiplicativity:
         # (25/17 - 10^-20) beta(2) is just under 25 at (1,1): still a
         # violation, although a float epsilon would round the gap away
         eps = Fraction(25, 17) - Fraction(1, 10**20)
-        res = self.check(growth_sequence(F2, 2).counts_by_radius, 0, FuncSpec.constant(eps))
+        res = self.check(enumerate_ball(F2, 2).counts_by_radius, 0, FuncSpec.constant(eps))
         assert [(v.m, v.n, v.lhs, v.rhs) for v in res.violations] == [(1, 1, 25, eps * 17)]

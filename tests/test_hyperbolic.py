@@ -421,6 +421,15 @@ class TestAcylindricity:
         if epsilon:
             assert set(acylindricity_witnesses(group, x, y, epsilon - 1).witnesses) <= found
 
+    @pytest.mark.parametrize("x,y", [(el("(a,1)", F2xF1), el("b")), (el("a"), el("(b,a)", F2xF1))])
+    def test_foreign_basepoint_rejected(self, x, y):
+        with pytest.raises(GroupMismatchError, match="basepoints must live in the given group"):
+            acylindricity_witnesses(F2, x, y, 1)
+
+    def test_negative_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            acylindricity_witnesses(F2, ONE, el("a"), -1)
+
     def test_budget_refuses_before_enumerating(self):
         with pytest.raises(BallBudgetError) as info:
             acylindricity_witnesses(F2, el("ab"), el("b"), 13, budget=1000)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab.cayley import growth_sequence
+from growthlab.cayley import enumerate_ball
 from growthlab.counting import ball_counts, free_ball_counts
 from growthlab.errors import ParseError
 from growthlab.rate import (
@@ -126,7 +126,7 @@ class TestRootSequence:
 
     def test_accepts_growth_table(self):
         # a growth table is its counts: the enumerated ball's counts_by_radius
-        table = growth_sequence(free_group(2), 14).counts_by_radius
+        table = enumerate_ball(free_group(2), 14).counts_by_radius
         assert root_sequence(table) == root_sequence(F2_14)
 
     @settings(max_examples=300, deadline=None)

@@ -343,6 +343,24 @@ class TestProductAndPullback:
         assert orc.contains(el("(aaa,b)", F2xF2)) is False
         assert orc.contains(el("(b,bb)", F2xF2)) is False
 
+    @pytest.mark.parametrize("group,count", [(F2xF2, 1), (F2, 2)])
+    def test_product_needs_one_oracle_per_factor(self, group, count):
+        with pytest.raises(UnsupportedConfigurationError, match="one factor oracle per ambient"):
+            ProductOracle(group, [CyclicOracle(F2, el("a"))] * count)
+
+    @pytest.mark.parametrize(
+        "rank,message",
+        [
+            (2, "factor oracle 1 is over free:2, expected free:1"),
+            (1, "factor oracle 0 is over free:1, expected free:2"),
+        ],
+    )
+    def test_product_factor_oracle_over_the_wrong_group(self, rank, message):
+        # both factor oracles over free:rank, against F2xF1's free:2 and free:1
+        group = free_group(rank)
+        with pytest.raises(UnsupportedConfigurationError, match=message):
+            ProductOracle(F2xF1, [CyclicOracle(group, el("a", group))] * 2)
+
     def test_diagonal_membership(self):
         orc = diagonal_oracle(F2xF2)
         assert orc.contains(el("(ab,ab)", F2xF2)) is True

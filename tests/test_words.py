@@ -115,6 +115,14 @@ class TestReduce:
         with pytest.raises(ValueError, match="factor 1 word"):
             Element(F2xF1, b"\x01\x00\x03")
 
+    @pytest.mark.parametrize("packed", [b"\x01\x02", b"\x03\x01\x02", b"\x04\x03"])
+    def test_unreduced_bytes_rejected(self, packed):
+        # a and A, or b and B, side by side: the bytes are not a reduced word
+        with pytest.raises(ValueError, match="factor 0 word is not freely reduced"):
+            Element(F2, packed)
+        with pytest.raises(ValueError, match="factor 1 word is not freely reduced"):
+            Element(F2xF2, b"\x01\x00" + packed)
+
     @given(letter_seqs)
     def test_matches_rescan_oracle(self, seq):
         got = reduce_letter_bytes(seq)
