@@ -27,7 +27,12 @@ from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 from .counting import ball_counts
-from .errors import BallBudgetError, SearchBudgetError
+from .errors import (
+    BallBudgetError,
+    InvariantViolationError,
+    SearchBudgetError,
+    UnsupportedConfigurationError,
+)
 from .subgroups import SubgroupOracle, WholeGroupOracle, oracle_for_generators
 from .words import Element, GroupDescriptor, invert_packed, multiply_packed, packed_length
 
@@ -119,9 +124,9 @@ def enumerate_ball(
 ) -> Ball:
     """Exact ball of the whole group: the relative ball of H = G.
 
-    WholeGroupOracle generates it from the factor trees and checks each
-    sphere against its closed-form size, and the budget is checked against
-    the closed-form ball sizes before any element is built.
+    WholeGroupOracle generates it from the factor trees, relative_ball
+    checks each sphere against its closed-form size, and the budget is
+    checked against the closed-form ball sizes before any element is built.
     """
     return relative_ball(group, WholeGroupOracle(group), radius, budget=budget)
 
@@ -137,9 +142,15 @@ def relative_ball(
     """Subgroup elements of ambient length <= radius, from the oracle's structure.
 
     The oracle generates its members sphere by sphere and tallies what it
-    cannot decide. The budget still caps the ambient ball's closed-form
-    size, so a request fails where whole-group enumeration would. An
-    ambient ball, if given, must cover the request; it is not needed.
+    cannot decide. Every ball passes through here, so each sphere's size is
+    checked against the oracle's own exact count (sphere_counts, computed
+    without the generated spheres): a mismatch means the generator is
+    broken, and InvariantViolationError names the first ball it spoils.
+    Oracles without exact counts (folded graphs with nontrivial labels,
+    budgeted oracles, and products holding one) are not checked. The
+    budget still caps the ambient ball's closed-form size, so a request
+    fails where whole-group enumeration would. An ambient ball, if given,
+    must cover the request; it is not needed.
     """
     if oracle.group != group:
         raise ValueError("oracle is over a different group")
@@ -147,12 +158,18 @@ def relative_ball(
         raise ValueError("supplied ambient ball does not cover the request")
     ball_sizes(group, radius, budget)
     spheres, unknown = oracle.relative_spheres(radius)
-    return Ball(
-        group,
-        tuple(chain.from_iterable(spheres)),
-        tuple(accumulate(map(len, spheres))),
-        tuple(accumulate(unknown)),
-    )
+    sizes = [len(s) for s in spheres]
+    try:
+        exact = oracle.sphere_counts(radius)
+    except UnsupportedConfigurationError:
+        exact = sizes
+    if sizes != exact:
+        n = next(n for n in range(radius + 1) if sizes[n : n + 1] != exact[n : n + 1])
+        raise InvariantViolationError(
+            f"enumerated |B({n})| differs from the closed form {sum(exact[: n + 1])}"
+        )
+    members = tuple(chain.from_iterable(spheres))
+    return Ball(group, members, tuple(accumulate(sizes)), tuple(accumulate(unknown)))
 
 
 def subgroup_word_length(

@@ -19,10 +19,12 @@ range only, so a passing check (hypothesis_ok) does not certify the
 floor: `rate --group free:1 --max-radius 20 --epsilon 11` passes with a
 floor of 1.0717, though the growth rate of Z is 1, because
 (2m+1)(2n+1) <= 11 (2m+2n+1) holds for m + n <= 20 but fails for larger
-m and n.  The ceiling is empirical: the monotone envelope
-min_n max_{m >= n} a_m of the root sequence a_n = f(n)^{1/n}, which for
-genuinely submultiplicative tables is itself an upper bound for the
-limit.
+m and n.  A failing check keeps its first MAX_VIOLATIONS (1,000)
+violations, the unary checks by n and then the pairs, and counts the
+rest: a report whose list was cut states violations_total.  The ceiling
+is empirical: the monotone envelope min_n max_{m >= n} a_m of the root
+sequence a_n = f(n)^{1/n}, which for genuinely submultiplicative tables
+is itself an upper bound for the limit.
 
 Arithmetic policy: counts are integers and epsilons and growth bounds
 exact fractions p/q.  Every decision is an integer cross-multiplication:
@@ -79,6 +81,7 @@ __all__ = [
     "RateHypothesis",
     "HypothesisViolation",
     "HypothesisCheck",
+    "MAX_VIOLATIONS",
     "RateEstimate",
     "WalkRow",
     "default_growth_bound",
@@ -90,6 +93,9 @@ __all__ = [
 
 # the float filter's margin per unit of the largest |lg| (Arithmetic policy)
 _MARGIN = 2.0**-46
+
+# a failing check keeps this many violations and counts the rest
+MAX_VIOLATIONS = 1000
 
 _AFFINE_RE = re.compile(r"^(?:(?P<a>[0-9][0-9/.]*)(?P<sign>[+-]))?(?P<b>[0-9][0-9/.]*)n$")
 
@@ -256,9 +262,17 @@ class HypothesisViolation:
 
 @dataclass(frozen=True)
 class HypothesisCheck:
+    """A check's verdict over `checked` comparisons.
+
+    violations holds the first MAX_VIOLATIONS failures in check order (the
+    unary checks by n, then the pairs); when there were more, total counts
+    them all, and otherwise it is None.
+    """
+
     ok: bool
     checked: int
     violations: tuple[HypothesisViolation, ...]
+    total: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -284,9 +298,10 @@ class RateEstimate:
     The floor follows only if the recorded hypothesis holds at every
     index; hypothesis_ok says only that it holds on the table's range
     (see the module docstring's free:1 example), and when it does not,
-    the violations say why.  The walk table replays the per-n bound
-    (f(s)/epsilon(s))^{q/n} at the witness s, exposing how the headline
-    bound arises.
+    the violations say why: the first MAX_VIOLATIONS of them, with
+    violations_total in the report only when there were more.  The walk
+    table replays the per-n bound (f(s)/epsilon(s))^{q/n} at the witness
+    s, exposing how the headline bound arises.
     """
 
     roots: tuple[float, ...]
@@ -318,6 +333,7 @@ class RateEstimate:
             "witness_n": self.witness_n,
             "hypothesis_ok": self.hypothesis_ok,
             "violations": [v.to_json() for v in self.check.violations],
+            **({} if self.check.total is None else {"violations_total": self.check.total}),
             "checked": self.check.checked,
             "hypothesis": self.hypothesis.to_json(),
             "roots": list(self.roots),
@@ -458,6 +474,7 @@ def _check_hypothesis(
     """check_hypothesis with shift(n) and epsilon(n) read from shift_at and epsilon_at."""
     violations: list[HypothesisViolation] = []
     checked = 0
+    pn = qn = 1  # B^n = p^n / q^n for B = p/q, carried along n
 
     for n in range(len(counts)):
         checked += 1
@@ -475,16 +492,18 @@ def _check_hypothesis(
                 )
         if hyp.growth_bound is not None:
             checked += 1
-            p, q = hyp.growth_bound.numerator**n, hyp.growth_bound.denominator**n
-            if counts[n] * q > p:
+            if counts[n] * qn > pn:
                 violations.append(
-                    HypothesisViolation("bound", None, n, Fraction(counts[n]), Fraction(p, q))
+                    HypothesisViolation("bound", None, n, Fraction(counts[n]), Fraction(pn, qn))
                 )
+            pn, qn = pn * hyp.growth_bound.numerator, qn * hyp.growth_bound.denominator
 
     # epsilon(n) = p/q runs once for every n of the grid.  A pair whose float
     # d = lg f(m) + lg f(n) - lg f(k) - lg epsilon(n) is at most -margin holds
     # (Arithmetic policy); every other pair, in ascending m, is compared as
-    # q f(m)f(n) > p f(k) in integers
+    # q f(m)f(n) > p f(k) in integers.  Every violation is counted, and the
+    # first MAX_VIOLATIONS, unary ones first, are kept
+    total = len(violations)
     lg, lg_top = _log2_counts(counts)
     lg_list = lg.tolist()
     pairs = 0
@@ -497,10 +516,13 @@ def _check_hypothesis(
         for m in _undecided(lg, n + shift, len(m_range), bound):
             lhs, fk = counts[m] * fn, counts[m + n + shift]
             if q * lhs > p * fk:
-                violations.append(HypothesisViolation("combine", m, n, Fraction(lhs), eps * fk))
+                total += 1
+                if len(violations) < MAX_VIOLATIONS:
+                    violations.append(HypothesisViolation("combine", m, n, Fraction(lhs), eps * fk))
     if pairs == 0:
         raise ValueError("table range admits no combination pair at this threshold")
-    return HypothesisCheck(not violations, checked + pairs, tuple(violations))
+    kept = tuple(violations[:MAX_VIOLATIONS])
+    return HypothesisCheck(not total, checked + pairs, kept, total if total > len(kept) else None)
 
 
 def fekete_lower_bound(f: Iterable[int], hyp: RateHypothesis) -> RateEstimate:

@@ -25,11 +25,13 @@ length, generated rather than filtered from the ambient ball, and the
 undecided count per sphere), sphere_counts (exact member counts per sphere,
 for radii far past enumeration range; the budgeted oracle and folded graphs
 with nontrivial labels raise) and spec_string (the canonical subgroup spec).
+cayley.relative_ball holds every generated sphere to sphere_counts, so an
+oracle's counts must never be read off the spheres it generates.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -38,7 +40,6 @@ from typing import Iterable, Sequence
 from .counting import convolve_spheres, product_sphere_counts
 from .errors import (
     GroupMismatchError,
-    InvariantViolationError,
     OracleBudgetError,
     ParseError,
     UnsupportedConfigurationError,
@@ -278,20 +279,8 @@ class WholeGroupOracle(SubgroupOracle):
         return True
 
     def relative_spheres(self, radius: int) -> Spheres:
-        """The group's spheres, from the factor trees; nothing is undecided.
-
-        Every whole-group ball is generated here, so each sphere's size is
-        checked against its closed form: a mismatch means the generator
-        itself is broken, and InvariantViolationError names the first
-        ball it spoils.
-        """
+        """The group's spheres, from the factor trees; nothing is undecided."""
         spheres = product_spheres([free_spheres(rank, radius) for rank in self.group.ranks])
-        sizes, exact = [len(s) for s in spheres], self.sphere_counts(radius)
-        if sizes != exact:
-            n = next(n for n in range(radius + 1) if sizes[n : n + 1] != exact[n : n + 1])
-            raise InvariantViolationError(
-                f"enumerated |B({n})| differs from the closed form {sum(exact[: n + 1])}"
-            )
         return spheres, [0] * (radius + 1)
 
     def sphere_counts(self, radius: int) -> list[int]:
@@ -341,6 +330,8 @@ class StallingsOracle(SubgroupOracle):
                 continue
             self.factor = f
             self.spread = len(placed)
+            # path states per vertex: arrived by one of the 2k letters, or the start
+            self._width = 2 * group.ranks[f] + 1
             # SEP runs around the coordinates that hold w
             self._gaps = [SEP * (j - i) for i, j in zip([0, *placed], [*placed, nf - 1])]
             return
@@ -362,15 +353,21 @@ class StallingsOracle(SubgroupOracle):
         return self._member(packed.split(SEP)[self.factor]) == packed
 
     @cached_property
-    def _moves(self) -> dict[tuple[int, bytes], list[tuple[bytes, int]]]:
-        """(vertex, last letter or b"") -> non-cancelling (letter, target), in letter order."""
-        return {
-            (v, bytes([last]) if last else b""): [
-                (bytes([b]), w) for b, w in sorted(edges.items()) if b != inverse_byte(last)
+    def _moves(self) -> list[list[tuple[bytes, int, int]]]:
+        """Per path state, the non-cancelling (letter, target, next state), in letter order.
+
+        State v * _width + last is a path at vertex v whose last letter is
+        `last`, 0 for the empty path; states below _width are at the basepoint.
+        """
+        return [
+            [
+                (bytes([b]), w, w * self._width + b)
+                for b, w in sorted(edges.items())
+                if b != inverse_byte(last)
             ]
-            for v, edges in enumerate(self.graph.transitions)
-            for last in range(2 * self.group.ranks[self.factor] + 1)
-        }
+            for edges in self.graph.transitions
+            for last in range(self._width)
+        ]
 
     def _closed_words(self, top: int) -> list[list[bytes]]:
         """Reduced closed paths at the basepoint of length 0..top, extended letter by letter.
@@ -384,10 +381,8 @@ class StallingsOracle(SubgroupOracle):
         words = [[b""]]
         for n in range(1, top + 1):
             left = top - n
-            paths = [
-                (p + x, w) for p, v in paths for x, w in moves[v, p[-1:]] if dist[w] <= left
-            ]
-            words.append([p for p, v in paths if v == 0])
+            paths = [(p + x, t) for p, s in paths for x, w, t in moves[s] if dist[w] <= left]
+            words.append([p for p, s in paths if s < self._width])
         return words
 
     def relative_spheres(self, radius: int) -> Spheres:
@@ -419,15 +414,17 @@ class StallingsOracle(SubgroupOracle):
             raise UnsupportedConfigurationError(
                 "no exact counting formula for a labelled folded graph; enumerate instead"
             )
-        states: dict[tuple[int, bytes], int] = {(0, b""): 1}
+        moves = self._moves
+        walks = [1] + [0] * (len(moves) - 1)  # reduced paths per state
         paths = [1]
         for _ in range(radius // self.spread):
-            new: dict[tuple[int, bytes], int] = defaultdict(int)
-            for (v, last), c in states.items():
-                for x, w in self._moves[v, last]:
-                    new[w, x] += c
-            states = new
-            paths.append(sum(c for (v, _), c in states.items() if v == 0))
+            new = [0] * len(moves)
+            for c, row in zip(walks, moves):
+                if c:
+                    for _, _, t in row:
+                        new[t] += c
+            walks = new
+            paths.append(sum(walks[: self._width]))
         counts = [0] * (radius + 1)
         counts[:: self.spread] = paths
         return counts

@@ -852,6 +852,60 @@ class TestExitCodes:
         assert json.loads(diag_line)["error"] == "InvariantViolationError"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "group,subgroup,radius,drop,code",
+        [
+            ("free:2", "aab,bAb", 6, "closed path", 3),
+            ("product(free:2,free:2)", "diag", 4, "closed path", 3),
+            ("free:2", "cyclic:ab", 6, "power", 3),
+            ("product(free:2,free:2)", "prod(aa,b;ab)", 4, "power", 3),
+            # no exact counts, so nothing to check them against
+            ("product(free:2,free:2)", "(a,b),(b,a)", 5, None, 0),
+            ("product(free:2,free:2)", "(a,1),(1,a)", 3, None, 0),
+        ],
+        ids=["stallings", "diag", "cyclic", "prod", "labelled", "budgeted"],
+    )
+    def test_corrupted_subgroup_enumeration_is_3(
+        self, tmp_path, capsys, monkeypatch, group, subgroup, radius, drop, code
+    ):
+        # one member dropped from an exact oracle's generator: a closed path
+        # of the folded graph, or a power of the cyclic generator (in prod,
+        # of its second factor); relgrowth stops at the oracle's own counts
+        def drop_first_member(by_length):
+            n = next(n for n in range(1, len(by_length)) if by_length[n])
+            by_length[n] = by_length[n][1:]
+
+        closed_words = subgroups.StallingsOracle._closed_words
+        power_spheres = subgroups.CyclicOracle.relative_spheres
+
+        def without_a_closed_path(self, top):
+            words = closed_words(self, top)
+            drop_first_member(words)
+            return words
+
+        def without_a_power(self, radius):
+            spheres, unknown = power_spheres(self, radius)
+            drop_first_member(spheres)
+            return spheres, unknown
+
+        if drop == "closed path":
+            monkeypatch.setattr(subgroups.StallingsOracle, "_closed_words", without_a_closed_path)
+        if drop == "power":
+            monkeypatch.setattr(subgroups.CyclicOracle, "relative_spheres", without_a_power)
+        line = [
+            "relgrowth", "--group", group, "--subgroup", subgroup,
+            "--max-radius", str(radius), "--out", str(tmp_path),
+        ]
+        assert main(line) == code
+        if code == 0:
+            assert (tmp_path / "relgrowth.csv").exists()
+            return
+        (diag_line,) = capsys.readouterr().err.splitlines()
+        diagnostic = json.loads(diag_line)
+        assert diagnostic["error"] == "InvariantViolationError"
+        assert "differs from the closed form" in diagnostic["message"]
+        assert not list(tmp_path.iterdir())
+
     def test_rate_with_a_huge_epsilon_is_fast(self, tmp_path):
         # with epsilon 10^50 the floor takes roots of fractions whose
         # denominators are far past a float guess's 53 bits

@@ -14,6 +14,7 @@ from growthlab.cayley import enumerate_ball
 from growthlab.counting import ball_counts, free_ball_counts
 from growthlab.errors import ParseError
 from growthlab.rate import (
+    MAX_VIOLATIONS,
     FuncSpec,
     HypothesisCheck,
     HypothesisViolation,
@@ -522,9 +523,12 @@ class TestAgainstReference:
         if want is ValueError:
             assert got is ValueError
         else:
+            # tables to size 80 can pass the cap: the first ones are kept
+            total = len(want.violations)
             assert (got.ok, got.checked, got.violations) == (
-                want.ok, want.checked, want.violations
+                want.ok, want.checked, want.violations[:MAX_VIOLATIONS]
             )
+            assert got.total == (total if total > MAX_VIOLATIONS else None)
 
     @given(count_tables(), st.integers(-1, 3), BOUNDS, BOUNDS, st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -538,6 +542,23 @@ class TestAgainstReference:
         else:
             assert got.epsilon == FuncSpec.constant(want)
             assert got.shift == FuncSpec.constant(c)
+
+    def test_violations_past_the_cap_are_counted_not_kept(self):
+        # B = 2 fails at every n >= 1 and epsilon 1 at nearly every pair, so
+        # the kept list holds the unary violations, then the first pairs
+        counts = free_ball_counts(2, 60)
+        hyp = RateHypothesis(growth_bound=Fraction(2))
+        want = reference_check_hypothesis(counts, hyp)
+        got = check_hypothesis(counts, hyp)
+        assert len(want.violations) > MAX_VIOLATIONS
+        assert got.violations == want.violations[:MAX_VIOLATIONS]
+        assert (got.ok, got.checked, got.total) == (False, want.checked, len(want.violations))
+        report = fekete_lower_bound(counts, hyp).to_json()
+        assert len(report["violations"]) == MAX_VIOLATIONS
+        assert report["violations_total"] == len(want.violations)
+        # an uncut list states no total
+        short = fekete_lower_bound(counts[:10], hyp)
+        assert short.check.total is None and "violations_total" not in short.to_json()
 
     @given(row_ties())
     @settings(max_examples=150, deadline=None)
