@@ -3,11 +3,15 @@
 Balls are generated from structure, not searched. A free factor's Cayley
 graph is a tree: its sphere n+1 is every sphere-n word extended by each
 letter that does not cancel the word's last letter, and generated parent
-by parent in letter order it comes out shortlex sorted. A product's
-sphere n is the union over i_1 + ... + i_m = n of the products of factor
-spheres, which are disjoint, so the only work left is one sort per
-sphere. Elements are kept in packed byte form; the finished ball is
-shortlex sorted, which makes every ball of smaller radius a prefix slice.
+by parent in letter order it comes out shortlex sorted. Each sphere is a
+letter matrix, a word per row, until a Ball converts it to packed words.
+A product's sphere n is the union over i_1 + ... + i_m = n of the
+products of factor spheres, which are disjoint, so the only work left is
+one sort per sphere. Elements are kept in packed byte form; the finished
+ball is shortlex sorted, which makes every ball of smaller radius a
+prefix slice. A growth table needs only the sphere sizes:
+enumerate_counts generates and checks the spheres one at a time and
+keeps no word.
 
 Relative balls of a subgroup H hold H's elements by their ambient word
 length, so the ambient metric stays the definition. Each oracle generates
@@ -23,8 +27,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Iterator, Sequence
+from itertools import accumulate, chain, zip_longest
+from typing import Iterable, Iterator, Sequence
 
 from .counting import ball_counts
 from .errors import (
@@ -96,9 +100,11 @@ def ball_sizes(group: GroupDescriptor, radius: int, budget: int = DEFAULT_BUDGET
     """|B(n)| for n = 0..radius; BallBudgetError unless B(radius) fits the budget.
 
     The sizes are closed forms; radius_reached is the last radius that fits.
-    Counting a product's balls costs about radius^2 big-integer products,
-    so count to doubling horizons: an overflowing request stops near the
-    radius where it overflows, not at the radius it asked for.
+    Counting to a horizon takes time and memory that grow with it (a
+    table's digits grow about quadratically in its radius on any group of
+    exponential growth), so count to doubling horizons: an overflowing
+    request stops near the radius where it overflows, not at the radius it
+    asked for, however large that is.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -160,16 +166,49 @@ def relative_ball(
     spheres, unknown = oracle.relative_spheres(radius)
     sizes = [len(s) for s in spheres]
     try:
-        exact = oracle.sphere_counts(radius)
-    except UnsupportedConfigurationError:
-        exact = sizes
-    if sizes != exact:
-        n = next(n for n in range(radius + 1) if sizes[n : n + 1] != exact[n : n + 1])
-        raise InvariantViolationError(
-            f"enumerated |B({n})| differs from the closed form {sum(exact[: n + 1])}"
-        )
+        _checked_sizes(sizes, oracle.sphere_counts(radius))
+    except UnsupportedConfigurationError:  # no exact counts to check against
+        pass
     members = tuple(chain.from_iterable(spheres))
     return Ball(group, members, tuple(accumulate(sizes)), tuple(accumulate(unknown)))
+
+
+def enumerate_counts(
+    group: GroupDescriptor,
+    radius: int,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[int, ...]:
+    """enumerate_ball(...).counts_by_radius without keeping the ball.
+
+    The budget is charged as enumerate_ball charges it, before any sphere
+    is built. The spheres are generated one at a time and each is checked
+    against its closed-form size as relative_ball checks it; only the
+    size is kept, so a free group's spheres stay letter matrices and at
+    most two of them are held at once.
+    """
+    ball_sizes(group, radius, budget)
+    oracle = WholeGroupOracle(group)
+    sizes = _checked_sizes(oracle.sphere_sizes(radius), oracle.sphere_counts(radius))
+    return tuple(accumulate(sizes))
+
+
+def _checked_sizes(sizes: Iterable[int], exact: Sequence[int]) -> list[int]:
+    """The generated sphere sizes, checked one by one as they arrive.
+
+    A size that differs from its exact count, or a sphere too many or too
+    few, means the generator is broken: InvariantViolationError names the
+    first ball it spoils.
+    """
+    out: list[int] = []
+    for n, (size, want) in enumerate(zip_longest(sizes, exact)):
+        if size != want:
+            n = min(n, len(exact) - 1)
+            raise InvariantViolationError(
+                f"enumerated |B({n})| differs from the closed form {sum(exact[: n + 1])}"
+            )
+        out.append(size)
+    return out
 
 
 def subgroup_word_length(

@@ -44,7 +44,14 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .cayley import DEFAULT_BUDGET, ball_sizes, distortion, enumerate_ball, relative_ball
+from .cayley import (
+    DEFAULT_BUDGET,
+    ball_sizes,
+    distortion,
+    enumerate_ball,
+    enumerate_counts,
+    relative_ball,
+)
 from .concat import DEFAULT_PAIR_BUDGET, build_connector_kit, measure_ambiguity
 from .counting import relative_ball_counts
 from .errors import AmbiguityBudgetError, GrowthlabError, HypothesisViolationError, ParseError
@@ -421,8 +428,8 @@ def _execute(spec: ExperimentSpec) -> tuple[int, dict, tuple[list[str], list, li
 
     if spec.command == "growth":
         # the whole group's table carries no unknown tallies
-        ball = enumerate_ball(group, spec.max_radius, budget=spec.budget)
-        return (0, *_table_view("count", list(enumerate(ball.counts_by_radius)), None))
+        counts = enumerate_counts(group, spec.max_radius, budget=spec.budget)
+        return (0, *_table_view("count", list(enumerate(counts)), None))
 
     if spec.command == "relgrowth":
         ball = relative_ball(group, oracle, spec.max_radius, budget=spec.budget)

@@ -1,8 +1,10 @@
 """Exact ball counts from closed forms, without enumeration.
 
 Free factors are trees, so sphere sizes follow the branching recurrence;
-products convolve factor spheres. Each subgroup oracle counts its own
-spheres (SubgroupOracle.sphere_counts) and relative_ball_counts sums them.
+a product's come from the product of its factors' generating functions,
+and a product of subgroups convolves its factors' sphere counts. Each
+subgroup oracle counts its own spheres (SubgroupOracle.sphere_counts)
+and relative_ball_counts sums them.
 All of it is exact integer arithmetic. It cross-checks the enumeration at
 small radius and extends growth tables far past any enumeration budget
 (supermultiplicativity checks need balls of radius s+t+c).
@@ -48,8 +50,21 @@ def convolve_spheres(factor_spheres: Iterable[Sequence[int]], n_max: int) -> lis
 
 
 def product_sphere_counts(ranks: tuple[int, ...], n_max: int) -> list[int]:
-    """Sphere sizes of a product: convolution of factor spheres."""
-    return convolve_spheres((free_sphere_counts(rank, n_max) for rank in ranks), n_max)
+    """Sphere sizes of a product, from its generating function.
+
+    F_k's spheres have the generating function (1+x)/(1-(2k-1)x), so a
+    product's is the product of its factors': each factor multiplies the
+    series by 1+x and divides it by 1-(2k-1)x, two passes that each add a
+    small multiple of the previous term, n_max additions where the
+    convolution makes n_max^2 / 2 big-integer products.
+    """
+    spheres = [1] + [0] * n_max
+    for rank in ranks:
+        for n in range(n_max, 0, -1):
+            spheres[n] += spheres[n - 1]
+        for n in range(1, n_max + 1):
+            spheres[n] += (2 * rank - 1) * spheres[n - 1]
+    return spheres
 
 
 def ball_counts(group: GroupDescriptor, n_max: int) -> list[int]:

@@ -43,7 +43,9 @@ such logs formed with four float additions, each of which rounds by at
 most u times a partial sum below 5L, where L >= 1 bounds every |lg| in
 it; so d errs by at most 5·10.5uL + 4·5uL < 73uL, below the margin
 2**-46·L = 128uL.  A pair whose computed d is at most -margin therefore
-holds strictly, and only the rest are compared exactly.  The worst
+holds strictly, and only the rest are compared exactly.  Likewise one
+whose d is above +margin fails strictly; a failing check that has kept
+its MAX_VIOLATIONS counts such pairs without comparing them.  The worst
 ratio of a measured epsilon compares values of two pairs (six logs, at
 most six additions, under 100uL), so a pair more than 2·margin below
 the largest value, or below 0 (the floor 1), is never the worst.  A
@@ -502,7 +504,8 @@ def _check_hypothesis(
     # d = lg f(m) + lg f(n) - lg f(k) - lg epsilon(n) is at most -margin holds
     # (Arithmetic policy); every other pair, in ascending m, is compared as
     # q f(m)f(n) > p f(k) in integers.  Every violation is counted, and the
-    # first MAX_VIOLATIONS, unary ones first, are kept
+    # first MAX_VIOLATIONS, unary ones first, are kept; once they are, a
+    # pair whose d is above +margin is a violation counted without a product
     total = len(violations)
     lg, lg_top = _log2_counts(counts)
     lg_list = lg.tolist()
@@ -512,8 +515,15 @@ def _check_hypothesis(
         p, q, fn = eps.numerator, eps.denominator, counts[n]
         pairs += len(m_range)
         lg_p = math.log2(p)
-        bound = -_MARGIN * max(lg_top, lg_p) - (lg_list[n] - (lg_p - math.log2(q)))
-        for m in _undecided(lg, n + shift, len(m_range), bound):
+        margin = _MARGIN * max(lg_top, lg_p)
+        rest = lg_list[n] - (lg_p - math.log2(q))
+        gaps = _lg_gaps(lg, n + shift, len(m_range))
+        undecided = ~(gaps <= -margin - rest)
+        if len(violations) >= MAX_VIOLATIONS:
+            proven = gaps > margin - rest
+            total += int(np.count_nonzero(proven))
+            undecided &= ~proven
+        for m in undecided.nonzero()[0].tolist():
             lhs, fk = counts[m] * fn, counts[m + n + shift]
             if q * lhs > p * fk:
                 total += 1

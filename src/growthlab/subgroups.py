@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .counting import convolve_spheres, product_sphere_counts
 from .errors import (
@@ -55,6 +55,7 @@ from .words import (
     multiply_packed,
     packed_length,
     product_spheres,
+    sphere_words,
 )
 
 # Members by ambient length, spheres 0..radius each shortlex sorted, and
@@ -280,8 +281,18 @@ class WholeGroupOracle(SubgroupOracle):
 
     def relative_spheres(self, radius: int) -> Spheres:
         """The group's spheres, from the factor trees; nothing is undecided."""
-        spheres = product_spheres([free_spheres(rank, radius) for rank in self.group.ranks])
-        return spheres, [0] * (radius + 1)
+        return list(self._word_spheres(radius)), [0] * (radius + 1)
+
+    def sphere_sizes(self, radius: int) -> Iterator[int]:
+        """The sizes of the generated spheres 0..radius, one sphere at a time;
+        a free group's letter matrices are never made into words."""
+        ranks = self.group.ranks
+        spheres = free_spheres(ranks[0], radius) if len(ranks) == 1 else self._word_spheres(radius)
+        return map(len, spheres)
+
+    def _word_spheres(self, radius: int) -> Iterator[list[bytes]]:
+        factors = [map(sphere_words, free_spheres(rank, radius)) for rank in self.group.ranks]
+        return product_spheres(factors)
 
     def sphere_counts(self, radius: int) -> list[int]:
         return product_sphere_counts(self.group.ranks, radius)
@@ -556,7 +567,7 @@ class ProductOracle(SubgroupOracle):
         (members + unknowns) less the product of members, sphere by sphere.
         """
         factors = [oracle.relative_spheres(radius) for oracle in self.factor_oracles]
-        spheres = product_spheres([kept for kept, _ in factors])
+        spheres = list(product_spheres([kept for kept, _ in factors]))
         possible = convolve_spheres(
             ([len(s) + u for s, u in zip(kept, unknown)] for kept, unknown in factors), radius
         )

@@ -27,12 +27,19 @@ The *_word / *_packed helpers below operate on this layer; they trust their
 inputs and are shared by the enumeration-heavy modules. The numpy passes
 (hyperbolic.WordSample's distances, concat's image keys) share one layout,
 factor_columns, and one longest-common-prefix reader, common_prefix.
+
+A free group's sphere is generated as a uint8 letter matrix, one word per
+row in the same letter bytes (free_spheres), and stays one until a Ball
+needs its words: sphere_words converts a whole matrix at once, and
+product_spheres joins the converted factor words of a product. Counting
+spheres needs no words at all.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,37 +139,69 @@ def common_prefix(a_cols, b_cols, cap: np.ndarray) -> np.ndarray:
     return np.minimum(k, cap)
 
 
-def free_spheres(rank: int, radius: int) -> list[list[bytes]]:
-    """Spheres 0..radius of F_rank, each in shortlex order.
+def free_spheres(rank: int, radius: int) -> Iterator[np.ndarray]:
+    """Spheres 0..radius of F_rank, one at a time, as shortlex-sorted
+    uint8 letter matrices: sphere n has shape (|S(n)|, n), a word per row.
 
-    F_rank's Cayley graph is a tree: sphere n+1 extends every sphere-n
-    word, in order, by each letter that does not cancel its last letter,
-    in letter order, and that is already shortlex.
+    F_rank's Cayley graph is a tree: sphere n+1 repeats every sphere-n row
+    2k-1 times, in order, and appends the letters that do not cancel the
+    row's last letter, in letter order, so it is already shortlex. The
+    appended column is a gather from a follow table indexed by last letter.
     """
-    letters = [bytes([b]) for b in range(1, 2 * rank + 1)]
-    follow = {x[0]: [y for y in letters if y[0] != inverse_byte(x[0])] for x in letters}
-    spheres = [[b""], letters][: radius + 1]
-    for _ in range(radius - 1):
-        spheres.append([w + y for w in spheres[-1] for y in follow[w[-1]]])
-    return spheres
+    yield np.zeros((1, 0), dtype=np.uint8)
+    if radius == 0:
+        return
+    follow = _follow_table(rank)
+    width = follow.shape[1]
+    sphere = np.arange(1, width + 2, dtype=np.uint8)[:, None]
+    yield sphere
+    for n in range(2, radius + 1):
+        grown = np.empty((len(sphere), width, n), dtype=np.uint8)
+        grown[:, :, :-1] = sphere[:, None, :]
+        grown[:, :, -1] = follow[sphere[:, -1]]
+        sphere = grown.reshape(-1, n)
+        yield sphere
 
 
-def product_spheres(factors: Sequence[list[list[bytes]]]) -> list[list[bytes]]:
-    """Spheres of a product from equally many spheres of each factor.
+@functools.cache
+def _follow_table(rank: int) -> np.ndarray:
+    """Row x: the letter bytes 1..2k but x's inverse, in order (row 0 is unused).
+
+    Read-only, as every caller shares it; built once per rank, since it
+    costs more than generating a small ball's spheres.
+    """
+    steps = np.arange(1, 2 * rank)
+    inverses = (np.arange(-1, 2 * rank) ^ 1) + 1
+    follow = (steps + (steps >= inverses[:, None])).astype(np.uint8)
+    follow.flags.writeable = False
+    return follow
+
+
+def sphere_words(sphere: np.ndarray) -> list[bytes]:
+    """A letter matrix's rows as packed words, in row order."""
+    if not sphere.shape[1]:
+        return [b""] * len(sphere)
+    return np.ascontiguousarray(sphere).view(f"V{sphere.shape[1]}").ravel().tolist()
+
+
+def product_spheres(factors: Sequence[Iterable[list[bytes]]]) -> Iterator[list[bytes]]:
+    """Spheres of a product, one at a time, from each factor's spheres.
 
     Sphere n is the union over i_1 + ... + i_m = n of the products of
-    factor spheres, which are disjoint; each is shortlex sorted once.
+    factor spheres, which are disjoint; each is shortlex sorted once. The
+    factors' spheres, and those of the partial products, are held as they
+    arrive; the product's own are not.
     """
-    spheres = factors[0]
-    for factor in factors[1:]:
-        spheres = [
-            [u + SEP + v for i in range(n + 1) for u in spheres[i] for v in factor[n - i]]
-            for n in range(len(spheres))
-        ]
-    if len(factors) > 1:
-        for sphere in spheres:
-            sphere.sort()
-    return spheres
+    if len(factors) == 1:
+        yield from factors[0]
+        return
+    left, right = [], []
+    for n, (u_sphere, v_sphere) in enumerate(zip(product_spheres(factors[:-1]), factors[-1])):
+        left.append(u_sphere)
+        right.append(v_sphere)
+        sphere = [u + SEP + v for i in range(n + 1) for u in left[i] for v in right[n - i]]
+        sphere.sort()
+        yield sphere
 
 
 def reduce_letter_bytes(raw: Iterable[int]) -> bytes:

@@ -12,6 +12,7 @@ from growthlab.cayley import (
     Ball,
     distortion,
     enumerate_ball,
+    enumerate_counts,
     relative_ball,
     subgroup_word_length,
 )
@@ -75,9 +76,9 @@ def brute_force_ball(group, radius):
 
 @st.composite
 def small_balls(draw):
-    """A product of one to three free factors of rank 1..3, and a radius."""
-    ranks = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
-    # keep the brute force to a few thousand letter strings
+    """A product of one to three free factors of rank 1..4, and a radius."""
+    ranks = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    # keep the brute force to at most 24^3 letter strings
     radius = draw(st.integers(0, 4 if 2 * sum(ranks) <= 8 else 3))
     return GroupDescriptor(ranks), radius
 
@@ -301,7 +302,11 @@ class TestEnumerateBall:
     @given(small_balls())
     def test_matches_brute_force_reduction(self, case):
         group, radius = case
-        assert list(enumerate_ball(group, radius).packed) == brute_force_ball(group, radius)
+        ball = enumerate_ball(group, radius)
+        assert list(ball.packed) == brute_force_ball(group, radius)
+        # the counts-only path generates and checks the same spheres
+        counts = enumerate_counts(group, radius)
+        assert counts == ball.counts_by_radius == tuple(ball_counts(group, radius))
 
     @settings(max_examples=40, deadline=None)
     @given(small_balls(), st.integers(min_value=0, max_value=2000))
@@ -327,6 +332,17 @@ class TestEnumerateBall:
             if n == 0:
                 continue
             assert any((g * s).length() == n - 1 for s in gens)
+
+
+class TestEnumerateCounts:
+    def test_budget_is_charged_before_any_sphere(self, monkeypatch):
+        def refuse(rank, radius):
+            raise AssertionError("a sphere was generated")
+
+        monkeypatch.setattr(subgroups, "free_spheres", refuse)
+        with pytest.raises(BallBudgetError) as exc:
+            enumerate_counts(F2, 6, budget=100)
+        assert (exc.value.radius_reached, exc.value.target_radius) == (3, 6)
 
 
 class TestRelativeBall:
@@ -443,22 +459,28 @@ class TestWholeGroupCheck:
                 r"\|B\(1\)\| differs from the closed form 9",
             ),
             (lambda spheres: spheres.pop(), r"\|B\(3\)\| differs from the closed form 217"),
+            (
+                lambda spheres: spheres.append(spheres[-1]),
+                r"\|B\(3\)\| differs from the closed form 217",
+            ),
         ],
-        ids=["word-lost", "word-repeated", "sphere-lost"],
+        ids=["word-lost", "word-repeated", "sphere-lost", "sphere-extra"],
     )
     def test_corrupted_product_spheres_raise(self, monkeypatch, corrupt, message):
         product_spheres = subgroups.product_spheres
 
         def corrupted(factors):
-            spheres = product_spheres(factors)
+            spheres = list(product_spheres(factors))
             corrupt(spheres)
-            return spheres
+            return iter(spheres)
 
         monkeypatch.setattr(subgroups, "product_spheres", corrupted)
         with pytest.raises(InvariantViolationError, match=message):
             enumerate_ball(F2xF2, 3)
         with pytest.raises(InvariantViolationError, match=message):
             relative_ball(F2xF2, WholeGroupOracle(F2xF2), 3)
+        with pytest.raises(InvariantViolationError, match=message):
+            enumerate_counts(F2xF2, 3)
 
 
 class TestSubgroupWordLength:

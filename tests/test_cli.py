@@ -840,9 +840,9 @@ class TestExitCodes:
         free_spheres = subgroups.free_spheres
 
         def drop_one(rank, radius):
-            spheres = free_spheres(rank, radius)
+            spheres = list(free_spheres(rank, radius))
             spheres[3] = spheres[3][1:]
-            return spheres
+            return iter(spheres)
 
         monkeypatch.setattr(subgroups, "free_spheres", drop_one)
         with pytest.raises(InvariantViolationError, match=r"\|B\(3\)\| .* closed form 53"):
@@ -923,6 +923,27 @@ class TestExitCodes:
         code = main(["growth", "--group", "free:1", "--max-radius", "10000", "--out", str(tmp_path)])
         assert time.perf_counter() - start < 1
         assert code == 0
+
+    def test_long_free_growth_table_stays_small(self, tmp_path):
+        # growth keeps only sphere sizes: building every word of B(10,000)
+        # peaked at 128 MB. A fresh wrapper runs the command and reports its
+        # RUSAGE_CHILDREN peak (kilobytes on Linux), so only that child
+        # counts: a process started from this one, even its own RUSAGE_SELF
+        # after exec, reports at least this process's peak, which is pytest's
+        script = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.call([sys.executable, '-m', 'growthlab', *sys.argv[1:]])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        argv = ["growth", "--group", "free:1", "--max-radius", "10000", "--out", str(tmp_path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(growthlab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        code, peak_kb = map(int, done.stdout.split()[-2:])
+        assert code == 0
+        assert peak_kb < 40 * 1024
 
     @pytest.mark.parametrize(
         "line",
@@ -1198,8 +1219,9 @@ def test_exhaustive_delta_artifact_digest(tmp_path, line, name, digest):
 
 # SHA-256 and exit code of more rate artifacts: combine violations, bound
 # violations under an affine epsilon and shift, a table epsilon, and a
-# subgroup table with fractional epsilon and growth bound, and two tables
-# long enough that their counts run to thousands of bits.
+# subgroup table with fractional epsilon and growth bound, and three tables
+# long enough that their counts run to thousands of bits, the last failing
+# on nearly all of its 4.5 million pairs.
 RATE_ARTIFACTS = [
     ("rate --group free:2 --max-radius 30 --epsilon 1", 3,
      "8edd006d502f81a124a6729251288e8a2728e17c352457802d8058bd4528b204"),
@@ -1223,6 +1245,8 @@ RATE_ARTIFACTS = [
      "ba3b0dd7827cdbeda07f510bc646f21f86491a4e6a134702be9f2f6ee6407125"),
     ("rate --group free:2 --subgroup aab,bAb --max-radius 500 --epsilon 4", 0,
      "ea78e237bcad36bf02c61c5ad275899242ade5f80a4a7136590c9be236cf57d1"),
+    ('rate --group "product(free:2,free:2)" --max-radius 3000 --epsilon 4', 3,
+     "ea7159ccc3d7208a13c920a737f907d1b535c69467658b820b928445b1c27606"),
 ]
 
 

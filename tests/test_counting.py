@@ -17,6 +17,7 @@ from growthlab.counting import (
     convolve_spheres,
     free_ball_counts,
     free_sphere_counts,
+    product_sphere_counts,
     relative_ball_counts,
 )
 from growthlab.errors import UnsupportedConfigurationError
@@ -176,6 +177,12 @@ class TestClosedForms:
         for group, radius in [(F2xF2, 5), (F2xF1, 5)]:
             ball = enumerate_ball(group, radius)
             assert ball_counts(group, radius) == list(ball.counts_by_radius)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 200))
+    def test_generating_function_is_the_convolution(self, ranks, n_max):
+        spheres = (free_sphere_counts(rank, n_max) for rank in ranks)
+        assert product_sphere_counts(tuple(ranks), n_max) == convolve_spheres(spheres, n_max)
 
     def test_free_counts_match_enumeration(self):
         for rank, radius in [(1, 8), (2, 6), (3, 5)]:

@@ -560,6 +560,19 @@ class TestAgainstReference:
         short = fekete_lower_bound(counts[:10], hyp)
         assert short.check.total is None and "violations_total" not in short.to_json()
 
+    def test_violations_past_the_cap_are_counted_in_bulk(self):
+        # odd entries are 2^n + 1, so failing pairs fail by relative gaps
+        # from 1/2 down to 2^-118: past the cap the wide ones are counted
+        # from their float gap and the narrow ones multiplied out, and the
+        # pairs of two even entries tie, which holds
+        counts = [2**n + n % 2 for n in range(120)]
+        hyp = RateHypothesis()
+        want = reference_check_hypothesis(counts, hyp)
+        got = check_hypothesis(counts, hyp)
+        assert len(want.violations) > 2 * MAX_VIOLATIONS
+        assert got.violations == want.violations[:MAX_VIOLATIONS]
+        assert (got.ok, got.checked, got.total) == (False, want.checked, len(want.violations))
+
     @given(row_ties())
     @settings(max_examples=150, deadline=None)
     def test_check_hypothesis_decides_row_ties(self, table):
