@@ -18,10 +18,13 @@ comparable across runs.
 Every command runs in one process; --workers K is range-checked (1 to
 256) and discarded. A budgeted subgroup oracle may enumerate at most
 min(1,000,000, --budget-elements) elements, and rate, which only counts,
-never asks it to. _FLAGS declares each flag once, in render order, and
-_COMMANDS each command once, and ExperimentSpec states each default
-once; the flag checks, the defaults and the canonical render follow from
-them. A flag given twice, under either spelling, is a parse error.
+never asks it to. _FLAGS declares each flag once, in render order;
+_COMMANDS each command once, with the defaults it sets apart from
+ExperimentSpec's; and _VALUES each value's grammar once, in the order
+values are checked, so a spec with several bad values reports the first
+in that order. The flag checks, the defaults and the canonical render
+follow from them. A flag given twice, under either spelling, is a parse
+error.
 
 Exit codes: 0 success, 2 budget exceeded, 3 hypothesis or invariant
 violation detected, 64 spec parse error, 1 other failures. Each error
@@ -35,9 +38,10 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
@@ -97,30 +101,27 @@ _SPELLING = {}
 for _flag, _field in _FLAGS.items():
     _SPELLING.setdefault(_field, _flag)
 
-# command -> (required fields, optional fields, default --budget-elements, default format);
+# command -> (required fields, optional fields, defaults that differ from ExperimentSpec's);
 # every command also takes --format, --out and --workers
 _COMMANDS = {
-    "growth": (("group", "max_radius"), ("budget",), DEFAULT_BUDGET, "csv"),
-    "relgrowth": (("group", "subgroup", "max_radius"), ("budget",), DEFAULT_BUDGET, "csv"),
-    "distortion": (("group", "subgroup", "max_radius"), ("budget",), DEFAULT_BUDGET, "csv"),
+    "growth": (("group", "max_radius"), ("budget",), {"budget": DEFAULT_BUDGET}),
+    "relgrowth": (("group", "subgroup", "max_radius"), ("budget",), {"budget": DEFAULT_BUDGET}),
+    "distortion": (("group", "subgroup", "max_radius"), ("budget",), {"budget": DEFAULT_BUDGET}),
     "delta": (
         ("group", "max_radius"),
         ("budget", "mode", "trials", "seed"),
-        DEFAULT_TUPLE_CAP,
-        "json",
+        {"budget": DEFAULT_TUPLE_CAP, "format": "json"},
     ),
-    "acyl": (("group", "x", "y", "epsilon"), ("budget",), None, "json"),
+    "acyl": (("group", "x", "y", "epsilon"), ("budget",), {"format": "json"}),
     "ambiguity": (
         ("group", "g", "h", "smax", "tmax"),
         ("subgroup", "power", "budget"),
-        DEFAULT_PAIR_BUDGET,
-        "json",
+        {"budget": DEFAULT_PAIR_BUDGET, "format": "json"},
     ),
     "rate": (
         ("group", "max_radius"),
         ("subgroup", "epsilon", "shift", "threshold", "growth_bound"),
-        None,
-        "json",
+        {"epsilon": "1", "shift": "0", "format": "json"},
     ),
 }
 COMMANDS = tuple(_COMMANDS)
@@ -130,7 +131,7 @@ _TAKES = {
         field: flag for field, flag in _SPELLING.items()
         if field in (*required, *optional, "format", "out", "workers")
     }
-    for command, (required, optional, _, _) in _COMMANDS.items()
+    for command, (required, optional, _) in _COMMANDS.items()
 }
 
 
@@ -188,55 +189,86 @@ def _quote(value: str) -> str:
     return "".join(f"'{run}'" if run[0] == '"' else f'"{run}"' for run in runs) or '""'
 
 
+# a token: unquoted runs and quoted runs, then the quote it leaves open, if any
+_TOKEN = re.compile(r"""(?=[^ \t\n])(?:[^ \t\n'"]+|'[^']*'|"[^"]*")*(['"])?""")
+_QUOTED_RUN = re.compile(r"""'([^']*)'|"([^"]*)\"""")
+
+
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
     """Split a spec line into (token, line, column) triples; quotes group."""
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        start_line, start_col = line, col
-        buf = []
-        while i < n and text[i] not in " \t\n":
-            ch = text[i]
-            if ch in "'\"":
-                i, col = i + 1, col + 1
-                while i < n and text[i] != ch:
-                    if text[i] == "\n":
-                        line, col = line + 1, 0
-                    buf.append(text[i])
-                    i, col = i + 1, col + 1
-                if i >= n:
-                    raise ParseError("unterminated quote", start_line, start_col)
-                i, col = i + 1, col + 1
-            else:
-                buf.append(ch)
-                i, col = i + 1, col + 1
-        tokens.append(("".join(buf), start_line, start_col))
+    line, seen = 1, 0
+    for match in _TOKEN.finditer(text):
+        start = match.start()
+        line += text.count("\n", seen, start)
+        seen = start
+        column = start - text.rfind("\n", 0, start)
+        if match[1]:
+            raise ParseError("unterminated quote", line, column)
+        token = match[0]
+        if "'" in token or '"' in token:
+            token = _QUOTED_RUN.sub(r"\1\2", token)  # drop each quoted run's quotes
+        tokens.append((token, line, column))
     return tokens
 
 
-def _int_flag(raw, name: str, lo: int, hi: int, default: int | None):
-    if name not in raw:
-        return default
-    flag, value, line, col = raw[name]
-    try:
-        number = int(value)
-    except ValueError:
-        raise ParseError(f"{flag} expects an integer, got {value!r}", line, col) from None
-    if not lo <= number <= hi:
-        raise ParseError(f"{flag} out of range [{lo}, {hi}]: {number}", line, col)
-    return number
+def _integer(lo: int, hi: int, store=int):
+    def parse(value, flag, group):
+        try:
+            number = int(value)
+        except ValueError:
+            raise ParseError(f"{flag} expects an integer, got {value!r}") from None
+        if not lo <= number <= hi:
+            raise ParseError(f"{flag} out of range [{lo}, {hi}]: {number}")
+        return store(number)
+
+    return parse
 
 
-def _reposition(exc: ParseError, line: int, col: int) -> ParseError:
-    return ParseError(exc.args[0], line, col)
+def _choice(*allowed: str):
+    def parse(value, flag, group):
+        if value not in allowed:
+            raise ParseError(f"{flag} must be {' or '.join(allowed)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _element(value, flag, group):
+    return parse_element(group, value).render()
+
+
+def _funcspec(value, flag, group):
+    return parse_funcspec(value).render()
+
+
+# field -> parser (value, flag as typed, group) -> canonical value, in check order;
+# the group parses to its descriptor, which every later value is read against
+_VALUES = {
+    "group": lambda value, flag, group: parse_group(value),
+    "subgroup": lambda value, flag, group: parse_subgroup(group, value).spec_string(),
+    "g": _element,
+    "h": _element,
+    "power": _integer(1, 64),
+    "x": _element,
+    "y": _element,
+    "threshold": _integer(0, 10**6),
+    "growth_bound": lambda value, flag, group: str(Fraction(value)),
+    "max_radius": _integer(0, 10**4),
+    "smax": _integer(0, 64),
+    "tmax": _integer(0, 64),
+    "budget": _integer(1, 10**12),
+    "trials": _integer(1, 10**8),
+    "seed": _integer(0, 2**62),
+    "out": lambda value, flag, group: value,
+    "workers": _integer(1, 256),
+    "epsilon": _funcspec,
+    "shift": _funcspec,
+    "mode": _choice("exhaustive", "random"),
+    "format": _choice("csv", "json"),
+}
+# acyl's --epsilon is a distance, not a function spec
+_ACYL_VALUES = {**_VALUES, "epsilon": _integer(0, 64, str)}
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -276,73 +308,31 @@ def parse_spec(text: str) -> ExperimentSpec:
     for field, (flag, *_) in raw.items():
         if field not in _TAKES[command]:
             raise ParseError(f"{flag} does not apply to {command}", *flag_at[field])
-    required, _, default_budget, default_format = _COMMANDS[command]
+    required, _, defaults = _COMMANDS[command]
     for field in required:
         if field not in raw:
             raise ParseError(f"{command} requires a {_TAKES[command][field]} value", cline, ccol)
 
-    def canonical(field: str, parser) -> str | None:
+    values = dict(defaults)
+    for field, parse in (_ACYL_VALUES if command == "acyl" else _VALUES).items():
         if field not in raw:
-            return None
-        _, value, vline, vcol = raw[field]
+            continue
+        flag, value, vline, vcol = raw[field]
         try:
-            return parser(value)
+            values[field] = parse(value, flag, values.get("group"))
         except ParseError as exc:
-            raise _reposition(exc, vline, vcol) from None
+            raise ParseError(exc.args[0], vline, vcol) from None
         except ValueError as exc:
             raise ParseError(str(exc), vline, vcol) from None
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {value!r}", vline, vcol) from None
-
-    group_spec = canonical("group", lambda s: parse_group(s).spec())
-    group = parse_group(group_spec)
-    subgroup = canonical("subgroup", lambda s: parse_subgroup(group, s).spec_string())
-
-    spec = ExperimentSpec(
-        command=command,
-        group=group_spec,
-        subgroup=subgroup,
-        g=canonical("g", lambda s: parse_element(group, s).render()),
-        h=canonical("h", lambda s: parse_element(group, s).render()),
-        power=_int_flag(raw, "power", 1, 64, ExperimentSpec.power),
-        x=canonical("x", lambda s: parse_element(group, s).render()),
-        y=canonical("y", lambda s: parse_element(group, s).render()),
-        threshold=_int_flag(raw, "threshold", 0, 10**6, ExperimentSpec.threshold),
-        growth_bound=canonical("growth_bound", lambda s: str(Fraction(s))),
-        max_radius=_int_flag(raw, "max_radius", 0, 10**4, None),
-        smax=_int_flag(raw, "smax", 0, 64, None),
-        tmax=_int_flag(raw, "tmax", 0, 64, None),
-        budget=_int_flag(raw, "budget", 1, 10**12, default_budget),
-        trials=_int_flag(raw, "trials", 1, 10**8, ExperimentSpec.trials),
-        seed=_int_flag(raw, "seed", 0, 2**62, ExperimentSpec.seed),
-        format=default_format,
-        out=raw["out"][1] if "out" in raw else None,
-    )
-    _int_flag(raw, "workers", 1, 256, 1)  # checked, then discarded: every run is one process
-
-    if command == "acyl":
-        spec = replace(spec, epsilon=str(_int_flag(raw, "epsilon", 0, 64, None)))
-    elif command == "rate":
-        spec = replace(
-            spec,
-            epsilon=canonical("epsilon", lambda s: parse_funcspec(s).render()) or "1",
-            shift=canonical("shift", lambda s: parse_funcspec(s).render()) or "0",
-        )
-
-    if "mode" in raw:
-        _, value, vline, vcol = raw["mode"]
-        if value not in ("exhaustive", "random"):
-            raise ParseError(f"--mode must be exhaustive or random, got {value!r}", vline, vcol)
-        spec = replace(spec, mode=value)
-    if spec.mode != "random":
+    values["group"] = values["group"].spec()
+    values.pop("workers", None)  # checked, then discarded: every run is one process
+    if values.get("mode") != "random":
         # sampling knobs are meaningless outside random mode; normalize them
-        spec = replace(spec, trials=ExperimentSpec.trials, seed=ExperimentSpec.seed)
-    if "format" in raw:
-        _, value, vline, vcol = raw["format"]
-        if value not in ("csv", "json"):
-            raise ParseError(f"--format must be csv or json, got {value!r}", vline, vcol)
-        spec = replace(spec, format=value)
-    return spec
+        values.pop("trials", None)
+        values.pop("seed", None)
+    return ExperimentSpec(command, **values)
 
 
 def _diagnose(exc: BaseException) -> None:
@@ -511,7 +501,8 @@ def _execute(spec: ExperimentSpec) -> tuple[int, dict, tuple[list[str], list, li
 
 def run(spec: ExperimentSpec) -> int:
     """Execute a spec and write its artifact; returns the exit code."""
-    out_dir = Path(spec.out or os.environ.get("GROWTHLAB_OUT") or ".")
+    # a given --out wins, even the empty path, which is the current directory
+    out_dir = Path(os.environ.get("GROWTHLAB_OUT") or "." if spec.out is None else spec.out)
     failure: GrowthlabError | None = None
     try:
         code, report, view = _execute(spec)

@@ -14,6 +14,8 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import growthlab
 from growthlab import cli, errors, subgroups
@@ -35,6 +37,48 @@ def run_into(tmp_path, text):
 
 def data_rows(body):
     return [line for line in body.splitlines() if line and not line.startswith("#")]
+
+
+def reference_tokenize(text):
+    """The spec tokenizer as a character loop: blanks split, quotes group."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        start_line, start_col = line, col
+        buf = []
+        while i < n and text[i] not in " \t\n":
+            ch = text[i]
+            if ch in "'\"":
+                i, col = i + 1, col + 1
+                while i < n and text[i] != ch:
+                    if text[i] == "\n":
+                        line, col = line + 1, 0
+                    buf.append(text[i])
+                    i, col = i + 1, col + 1
+                if i >= n:
+                    raise ParseError("unterminated quote", start_line, start_col)
+                i, col = i + 1, col + 1
+            else:
+                buf.append(ch)
+                i, col = i + 1, col + 1
+        tokens.append(("".join(buf), start_line, start_col))
+    return tokens
+
+
+def tokenized(tokenize, text):
+    """The triples, or the rejection as (message, line, column)."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return exc.args[0], exc.line, exc.column
 
 
 def record_enumerations(monkeypatch):
@@ -400,6 +444,35 @@ class TestSpecLayer:
         assert (diag["error"], diag["column"]) == ("ParseError", column)
         assert diag["message"] == f"{message} (line 1, column {column})"
 
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet=" \t\n'\"\r\\ab-", max_size=24))
+    def test_tokenizer_matches_its_reference(self, text):
+        assert tokenized(cli._tokenize, text) == tokenized(reference_tokenize, text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("delta --group free:2 --max-radius 99999 --mode sideways",
+             "--max-radius out of range [0, 10000]: 99999 (line 1, column 35)"),
+            ("delta --group free:2 --mode sideways --max-radius 99999",
+             "--max-radius out of range [0, 10000]: 99999 (line 1, column 51)"),
+            ("delta --group free:2 --max-radius 2 --format xml --trials 0",
+             "--trials out of range [1, 100000000]: 0 (line 1, column 59)"),
+            ("rate --group free:2 --max-radius 4 --epsilon bogus% --threshold -1",
+             "--threshold out of range [0, 1000000]: -1 (line 1, column 65)"),
+            ("acyl --group free:2 --x 1 --y q --epsilon nope",
+             "generator 'q' outside rank 2 in word 'q' (line 1, column 31)"),
+        ],
+    )
+    def test_first_bad_value_in_check_order_is_reported(self, text, message):
+        assert rejection(text) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=" \t\n'\"\\a/", max_size=12))
+    def test_any_out_survives_the_main_path(self, out):
+        argv = ["growth", "--group", "free:2", "--max-radius", "1", "--out", out]
+        assert parse_spec(shlex.join(argv)).out == out
+
     def test_workers_is_checked_then_dropped(self):
         spec = parse_spec("growth --group free:2 --max-radius 3 --workers 256")
         assert spec == parse_spec("growth --group free:2 --max-radius 3")
@@ -600,6 +673,16 @@ class TestArtifacts:
         monkeypatch.setenv("GROWTHLAB_OUT", str(tmp_path))
         assert main(["growth", "--group", "free:2", "--max-radius", "2"]) == 0
         assert (tmp_path / "growth.csv").exists()
+
+    def test_empty_out_beats_env_out_dir(self, tmp_path, monkeypatch):
+        # a given --out wins over the environment; the empty path is the cwd
+        env_dir, cwd = tmp_path / "env", tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.setenv("GROWTHLAB_OUT", str(env_dir))
+        monkeypatch.chdir(cwd)
+        assert main(["growth", "--group", "free:2", "--max-radius", "1", "--out", ""]) == 0
+        assert (cwd / "growth.csv").exists()
+        assert not env_dir.exists()
 
 
 class TestExitCodes:
