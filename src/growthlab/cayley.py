@@ -4,14 +4,12 @@ Balls are generated from structure, not searched. A free factor's Cayley
 graph is a tree: its sphere n+1 is every sphere-n word extended by each
 letter that does not cancel the word's last letter, and generated parent
 by parent in letter order it comes out shortlex sorted. Each sphere is a
-letter matrix, a word per row, until a Ball converts it to packed words.
-A product's sphere n is the union over i_1 + ... + i_m = n of the
-products of factor spheres, which are disjoint, so the only work left is
-one sort per sphere. Elements are kept in packed byte form; the finished
-ball is shortlex sorted, which makes every ball of smaller radius a
-prefix slice. A growth table needs only the sphere sizes:
-enumerate_counts generates and checks the spheres one at a time and
-keeps no word.
+letter matrix, a word per row, until relative_ball converts it to packed
+words, the one place where a sphere becomes words. A product's sphere n
+is the union over i_1 + ... + i_m = n of the products of factor spheres,
+which are disjoint, so the only work left is one sort per sphere.
+Elements are kept in packed byte form; the finished ball is shortlex
+sorted, which makes every ball of smaller radius a prefix slice.
 
 Relative balls of a subgroup H hold H's elements by their ambient word
 length, so the ambient metric stays the definition. Each oracle generates
@@ -20,7 +18,9 @@ of a folded graph, powers of one element, products and graphs of factor
 subgroups), never by filtering the whole-group ball and never by searching
 in subgroup generators. Oracles may answer "unknown"; such elements are
 excluded from the ball and tallied separately so no count silently
-pretends precision.
+pretends precision. A growth table, of the whole group or of a subgroup,
+needs only the sphere sizes: relative_counts generates and checks the
+spheres one at a time as relative_ball does, and keeps no member.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .subgroups import SubgroupOracle, WholeGroupOracle, oracle_for_generators
-from .words import Element, GroupDescriptor, invert_packed, multiply_packed, packed_length
+from .words import Element, GroupDescriptor, invert_packed, multiply_packed, packed_length, sphere_words
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -78,9 +78,7 @@ class Ball:
 
     def sphere_counts(self) -> tuple[int, ...]:
         balls = self.counts_by_radius
-        return (balls[0],) + tuple(
-            balls[n] - balls[n - 1] for n in range(1, self.radius + 1)
-        )
+        return tuple(b - a for a, b in zip((0, *balls), balls))
 
     def up_to(self, radius: int) -> "Ball":
         """The sub-ball of smaller radius (a prefix of the sorted elements)."""
@@ -148,15 +146,12 @@ def relative_ball(
     """Subgroup elements of ambient length <= radius, from the oracle's structure.
 
     The oracle generates its members sphere by sphere and tallies what it
-    cannot decide. Every ball passes through here, so each sphere's size is
-    checked against the oracle's own exact count (sphere_counts, computed
-    without the generated spheres): a mismatch means the generator is
-    broken, and InvariantViolationError names the first ball it spoils.
-    Oracles without exact counts (folded graphs with nontrivial labels,
-    budgeted oracles, and products holding one) are not checked. The
-    budget still caps the ambient ball's closed-form size, so a request
-    fails where whole-group enumeration would. An ambient ball, if given,
-    must cover the request; it is not needed.
+    cannot decide; each sphere becomes packed words here (sphere_words)
+    and nowhere else. Every ball passes through here, so each sphere's
+    size is checked against the oracle's own exact count (_checked_sizes).
+    The budget still caps the ambient ball's closed-form size, so a
+    request fails where whole-group enumeration would. An ambient ball,
+    if given, must cover the request; it is not needed.
     """
     if oracle.group != group:
         raise ValueError("oracle is over a different group")
@@ -164,51 +159,57 @@ def relative_ball(
         raise ValueError("supplied ambient ball does not cover the request")
     ball_sizes(group, radius, budget)
     spheres, unknown = oracle.relative_spheres(radius)
-    sizes = [len(s) for s in spheres]
-    try:
-        _checked_sizes(sizes, oracle.sphere_counts(radius))
-    except UnsupportedConfigurationError:  # no exact counts to check against
-        pass
+    spheres = [sphere_words(s) for s in spheres]
+    sizes = _checked_sizes(oracle, radius, map(len, spheres))
     members = tuple(chain.from_iterable(spheres))
     return Ball(group, members, tuple(accumulate(sizes)), tuple(accumulate(unknown)))
 
 
-def enumerate_counts(
+def relative_counts(
     group: GroupDescriptor,
+    oracle: SubgroupOracle,
     radius: int,
     *,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[int, ...]:
-    """enumerate_ball(...).counts_by_radius without keeping the ball.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """relative_ball(...)'s counts_by_radius and unknown_by_radius, keeping no member.
 
-    The budget is charged as enumerate_ball charges it, before any sphere
-    is built. The spheres are generated one at a time and each is checked
-    against its closed-form size as relative_ball checks it; only the
-    size is kept, so a free group's spheres stay letter matrices and at
-    most two of them are held at once.
+    Unlike counting.relative_ball_counts, which sums the oracle's exact
+    counts, this generates the spheres and checks each one: the budget is
+    charged as relative_ball charges it, before any sphere is built, and
+    each sphere's size is checked against the oracle's exact count as it
+    arrives. Only the size is kept, so a free group's spheres stay letter
+    matrices and at most two of them are held at once.
     """
+    if oracle.group != group:
+        raise ValueError("oracle is over a different group")
     ball_sizes(group, radius, budget)
-    oracle = WholeGroupOracle(group)
-    sizes = _checked_sizes(oracle.sphere_sizes(radius), oracle.sphere_counts(radius))
-    return tuple(accumulate(sizes))
+    spheres, unknown = oracle.relative_spheres(radius)
+    sizes = _checked_sizes(oracle, radius, map(len, spheres))
+    return tuple(accumulate(sizes)), tuple(accumulate(unknown))
 
 
-def _checked_sizes(sizes: Iterable[int], exact: Sequence[int]) -> list[int]:
-    """The generated sphere sizes, checked one by one as they arrive.
+def _checked_sizes(oracle: SubgroupOracle, radius: int, sizes: Iterable[int]) -> list[int]:
+    """The generated sphere sizes 0..radius, each checked as it arrives.
 
-    A size that differs from its exact count, or a sphere too many or too
-    few, means the generator is broken: InvariantViolationError names the
-    first ball it spoils.
+    The oracle's exact counts (sphere_counts) are computed without the
+    generated spheres. A size that differs from its count, or a sphere too
+    many or too few, means the generator is broken: InvariantViolationError
+    names the first ball it spoils. Oracles without exact counts (folded
+    graphs with nontrivial labels, budgeted oracles, and products holding
+    one) are not checked.
     """
-    out: list[int] = []
+    try:
+        exact = oracle.sphere_counts(radius)
+    except UnsupportedConfigurationError:  # no exact counts to check against
+        return list(sizes)
     for n, (size, want) in enumerate(zip_longest(sizes, exact)):
         if size != want:
             n = min(n, len(exact) - 1)
             raise InvariantViolationError(
                 f"enumerated |B({n})| differs from the closed form {sum(exact[: n + 1])}"
             )
-        out.append(size)
-    return out
+    return exact  # every size equals its count
 
 
 def subgroup_word_length(
@@ -293,11 +294,5 @@ def distortion(
     for p in rel.packed:
         n = len(p) - offset
         y_len = subgroup_word_length(generators, Element(group, p), budget=budget)
-        if y_len > values[n]:
-            values[n] = y_len
-    best = 0
-    out = []
-    for v in values:
-        best = max(best, v)
-        out.append(best)
-    return DistortionTable(tuple(out), rel.unknown_by_radius)
+        values[n] = max(values[n], y_len)
+    return DistortionTable(tuple(accumulate(values, max)), rel.unknown_by_radius)

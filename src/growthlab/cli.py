@@ -18,13 +18,16 @@ comparable across runs.
 Every command runs in one process; --workers K is range-checked (1 to
 256) and discarded. A budgeted subgroup oracle may enumerate at most
 min(1,000,000, --budget-elements) elements, and rate, which only counts,
-never asks it to. _FLAGS declares each flag once, in render order;
-_COMMANDS each command once, with the defaults it sets apart from
-ExperimentSpec's; and _VALUES each value's grammar once, in the order
-values are checked, so a spec with several bad values reports the first
-in that order. The flag checks, the defaults and the canonical render
-follow from them. A flag given twice, under either spelling, is a parse
-error.
+never asks it to. delta's --budget-elements caps only the quadruples of
+the exhaustive scan: its ball is capped at 10,000,000 elements
+(cayley.DEFAULT_BUDGET) whatever the flag says, in either mode.
+
+_FLAGS declares each flag once, in render order; _COMMANDS each command
+once, with the defaults it sets apart from ExperimentSpec's; and _VALUES
+each value's grammar once, in the order values are checked, so a spec
+with several bad values reports the first in that order. The flag
+checks, the defaults and the canonical render follow from them. A flag
+given twice, under either spelling, is a parse error.
 
 Exit codes: 0 success, 2 budget exceeded, 3 hypothesis or invariant
 violation detected, 64 spec parse error, 1 other failures. Each error
@@ -53,8 +56,7 @@ from .cayley import (
     ball_sizes,
     distortion,
     enumerate_ball,
-    enumerate_counts,
-    relative_ball,
+    relative_counts,
 )
 from .concat import DEFAULT_PAIR_BUDGET, build_connector_kit, measure_ambiguity
 from .counting import relative_ball_counts
@@ -416,15 +418,11 @@ def _execute(spec: ExperimentSpec) -> tuple[int, dict, tuple[list[str], list, li
         cap = min(DEFAULT_ELEMENT_CAP, spec.budget or DEFAULT_ELEMENT_CAP)
         oracle = parse_subgroup(group, spec.subgroup, element_cap=cap)
 
-    if spec.command == "growth":
+    if spec.command in ("growth", "relgrowth"):
+        counts, unknown = relative_counts(group, oracle, spec.max_radius, budget=spec.budget)
         # the whole group's table carries no unknown tallies
-        counts = enumerate_counts(group, spec.max_radius, budget=spec.budget)
-        return (0, *_table_view("count", list(enumerate(counts)), None))
-
-    if spec.command == "relgrowth":
-        ball = relative_ball(group, oracle, spec.max_radius, budget=spec.budget)
-        rows = list(enumerate(ball.counts_by_radius))
-        return (0, *_table_view("count", rows, ball.unknown_by_radius))
+        unknown = None if spec.subgroup is None else unknown
+        return (0, *_table_view("count", list(enumerate(counts)), unknown))
 
     if spec.command == "distortion":
         table = distortion(

@@ -25,8 +25,12 @@ length, generated rather than filtered from the ambient ball, and the
 undecided count per sphere), sphere_counts (exact member counts per sphere,
 for radii far past enumeration range; the budgeted oracle and folded graphs
 with nontrivial labels raise) and spec_string (the canonical subgroup spec).
-cayley.relative_ball holds every generated sphere to sphere_counts, so an
-oracle's counts must never be read off the spheres it generates.
+A generated sphere is a list of packed words or, for the whole of a free
+group, a letter matrix (words.Sphere); the whole group yields its spheres
+one at a time. cayley.relative_ball, where a sphere becomes words, and
+cayley.relative_counts, which keeps only its size, hold every generated
+sphere to sphere_counts, so an oracle's counts must never be read off the
+spheres it generates.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .counting import convolve_spheres, product_sphere_counts
 from .errors import (
@@ -48,6 +52,7 @@ from .words import (
     SEP,
     Element,
     GroupDescriptor,
+    Sphere,
     free_group,
     free_spheres,
     invert_packed,
@@ -55,12 +60,11 @@ from .words import (
     multiply_packed,
     packed_length,
     product_spheres,
-    sphere_words,
 )
 
 # Members by ambient length, spheres 0..radius each shortlex sorted, and
 # the number of undecided elements per sphere.
-Spheres = tuple[list[list[bytes]], list[int]]
+Spheres = tuple[Iterable[Sphere], list[int]]
 
 
 def _by_sphere(elements: Iterable[bytes], radius: int, num_factors: int) -> list[list[bytes]]:
@@ -274,25 +278,21 @@ class WholeGroupOracle(SubgroupOracle):
 
     def __init__(self, group: GroupDescriptor):
         self.group = group
-        self.generators = group.generators()
+
+    @cached_property
+    def generators(self) -> tuple[Element, ...]:
+        """The group's standard generators, built the first time they are asked for."""
+        return self.group.generators()
 
     def contains_packed(self, packed: bytes) -> bool:
         return True
 
     def relative_spheres(self, radius: int) -> Spheres:
-        """The group's spheres, from the factor trees; nothing is undecided."""
-        return list(self._word_spheres(radius)), [0] * (radius + 1)
-
-    def sphere_sizes(self, radius: int) -> Iterator[int]:
-        """The sizes of the generated spheres 0..radius, one sphere at a time;
-        a free group's letter matrices are never made into words."""
-        ranks = self.group.ranks
-        spheres = free_spheres(ranks[0], radius) if len(ranks) == 1 else self._word_spheres(radius)
-        return map(len, spheres)
-
-    def _word_spheres(self, radius: int) -> Iterator[list[bytes]]:
-        factors = [map(sphere_words, free_spheres(rank, radius)) for rank in self.group.ranks]
-        return product_spheres(factors)
+        """The group's spheres from the factor trees, one at a time as they are
+        asked for: a free group's as letter matrices, a product's as joined
+        words. Nothing is undecided."""
+        factors = [free_spheres(rank, radius) for rank in self.group.ranks]
+        return product_spheres(factors), [0] * (radius + 1)
 
     def sphere_counts(self, radius: int) -> list[int]:
         return product_sphere_counts(self.group.ranks, radius)
@@ -567,6 +567,8 @@ class ProductOracle(SubgroupOracle):
         (members + unknowns) less the product of members, sphere by sphere.
         """
         factors = [oracle.relative_spheres(radius) for oracle in self.factor_oracles]
+        # the spheres are read twice, and a whole factor yields them one at a time
+        factors = [(list(kept), unknown) for kept, unknown in factors]
         spheres = list(product_spheres([kept for kept, _ in factors]))
         possible = convolve_spheres(
             ([len(s) + u for s, u in zip(kept, unknown)] for kept, unknown in factors), radius

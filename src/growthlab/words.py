@@ -29,10 +29,12 @@ inputs and are shared by the enumeration-heavy modules. The numpy passes
 factor_columns, and one longest-common-prefix reader, common_prefix.
 
 A free group's sphere is generated as a uint8 letter matrix, one word per
-row in the same letter bytes (free_spheres), and stays one until a Ball
-needs its words: sphere_words converts a whole matrix at once, and
-product_spheres joins the converted factor words of a product. Counting
-spheres needs no words at all.
+row in the same letter bytes (free_spheres); a Sphere is such a matrix
+or a list of packed words. sphere_words converts a whole matrix at once
+and returns a list as it is. product_spheres converts the factor
+matrices of a product when it joins their words, and passes a lone
+factor's matrices through, so counting a free group's spheres needs no
+words at all.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ from .errors import GroupMismatchError, ParseError
 MAX_RANK = 26  # letters of the alphabet; ranks beyond this have no text form
 
 SEP = b"\x00"
+
+# a sphere of words: a uint8 letter matrix, a word per row, or a list of packed words
+Sphere = np.ndarray | list[bytes]
 
 # Byte-translation table sending each letter byte to its inverse.
 INVERSE_TABLE = bytes(
@@ -177,28 +182,32 @@ def _follow_table(rank: int) -> np.ndarray:
     return follow
 
 
-def sphere_words(sphere: np.ndarray) -> list[bytes]:
-    """A letter matrix's rows as packed words, in row order."""
+def sphere_words(sphere: Sphere) -> list[bytes]:
+    """A letter matrix's rows as packed words, in row order; a list of words as it is."""
+    if isinstance(sphere, list):
+        return sphere
     if not sphere.shape[1]:
         return [b""] * len(sphere)
     return np.ascontiguousarray(sphere).view(f"V{sphere.shape[1]}").ravel().tolist()
 
 
-def product_spheres(factors: Sequence[Iterable[list[bytes]]]) -> Iterator[list[bytes]]:
+def product_spheres(factors: Sequence[Iterable[Sphere]]) -> Iterator[Sphere]:
     """Spheres of a product, one at a time, from each factor's spheres.
 
     Sphere n is the union over i_1 + ... + i_m = n of the products of
-    factor spheres, which are disjoint; each is shortlex sorted once. The
-    factors' spheres, and those of the partial products, are held as they
-    arrive; the product's own are not.
+    factor spheres, which are disjoint; each is a list of joined words
+    (sphere_words of each factor sphere), shortlex sorted once. A single
+    factor's spheres pass through unchanged. The factors' spheres, and
+    those of the partial products, are held as they arrive; the product's
+    own are not.
     """
     if len(factors) == 1:
         yield from factors[0]
         return
     left, right = [], []
     for n, (u_sphere, v_sphere) in enumerate(zip(product_spheres(factors[:-1]), factors[-1])):
-        left.append(u_sphere)
-        right.append(v_sphere)
+        left.append(sphere_words(u_sphere))
+        right.append(sphere_words(v_sphere))
         sphere = [u + SEP + v for i in range(n + 1) for u in left[i] for v in right[n - i]]
         sphere.sort()
         yield sphere

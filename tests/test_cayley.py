@@ -12,8 +12,8 @@ from growthlab.cayley import (
     Ball,
     distortion,
     enumerate_ball,
-    enumerate_counts,
     relative_ball,
+    relative_counts,
     subgroup_word_length,
 )
 from growthlab import cayley, subgroups
@@ -292,11 +292,28 @@ class TestEnumerateBall:
         assert exc.value.budget == 100
 
     def test_budget_error_at_huge_radius_stops_counting_early(self):
-        # |B(4)| = 713 and |B(5)| = 2305 in F2 x F2; counting to radius
-        # 10^4 would take minutes
+        # |B(4)| = 713 and |B(5)| = 2305 in F2 x F2; counting straight to
+        # radius 10^4 takes only about 0.04 s, so the horizons are pinned
+        # by test_budget_error_counts_to_doubling_horizons
         with pytest.raises(BallBudgetError) as exc:
             enumerate_ball(F2xF2, 10_000, budget=1000)
         assert exc.value.radius_reached == 4
+
+    def test_budget_error_counts_to_doubling_horizons(self, monkeypatch):
+        # ball_sizes counts to horizons 0, 1, 3, 7, ...: an overflowing
+        # request stops within about twice the radius where it overflows
+        horizons = []
+
+        def recording(group, n_max):
+            horizons.append(n_max)
+            return ball_counts(group, n_max)
+
+        monkeypatch.setattr(cayley, "ball_counts", recording)
+        with pytest.raises(BallBudgetError) as exc:
+            enumerate_ball(F2xF2, 10_000, budget=1000)
+        reached = exc.value.radius_reached
+        assert reached == 4
+        assert horizons and max(horizons) <= 2 * (reached + 1) + 1, horizons
 
     @settings(max_examples=40, deadline=None)
     @given(small_balls())
@@ -305,7 +322,7 @@ class TestEnumerateBall:
         ball = enumerate_ball(group, radius)
         assert list(ball.packed) == brute_force_ball(group, radius)
         # the counts-only path generates and checks the same spheres
-        counts = enumerate_counts(group, radius)
+        counts, _ = relative_counts(group, WholeGroupOracle(group), radius)
         assert counts == ball.counts_by_radius == tuple(ball_counts(group, radius))
 
     @settings(max_examples=40, deadline=None)
@@ -341,8 +358,42 @@ class TestEnumerateCounts:
 
         monkeypatch.setattr(subgroups, "free_spheres", refuse)
         with pytest.raises(BallBudgetError) as exc:
-            enumerate_counts(F2, 6, budget=100)
+            relative_counts(F2, WholeGroupOracle(F2), 6, budget=100)
         assert (exc.value.radius_reached, exc.value.target_radius) == (3, 6)
+
+
+@st.composite
+def whole_factor_products(draw):
+    """A product oracle with whole free factors, whose spheres come one at a time."""
+    group = draw(st.sampled_from([F2xF2, product_group(1, 2), product_group(1, 1, 1)]))
+    factors = [
+        draw(st.just(WholeGroupOracle(free_group(rank))) | free_oracles(rank))
+        for rank in group.ranks
+    ]
+    return group, ProductOracle(group, factors), draw(st.integers(0, 6))
+
+
+class TestRelativeCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(oracles() | whole_factor_products())
+    def test_equals_the_relative_balls_counts(self, case):
+        # the whole group over F1 to F3 and products, Stallings, diag,
+        # cyclic, product, labelled and budgeted oracles
+        group, oracle, radius = case
+        rel = relative_ball(group, oracle, radius)
+        counts = relative_counts(group, oracle, radius)
+        assert counts == (rel.counts_by_radius, rel.unknown_by_radius)
+
+    def test_oracle_over_another_group_is_refused(self):
+        with pytest.raises(ValueError, match="oracle is over a different group"):
+            relative_counts(F2, WholeGroupOracle(F1), 2)
+
+    def test_budget_is_charged_as_for_the_ball(self):
+        # 17 members of <aa,bb> fit, but |B(4)| = 161 in F2 does not
+        oracle = StallingsOracle(F2, [el("aa"), el("bb")])
+        with pytest.raises(BallBudgetError) as exc:
+            relative_counts(F2, oracle, 4, budget=100)
+        assert (exc.value.radius_reached, exc.value.target_radius) == (3, 4)
 
 
 class TestRelativeBall:
@@ -480,7 +531,7 @@ class TestWholeGroupCheck:
         with pytest.raises(InvariantViolationError, match=message):
             relative_ball(F2xF2, WholeGroupOracle(F2xF2), 3)
         with pytest.raises(InvariantViolationError, match=message):
-            enumerate_counts(F2xF2, 3)
+            relative_counts(F2xF2, WholeGroupOracle(F2xF2), 3)
 
 
 class TestSubgroupWordLength:

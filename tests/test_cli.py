@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growthlab
-from growthlab import cli, errors, subgroups
+from growthlab import cayley, cli, errors, subgroups
 from growthlab.cayley import distortion, enumerate_ball
 from growthlab.cli import ExperimentSpec, _diagnose, main, parse_spec, run
 from growthlab.concat import AmbiguityReport
@@ -857,6 +857,22 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "TupleBudgetError"
 
+    def test_delta_ball_cap_is_the_default_budget(self, tmp_path, capsys):
+        # --budget-elements caps only the exhaustive scan's quadruples, and
+        # random mode reads no budget: the ball is capped at
+        # cayley.DEFAULT_BUDGET whatever the flag says
+        code = main(
+            [
+                "delta", "--group", "free:2", "--max-radius", "15", "--mode", "random",
+                "--trials", "10", "--budget-elements", "100000000000", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "BallBudgetError"
+        assert (diag["budget"], diag["radius_reached"]) == (10_000_000, 14)
+        assert not list(tmp_path.iterdir())
+
     def test_delta_tuple_cap_comes_before_the_ball(self, tmp_path, capsys, monkeypatch):
         # |B(9)| = 39,365 is a closed form; its metric alone would take 12.4 GB
         built = []
@@ -988,6 +1004,37 @@ class TestExitCodes:
         assert diagnostic["error"] == "InvariantViolationError"
         assert "differs from the closed form" in diagnostic["message"]
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "group,subgroup", [("free:2", "aab,bAb"), ("product(free:2,free:2)", "diag")]
+    )
+    def test_relgrowth_builds_no_ball(self, tmp_path, capsys, monkeypatch, group, subgroup):
+        # relgrowth reads checked sphere sizes (cayley.relative_counts), so
+        # a dropped closed path still exits 3 though no Ball can be built
+        def refuse(*args, **kwargs):
+            raise AssertionError("relgrowth built a Ball")
+
+        monkeypatch.setattr(cayley, "Ball", refuse)
+        line = [
+            "relgrowth", "--group", group, "--subgroup", subgroup,
+            "--max-radius", "6", "--out", str(tmp_path / "good"),
+        ]
+        assert main(line) == 0
+        assert (tmp_path / "good" / "relgrowth.csv").exists()
+        closed_words = subgroups.StallingsOracle._closed_words
+
+        def without_a_closed_path(self, top):
+            words = closed_words(self, top)
+            n = next(n for n in range(1, len(words)) if words[n])
+            words[n] = words[n][1:]
+            return words
+
+        monkeypatch.setattr(subgroups.StallingsOracle, "_closed_words", without_a_closed_path)
+        line[-1] = str(tmp_path / "bad")
+        assert main(line) == 3
+        (diag_line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(diag_line)["error"] == "InvariantViolationError"
+        assert not (tmp_path / "bad").exists()
 
     def test_rate_with_a_huge_epsilon_is_fast(self, tmp_path):
         # with epsilon 10^50 the floor takes roots of fractions whose

@@ -7,7 +7,7 @@ import pytest
 
 ROOT = Path(__file__).parents[1]
 FLOOR = (3, 10)
-SOURCES = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
+SOURCES = sorted(path for top in ("src", "tests", "bench", "tools") for path in (ROOT / top).rglob("*.py"))
 
 
 def test_floor_is_the_declared_one():

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from growthlab.subgroups import (
     FoldConflict,
     ProductOracle,
     StallingsOracle,
+    WholeGroupOracle,
     _by_sphere,
     cyclic_core,
     diagonal_oracle,
@@ -29,6 +31,7 @@ from growthlab.subgroups import (
 )
 from growthlab.words import (
     Element,
+    GroupDescriptor,
     free_group,
     parse_element,
     parse_word_bytes,
@@ -550,6 +553,37 @@ class TestParseSubgroup:
             orc = parse_subgroup(grp, text)
             again = parse_subgroup(grp, orc.spec_string())
             assert again.spec_string() == orc.spec_string()
+
+
+class TestWholeGroup:
+    def test_generators_are_built_only_when_asked(self, monkeypatch):
+        # a whole group's generators are validated Elements that no
+        # enumeration reads, so building the oracle must not build them
+        calls = []
+        generators = GroupDescriptor.generators
+
+        def recording(group):
+            calls.append(group)
+            return generators(group)
+
+        monkeypatch.setattr(GroupDescriptor, "generators", recording)
+        oracle = WholeGroupOracle(F2xF2)
+        enumerate_ball(F2xF2, 2)
+        assert calls == []
+        assert oracle.generators == generators(F2xF2)
+        assert oracle.generators is oracle.generators
+        assert calls == [F2xF2]
+
+    def test_spheres_come_one_at_a_time(self):
+        # a free group's as letter matrices, a product's as joined words
+        spheres, unknown = WholeGroupOracle(F2).relative_spheres(3)
+        assert unknown == [0] * 4
+        first = next(spheres)
+        assert isinstance(first, np.ndarray) and first.shape == (1, 0)
+        assert [sphere.shape for sphere in spheres] == [(4, 1), (12, 2), (36, 3)]
+        spheres, _ = WholeGroupOracle(F2xF2).relative_spheres(2)
+        assert next(spheres) == [b"\x00"]
+        assert [len(sphere) for sphere in spheres] == [8, 40]
 
 
 class TestOracleValidation:
