@@ -72,8 +72,6 @@ from .rate import RateHypothesis, default_growth_bound, fekete_lower_bound, pars
 from .subgroups import DEFAULT_ELEMENT_CAP, WholeGroupOracle, parse_subgroup
 from .words import parse_element, parse_group
 
-__all__ = ["ExperimentSpec", "parse_spec", "run", "main"]
-
 # flag spelling -> spec field, in render order; a field renders as its first spelling
 _FLAGS = {
     "--group": "group",

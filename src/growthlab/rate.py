@@ -68,7 +68,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -77,85 +77,67 @@ import numpy as np
 from .errors import ParseError
 from .words import GroupDescriptor
 
-__all__ = [
-    "FuncSpec",
-    "parse_funcspec",
-    "RateHypothesis",
-    "HypothesisViolation",
-    "HypothesisCheck",
-    "MAX_VIOLATIONS",
-    "RateEstimate",
-    "WalkRow",
-    "default_growth_bound",
-    "root_sequence",
-    "check_hypothesis",
-    "fekete_lower_bound",
-    "hypothesis_from_growth",
-]
-
 # the float filter's margin per unit of the largest |lg| (Arithmetic policy)
 _MARGIN = 2.0**-46
 
 # a failing check keeps this many violations and counts the rest
 MAX_VIOLATIONS = 1000
 
-_AFFINE_RE = re.compile(r"^(?:(?P<a>[0-9][0-9/.]*)(?P<sign>[+-]))?(?P<b>[0-9][0-9/.]*)n$")
+_AFFINE_RE = re.compile(r"^(?:(?P<a>-?[0-9][0-9/.]*)(?P<sign>[+-]))?(?P<b>[0-9][0-9/.]*)n$")
 
 
 @dataclass(frozen=True)
 class FuncSpec:
-    """An evaluable scalar function of a radius: constant, affine, or table.
+    """An evaluable scalar function of a radius: affine, or a table.
 
-    Values are exact fractions.  The textual form round-trips through
-    parse_funcspec: "4", "7/2", "1+2n", "table:1,2,4".
+    With values empty it is intercept + slope*n, a constant when the slope
+    is 0; otherwise it is the table values[n].  Values are exact fractions.
+    The textual form round-trips through parse_funcspec: "4", "7/2",
+    "1+2n", "-1+2n", "table:1,2,4".
     """
 
-    kind: str
-    coeffs: tuple[Fraction, ...]
+    intercept: Fraction = Fraction(0)
+    slope: Fraction = Fraction(0)
+    values: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "affine", "table"):
-            raise ValueError(f"unknown function kind {self.kind!r}")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if self.kind == "constant" and len(coeffs) != 1:
-            raise ValueError("constant spec takes exactly one coefficient")
-        if self.kind == "affine" and len(coeffs) != 2:
-            raise ValueError("affine spec takes intercept and slope")
-        if self.kind == "table" and not coeffs:
-            raise ValueError("table spec needs at least one value")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "intercept", Fraction(self.intercept))
+        object.__setattr__(self, "slope", Fraction(self.slope))
+        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        if self.values and (self.intercept or self.slope):
+            raise ValueError("a table spec takes no intercept or slope")
 
     @staticmethod
     def constant(value) -> "FuncSpec":
-        return FuncSpec("constant", (Fraction(value),))
+        return FuncSpec(value)
 
     @staticmethod
     def affine(intercept, slope) -> "FuncSpec":
-        return FuncSpec("affine", (Fraction(intercept), Fraction(slope)))
+        return FuncSpec(intercept, slope)
 
     @staticmethod
     def table(values: Iterable) -> "FuncSpec":
-        return FuncSpec("table", tuple(Fraction(v) for v in values))
+        values = tuple(values)
+        if not values:
+            raise ValueError("table spec needs at least one value")
+        return FuncSpec(values=values)
 
     def __call__(self, n: int) -> Fraction:
-        if self.kind == "constant":
-            return self.coeffs[0]
-        if self.kind == "affine":
-            return self.coeffs[0] + self.coeffs[1] * n
-        if not 0 <= n < len(self.coeffs):
+        if not self.values:
+            return self.intercept + self.slope * n if self.slope else self.intercept
+        if not 0 <= n < len(self.values):
             raise ValueError(
-                f"function table has entries for n <= {len(self.coeffs) - 1}, needs n = {n}"
+                f"function table has entries for n <= {len(self.values) - 1}, needs n = {n}"
             )
-        return self.coeffs[n]
+        return self.values[n]
 
     def render(self) -> str:
-        if self.kind == "constant":
-            return str(self.coeffs[0])
-        if self.kind == "affine":
-            intercept, slope = self.coeffs
-            sign = "+" if slope >= 0 else "-"
-            return f"{intercept}{sign}{abs(slope)}n"
-        return "table:" + ",".join(str(c) for c in self.coeffs)
+        if self.values:
+            return "table:" + ",".join(str(v) for v in self.values)
+        if not self.slope:
+            return str(self.intercept)
+        sign = "+" if self.slope > 0 else "-"
+        return f"{self.intercept}{sign}{abs(self.slope)}n"
 
 
 def parse_funcspec(text: str) -> FuncSpec:
@@ -171,14 +153,11 @@ def parse_funcspec(text: str) -> FuncSpec:
             return FuncSpec.table(Fraction(tok.strip()) for tok in body.split(","))
         match = _AFFINE_RE.match(stripped)
         if match is not None:
-            intercept = Fraction(match.group("a")) if match.group("a") else Fraction(0)
             slope = Fraction(match.group("b"))
-            if match.group("sign") == "-":
-                slope = -slope
-            if slope == 0:
-                return FuncSpec.constant(intercept)
-            return FuncSpec.affine(intercept, slope)
-        return FuncSpec.constant(Fraction(stripped))
+            return FuncSpec.affine(
+                match.group("a") or 0, -slope if match.group("sign") == "-" else slope
+            )
+        return FuncSpec.constant(stripped)
     except ParseError:
         raise
     except ValueError as exc:
@@ -202,8 +181,8 @@ class RateHypothesis:
     skip the envelope check.
     """
 
-    epsilon: FuncSpec = field(default_factory=lambda: FuncSpec.constant(1))
-    shift: FuncSpec = field(default_factory=lambda: FuncSpec.constant(0))
+    epsilon: FuncSpec = FuncSpec(1)
+    shift: FuncSpec = FuncSpec()
     threshold: int = 1
     growth_bound: Fraction | None = None
 

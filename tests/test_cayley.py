@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from growthlab.cayley import (
     Ball,
+    ball_sizes,
     distortion,
     enumerate_ball,
     relative_ball,
@@ -298,6 +299,10 @@ class TestEnumerateBall:
         with pytest.raises(BallBudgetError) as exc:
             enumerate_ball(F2xF2, 10_000, budget=1000)
         assert exc.value.radius_reached == 4
+
+    def test_ball_sizes_refuse_a_negative_radius(self):
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            ball_sizes(F2, -1)
 
     def test_budget_error_counts_to_doubling_horizons(self, monkeypatch):
         # ball_sizes counts to horizons 0, 1, 3, 7, ...: an overflowing

@@ -811,6 +811,22 @@ class TestExitCodes:
         assert diag["cap"] == 5000
         assert diag["radius_reached"] < diag["target_radius"]
 
+    def test_rate_without_a_witness_is_1(self, tmp_path, capsys):
+        # threshold 0 admits the pair (0, 0), but a witness needs s >= 1
+        out = tmp_path / "out"
+        code = main(
+            [
+                "rate", "--group", "free:2", "--max-radius", "0", "--threshold", "0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "no admissible witness: table covers radius 0, threshold 0",
+        }
+
     @pytest.mark.parametrize("subgroup", ["(ab,a),(ba,b),(a,bb),(b,ab)", "(a,1),(1,a)"])
     def test_rate_refuses_budgeted_oracle_before_enumerating(
         self, tmp_path, capsys, monkeypatch, subgroup

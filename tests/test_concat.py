@@ -255,6 +255,15 @@ class TestCommonPower:
         assert have_common_power(el("(a,1)", F2xF2), el("(1,b)", F2xF2)) is False
         assert have_common_power(el("(a,1)", F2xF2), el("(a,b)", F2xF2)) is False
 
+    def test_elements_of_two_groups_are_refused(self):
+        with pytest.raises(GroupMismatchError, match="^elements of different groups$"):
+            have_common_power(el("a"), el("(a,1)", F2xF2))
+
+    @pytest.mark.parametrize("g, h", [(ONE, el("a")), (el("a"), ONE)], ids=["g", "h"])
+    def test_identity_is_refused(self, g, h):
+        with pytest.raises(ValueError, match="^common-power check needs nontrivial elements$"):
+            have_common_power(g, h)
+
 
 class TestKitConstruction:
     def test_generator_kit(self, kit2):
@@ -275,6 +284,12 @@ class TestKitConstruction:
     def test_trivial_elements_rejected(self):
         with pytest.raises(ValueError):
             build_connector_kit(F2, ONE, el("b"), 2)
+
+    def test_elements_outside_the_group_are_refused(self):
+        with pytest.raises(
+            GroupMismatchError, match="^kit elements must live in the stated group$"
+        ):
+            build_connector_kit(F2xF2, el("a"), el("(b,1)", F2xF2), 1)
 
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
@@ -355,6 +370,22 @@ class TestMeasureAmbiguity:
     def test_single_pair_cell(self, kit2):
         rep = measure_ambiguity(kit2, F2, 0, 0)
         assert rep.cell(0, 0).max_fiber == 1
+
+    def test_missing_cell_is_a_key_error(self, kit2):
+        rep = measure_ambiguity(kit2, F2, 1, 1)
+        with pytest.raises(KeyError) as exc:
+            rep.cell(2, 0)
+        assert exc.value.args == ((2, 0),)
+
+    def test_kit_of_another_group_is_refused(self, kit2):
+        with pytest.raises(GroupMismatchError, match="^kit and domain groups differ$"):
+            measure_ambiguity(kit2, F2xF2, 1, 1)
+        with pytest.raises(GroupMismatchError, match="^kit and domain groups differ$"):
+            fiber_size(kit2, F2xF2, 1, 1, F2xF2.identity())
+
+    def test_target_outside_the_domain_is_refused(self, kit2):
+        with pytest.raises(GroupMismatchError, match="^target outside the domain group$"):
+            fiber_size(kit2, F2, 1, 1, F2xF2.identity())
 
     def test_small_grid_frozen_values(self, kit2):
         rep = measure_ambiguity(kit2, F2, 2, 2)

@@ -33,6 +33,8 @@ from growthlab.words import free_group, product_group
 F2_14 = free_ball_counts(2, 14)
 F2_18 = free_ball_counts(2, 18)
 PLAIN = RateHypothesis()  # epsilon 1, shift 0, threshold 1
+# exact values of either sign, for function specs
+SIGNED = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 class TestFuncSpec:
@@ -67,6 +69,35 @@ class TestFuncSpec:
     def test_fractional_values(self):
         assert parse_funcspec("7/2")(3) == Fraction(7, 2)
         assert parse_funcspec("1+1/2n")(3) == Fraction(5, 2)
+
+    @given(
+        st.one_of(
+            SIGNED.map(FuncSpec.constant),
+            st.tuples(SIGNED, st.one_of(st.just(0), SIGNED)).map(lambda ab: FuncSpec.affine(*ab)),
+            st.lists(SIGNED, min_size=1, max_size=5).map(FuncSpec.table),
+        )
+    )
+    def test_every_spec_round_trips(self, spec):
+        # a zero slope is the constant however it was built, and a signed
+        # intercept ("-1+2n") reads back
+        again = parse_funcspec(spec.render())
+        assert again == spec and hash(again) == hash(spec)
+        assert again.render() == spec.render()
+
+    @given(SIGNED)
+    def test_zero_slope_is_the_constant(self, c):
+        assert FuncSpec.affine(c, 0) == FuncSpec.constant(c)
+        assert FuncSpec.affine(c, 0).render() == str(Fraction(c))
+
+    def test_negative_intercept(self):
+        assert parse_funcspec("-1+2n") == FuncSpec.affine(-1, 2)
+        assert parse_funcspec("-1/2-3n")(2) == Fraction(-13, 2)
+
+    def test_table_takes_no_intercept_or_slope(self):
+        with pytest.raises(ValueError, match="table spec takes no intercept or slope"):
+            FuncSpec(1, values=(2,))
+        with pytest.raises(ValueError, match="table spec needs at least one value"):
+            FuncSpec.table([])
 
 
 class TestHypothesisType:

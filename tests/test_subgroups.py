@@ -591,3 +591,10 @@ class TestOracleValidation:
         orc = StallingsOracle(F2, [el("aa")])
         with pytest.raises(GroupMismatchError):
             orc.contains(el("(a,a)", F2xF2))
+
+    def test_generator_outside_the_group_is_refused(self):
+        outside = el("(a,a)", F2xF2)
+        with pytest.raises(UnsupportedConfigurationError, match="^generator outside the group$"):
+            StallingsOracle(F2, [el("b"), outside])
+        with pytest.raises(UnsupportedConfigurationError, match="^generator outside the group$"):
+            CyclicOracle(F2, outside)

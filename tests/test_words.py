@@ -164,6 +164,14 @@ class TestElementOps:
         with pytest.raises(GroupMismatchError):
             F2.parse("a") * F1.parse("a")
 
+    def test_distance_across_groups_is_refused(self):
+        with pytest.raises(GroupMismatchError, match="^distance needs elements of one group$"):
+            distance(F2.parse("a"), F1.parse("a"))
+
+    def test_wrong_number_of_factor_words_is_refused(self):
+        with pytest.raises(ValueError, match="^element has 1 factor words, group has 2 factors$"):
+            Element(F2xF2, b"")
+
     @given(elements_of(F2xF1), elements_of(F2xF1))
     def test_inverse_antihomomorphism(self, u, v):
         assert (u * v).inverse() == v.inverse() * u.inverse()
@@ -252,6 +260,11 @@ class TestTextSyntax:
         with pytest.raises(ParseError):
             parse_group("cyclic:3")
 
+    def test_empty_product_factor_is_refused(self):
+        with pytest.raises(ParseError) as exc:
+            parse_group("product(free:2,)")
+        assert str(exc.value) == "empty factor in group spec 'product(free:2,)'"
+
     @given(elements_of(F2xF1))
     def test_render_parse_round_trip(self, g):
         assert parse_element(F2xF1, render_element(g)) == g
@@ -291,6 +304,14 @@ class TestDescriptor:
             GroupDescriptor(())
         with pytest.raises(ValueError):
             GroupDescriptor((0,))
+
+    def test_generator_out_of_range_is_refused(self):
+        with pytest.raises(ValueError, match="^factor 2 out of range$"):
+            F2xF1.generator(2, 0)
+        with pytest.raises(ValueError, match="^factor -1 out of range$"):
+            F2.generator(-1, 0)
+        with pytest.raises(ValueError, match="^letter 1 outside rank 1$"):
+            F2xF1.generator(1, 1)
 
     def test_elements_hashable_and_deduplicable(self):
         seen = {F2.parse("ab"), F2.parse("ab"), F2.parse("ba")}
