@@ -4,7 +4,8 @@ Plain concatenation (u, v) -> uv loses information to cancellation: the
 identity has as many preimages over B(2n) x B(n) as the whole ball B(n).
 Inserting a well-chosen piece x between u and v blocks that collapse.
 A kit holds the four candidate pieces g^n, g^-n, h^n, h^-n built from two
-elements with no common power; the selection rule picks the piece whose
+elements with no common power (plain concatenation is the naive kit,
+whose one piece is the identity); the selection rule picks the piece whose
 junctions cancel least, measured by the Gromov products (u^-1 . x)_1 and
 (v . x^-1)_1, with ties broken by the fixed piece order so the map
 (u, v) -> u x_{u,v} v is a genuine function.
@@ -102,17 +103,18 @@ def have_common_power(g: Element, h: Element) -> bool:
 
 @dataclass(frozen=True)
 class ConnectorKit:
-    """Four connecting pieces in fixed order, and their max word length c."""
+    """Connecting pieces in fixed order, their max word length c, and the
+    kit's spec, as a report names it."""
 
     group: GroupDescriptor
-    g: Element
-    h: Element
-    n: int
-    pieces: tuple[Element, Element, Element, Element]
+    pieces: tuple[Element, ...]
     c: int
+    spec: str
 
-    def spec_string(self) -> str:
-        return f"kit({self.g.render()},{self.h.render()};n={self.n})"
+    @staticmethod
+    def naive(group: GroupDescriptor) -> "ConnectorKit":
+        """Plain concatenation: one identity piece, whose junctions never cancel."""
+        return ConnectorKit(group, (group.identity(),), 0, "naive")
 
 
 def build_connector_kit(
@@ -142,7 +144,7 @@ def build_connector_kit(
     if len({p.packed for p in pieces}) != 4:
         raise DependenceError("connecting pieces coincide; the pair is unusable")
     c = max(p.length() for p in pieces)
-    return ConnectorKit(group, g, h, n, pieces, c)
+    return ConnectorKit(group, pieces, c, f"kit({g.render()},{h.render()};n={n})")
 
 
 def _junction_scores(
@@ -284,17 +286,16 @@ def _admitted(
 
 
 def _junctions(
-    kit: ConnectorKit | None, us: Sequence[bytes], v_layout: list[tuple[np.ndarray, np.ndarray]]
+    kit: ConnectorKit, us: Sequence[bytes], v_layout: list[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[list[bytes], np.ndarray, np.ndarray]:
     """The products u x (u-major) and the doubled junction score matrices.
 
     v_layout is factor_columns of the v words. Row i of the left matrix is
     u_i's _junction_scores, row j of the right one v_j's: x v cancels
-    lcp(x_f^-1, v_f) letters in each factor f. kit=None has one empty
-    piece, whose junctions never cancel.
+    lcp(x_f^-1, v_f) letters in each factor f.
     """
     nf = len(v_layout)
-    xs = [p.packed for p in kit.pieces] if kit is not None else [SEP * (nf - 1)]
+    xs = [p.packed for p in kit.pieces]
     prods = [multiply_packed(u, x, nf) for u in us for x in xs]
     lu = np.array([len(u) for u in us], dtype=np.int64)
     lx = np.array([len(x) for x in xs], dtype=np.int64)
@@ -340,7 +341,7 @@ def _unkey(key: int, base: int) -> bytes:
 
 
 def _image_keys(
-    kit: ConnectorKit | None, ball: Ball, c: int, last_t: dict[int, int]
+    kit: ConnectorKit, ball: Ball, last_t: dict[int, int]
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """One key per (u, v) pair of the pass, its (|u|, |v|) bucket, and the base B.
 
@@ -353,7 +354,7 @@ def _image_keys(
     shortlex. Keys stay below 2 B^(s+t+c+nf-1): int64 while that is below
     2^63, and the same expressions on Python ints past it.
     """
-    group = ball.group
+    group, c = ball.group, kit.c
     nf = group.num_factors
     s_top, t_top = max(last_t), max(last_t.values())
     counts = ball.counts_by_radius
@@ -415,7 +416,7 @@ def _image_keys(
 
 
 def _cell_fibers(
-    kit: ConnectorKit | None, ball: Ball, c: int, cells: Sequence[tuple[int, int]]
+    kit: ConnectorKit, ball: Ball, cells: Sequence[tuple[int, int]]
 ) -> list[tuple[int, bytes]]:
     """Max fiber and its shortlex-least image for each cell, from one pass.
 
@@ -427,7 +428,7 @@ def _cell_fibers(
     """
     last_t = dict(cells)  # each u radius meets the v's of its row's last cell
     n_s, n_t = max(last_t) + 1, max(last_t.values()) + 1
-    keys, bucket, base = _image_keys(kit, ball, c, last_t)
+    keys, bucket, base = _image_keys(kit, ball, last_t)
 
     # equal images are runs of the sorted keys
     order = keys.argsort()
@@ -484,20 +485,21 @@ def measure_ambiguity(
 ) -> AmbiguityReport:
     """Fiber statistics of the concatenation map over B(s) x B(t) grids.
 
-    kit=None measures plain concatenation (the no-connector baseline,
-    c = 0). The domain is a subgroup oracle or a whole group (see
-    as_oracle); balls are of ambient length. budget caps the total number
-    of (u, v) pairs across the grid, summed over the cells in s-major
-    order; exceeding it raises with the partial report of the cells that
-    fit attached. A domain with exact sphere counts settles its budget
-    before generating only the radius the admitted cells need; one without
-    (a budgeted oracle, a folded graph with nontrivial labels) generates
-    its ball first. The envelope is fitted on t <= 3. All cells come from one pass over
-    the pairs (see _cell_fibers).
+    kit=None measures plain concatenation (the naive kit, c = 0). The
+    domain is a subgroup oracle or a whole group (see as_oracle); balls
+    are of ambient length. budget caps the total number of (u, v) pairs
+    across the grid, summed over the cells in s-major order; exceeding it
+    raises with the partial report of the cells that fit attached. A
+    domain with exact sphere counts settles its budget before generating
+    only the radius the admitted cells need; one without (a budgeted
+    oracle, a folded graph with nontrivial labels) generates its ball
+    first. The envelope is fitted on t <= 3. All cells come from one pass
+    over the pairs (see _cell_fibers).
     """
     oracle = as_oracle(domain)
     group = oracle.group
-    if kit is not None and kit.group != group:
+    kit = ConnectorKit.naive(group) if kit is None else kit
+    if kit.group != group:
         raise GroupMismatchError("kit and domain groups differ")
     try:
         sizes = relative_ball_counts(oracle, max(s_max, t_max))
@@ -508,16 +510,14 @@ def measure_ambiguity(
     cells, overrun = _admitted(sizes, s_max, t_max, budget)
     if ball is None:
         ball = relative_ball(group, oracle, max((max(cell) for cell in cells), default=0))
-    c = kit.c if kit is not None else 0
-    connector = kit.spec_string() if kit is not None else "naive"
     fit_t = min(3, t_max)
     stats = tuple(
-        CellStats(s, t, s + t + c, sizes[s] * sizes[t], fiber, Element(group, key))
-        for (s, t), (fiber, key) in zip(cells, _cell_fibers(kit, ball, c, cells) if cells else ())
+        CellStats(s, t, s + t + kit.c, sizes[s] * sizes[t], fiber, Element(group, key))
+        for (s, t), (fiber, key) in zip(cells, _cell_fibers(kit, ball, cells) if cells else ())
     )
     slope, intercept, violations = _fit_envelope(stats, fit_t)
     report = AmbiguityReport(
-        oracle.spec_string(), connector, c, s_max, t_max, fit_t,
+        oracle.spec_string(), kit.spec, kit.c, s_max, t_max, fit_t,
         stats, slope, intercept, violations, complete=overrun is None,
     )
     if overrun is not None:
@@ -539,22 +539,20 @@ def fiber_size(
     Inverts the map instead of enumerating pairs: for each v and piece x,
     u = target v^-1 x^-1 is the only candidate, kept when it fits in B(s),
     lies in the domain, and the selection rule actually picks x for it.
+    kit=None inverts plain concatenation (the naive kit).
     """
     oracle = as_oracle(domain)
     group = oracle.group
+    kit = ConnectorKit.naive(group) if kit is None else kit
     if target.group != group:
         raise GroupMismatchError("target outside the domain group")
-    if kit is not None and kit.group != group:
+    if kit.group != group:
         raise GroupMismatchError("kit and domain groups differ")
     ball = relative_ball(group, oracle, t, ambient=ambient)
     nf = group.num_factors
     count = 0
     for vp in ball.packed:
         tv = multiply_packed(target.packed, invert_packed(vp, nf), nf)
-        if kit is None:
-            if packed_length(tv, nf) <= s and oracle.contains_packed(tv) is True:
-                count += 1
-            continue
         right = _junction_scores(kit, vp, nf, left=False)
         for p, piece in enumerate(kit.pieces):
             up = multiply_packed(tv, invert_packed(piece.packed, nf), nf)

@@ -83,7 +83,8 @@ _MARGIN = 2.0**-46
 # a failing check keeps this many violations and counts the rest
 MAX_VIOLATIONS = 1000
 
-_AFFINE_RE = re.compile(r"^(?:(?P<a>-?[0-9][0-9/.]*)(?P<sign>[+-]))?(?P<b>[0-9][0-9/.]*)n$")
+# an affine spec's slope carries its sign, so "2n", "-2n" and "1-2n" all read
+_AFFINE_RE = re.compile(r"^(?P<a>-?[0-9][0-9/.]*(?=[+-]))?(?P<b>[+-]?[0-9][0-9/.]*)n$")
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class FuncSpec:
     With values empty it is intercept + slope*n, a constant when the slope
     is 0; otherwise it is the table values[n].  Values are exact fractions.
     The textual form round-trips through parse_funcspec: "4", "7/2",
-    "1+2n", "-1+2n", "table:1,2,4".
+    "1+2n", "-1+2n", "table:1,2,4"; a bare slope "-2n" reads as 0-2n.
     """
 
     intercept: Fraction = Fraction(0)
@@ -106,14 +107,6 @@ class FuncSpec:
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
         if self.values and (self.intercept or self.slope):
             raise ValueError("a table spec takes no intercept or slope")
-
-    @staticmethod
-    def constant(value) -> "FuncSpec":
-        return FuncSpec(value)
-
-    @staticmethod
-    def affine(intercept, slope) -> "FuncSpec":
-        return FuncSpec(intercept, slope)
 
     @staticmethod
     def table(values: Iterable) -> "FuncSpec":
@@ -153,11 +146,8 @@ def parse_funcspec(text: str) -> FuncSpec:
             return FuncSpec.table(Fraction(tok.strip()) for tok in body.split(","))
         match = _AFFINE_RE.match(stripped)
         if match is not None:
-            slope = Fraction(match.group("b"))
-            return FuncSpec.affine(
-                match.group("a") or 0, -slope if match.group("sign") == "-" else slope
-            )
-        return FuncSpec.constant(stripped)
+            return FuncSpec(match["a"] or 0, match["b"])
+        return FuncSpec(stripped)
     except ParseError:
         raise
     except ValueError as exc:
@@ -606,7 +596,7 @@ def hypothesis_from_growth(
             if worst.denominator * lhs > worst.numerator * fk:
                 worst = Fraction(lhs, fk)
     return RateHypothesis(
-        epsilon=FuncSpec.constant(worst),
-        shift=FuncSpec.constant(c),
+        epsilon=FuncSpec(worst),
+        shift=FuncSpec(c),
         threshold=1,
     )

@@ -125,8 +125,8 @@ def test_criterion_05_weak_supermultiplicativity(criterion, ambiguity_grid):
     report, _ = ambiguity_grid
     # l is the envelope fitted on t <= 3 in criterion 4
     hyp = RateHypothesis(
-        epsilon=FuncSpec.affine(report.intercept, report.slope),
-        shift=FuncSpec.constant(2),
+        epsilon=FuncSpec(report.intercept, report.slope),
+        shift=FuncSpec(2),
         threshold=0,
     )
     with criterion(5, "beta(s)beta(t) <= l(t) beta(s+t+2) for F2, <aa,bb>, diagonal, s,t<=8"):

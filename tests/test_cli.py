@@ -434,6 +434,8 @@ class TestSpecLayer:
             ("--growth-bound", "1/0", "zero denominator in '1/0'"),
             ("--growth-bound", "x", "Invalid literal for Fraction: 'x'"),
             ("--epsilon", "1/0", "bad function spec '1/0': zero denominator"),
+            ("--epsilon", "1+-2n", "bad function spec '1+-2n': Invalid literal for Fraction: '1+-2n'"),
+            ("--epsilon", "--2n", "bad function spec '--2n': Invalid literal for Fraction: '--2n'"),
             ("--shift", "table:1,2/0", "bad function spec 'table:1,2/0': zero denominator"),
         ],
     )
@@ -1108,6 +1110,14 @@ class TestExitCodes:
         assert "Traceback" not in err
         (diag_line,) = err.splitlines()
         assert json.loads(diag_line)["error"] == "ValueError"
+
+    def test_bare_negative_slope_reads_and_fails_its_check(self, tmp_path, capsys):
+        # "-2n" reads as 0-2n, so the run gets past parsing to the
+        # hypothesis' own refusal of an epsilon below 1
+        argv = shlex.split("rate --group free:2 --max-radius 6 --epsilon -2n")
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        diag = json.loads(capsys.readouterr().err)
+        assert diag == {"error": "ValueError", "message": "epsilon(1) = -2 < 1"}
 
     def test_success_is_0(self, tmp_path):
         assert main(["growth", "--group", "free:2", "--max-radius", "2", "--out", str(tmp_path)]) == 0

@@ -121,7 +121,7 @@ def reference_measure_ambiguity(
         raise GroupMismatchError("kit and domain groups differ")
     nf = group.num_factors
     c = kit.c if kit is not None else 0
-    connector = kit.spec_string() if kit is not None else "naive"
+    connector = kit.spec if kit is not None else "naive"
     fit_t = min(3, t_max)
     counts = ball.counts_by_radius
     packed = ball.packed
@@ -578,7 +578,9 @@ class TestConnectorScore:
     def test_naive_junctions_never_cancel(self, group):
         ball = enumerate_ball(group, 2)
         nf = group.num_factors
-        prods, left, right = _junctions(None, ball.packed, factor_columns(ball.packed, nf))
+        prods, left, right = _junctions(
+            ConnectorKit.naive(group), ball.packed, factor_columns(ball.packed, nf)
+        )
         assert prods == list(ball.packed)
         assert left.shape == (len(ball.packed), 1) and not left.any()
         assert right.shape == (len(ball.packed), 1) and not right.any()
@@ -589,12 +591,12 @@ class TestSupermultiplicativity:
 
     @staticmethod
     def check(counts, c, l, **bounds):
-        hyp = RateHypothesis(epsilon=l, shift=FuncSpec.constant(c), threshold=0)
+        hyp = RateHypothesis(epsilon=l, shift=FuncSpec(c), threshold=0)
         return check_hypothesis(counts, hyp, **bounds)
 
     def test_plain_form_fails_without_connectors(self):
         table = enumerate_ball(F2, 4).counts_by_radius
-        res = self.check(table, 0, FuncSpec.constant(1))
+        res = self.check(table, 0, FuncSpec(1))
         assert not res.ok
         first = res.violations[0]
         assert (first.kind, first.m, first.n) == ("combine", 1, 1)
@@ -602,26 +604,26 @@ class TestSupermultiplicativity:
 
     def test_shifted_form_holds_on_free_group(self):
         table = free_ball_counts(2, 18)
-        res = self.check(table, 2, FuncSpec.affine(1, 1), m_max=8, n_max=8)
+        res = self.check(table, 2, FuncSpec(1, 1), m_max=8, n_max=8)
         # 19 positivity and 18 monotonicity checks, then 9 x 9 pairs
         assert res.ok and res.checked == 19 + 18 + 81
 
     def test_holds_on_squares_subgroup(self):
         orc = StallingsOracle(F2, [el("aa"), el("bb")])
         table = relative_ball_counts(orc, 18)
-        assert self.check(table, 2, FuncSpec.affine(1, 1), m_max=8, n_max=8).ok
+        assert self.check(table, 2, FuncSpec(1, 1), m_max=8, n_max=8).ok
 
     def test_trivial_growth_passes_any_envelope(self):
-        assert self.check((1,) * 9, 0, FuncSpec.constant(1)).ok
+        assert self.check((1,) * 9, 0, FuncSpec(1)).ok
 
     def test_insufficient_range_rejected(self):
         table = enumerate_ball(F2, 4).counts_by_radius
         with pytest.raises(ValueError):
-            self.check(table, 2, FuncSpec.constant(1), m_max=8, n_max=8)
+            self.check(table, 2, FuncSpec(1), m_max=8, n_max=8)
 
     def test_fractional_envelope_is_exact(self):
         # (25/17 - 10^-20) beta(2) is just under 25 at (1,1): still a
         # violation, although a float epsilon would round the gap away
         eps = Fraction(25, 17) - Fraction(1, 10**20)
-        res = self.check(enumerate_ball(F2, 2).counts_by_radius, 0, FuncSpec.constant(eps))
+        res = self.check(enumerate_ball(F2, 2).counts_by_radius, 0, FuncSpec(eps))
         assert [(v.m, v.n, v.lhs, v.rhs) for v in res.violations] == [(1, 1, 25, eps * 17)]

@@ -39,12 +39,12 @@ SIGNED = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 class TestFuncSpec:
     def test_constant(self):
-        f = FuncSpec.constant(4)
+        f = FuncSpec(4)
         assert f(0) == 4 and f(7) == 4
         assert f.render() == "4"
 
     def test_affine(self):
-        f = FuncSpec.affine(1, 1)
+        f = FuncSpec(1, 1)
         assert f(0) == 1 and f(6) == 7
         assert f.render() == "1+1n"
 
@@ -61,7 +61,9 @@ class TestFuncSpec:
         spec = parse_funcspec(text)
         assert parse_funcspec(spec.render()) == spec
 
-    @pytest.mark.parametrize("text", ["", "x", "table:", "1//2", "n", "1+n+n"])
+    @pytest.mark.parametrize(
+        "text", ["", "x", "table:", "1//2", "n", "1+n+n", "1+-2n", "--2n", "1/0"]
+    )
     def test_parse_rejects(self, text):
         with pytest.raises(ParseError):
             parse_funcspec(text)
@@ -72,8 +74,8 @@ class TestFuncSpec:
 
     @given(
         st.one_of(
-            SIGNED.map(FuncSpec.constant),
-            st.tuples(SIGNED, st.one_of(st.just(0), SIGNED)).map(lambda ab: FuncSpec.affine(*ab)),
+            SIGNED.map(FuncSpec),
+            st.tuples(SIGNED, st.one_of(st.just(0), SIGNED)).map(lambda ab: FuncSpec(*ab)),
             st.lists(SIGNED, min_size=1, max_size=5).map(FuncSpec.table),
         )
     )
@@ -86,11 +88,29 @@ class TestFuncSpec:
 
     @given(SIGNED)
     def test_zero_slope_is_the_constant(self, c):
-        assert FuncSpec.affine(c, 0) == FuncSpec.constant(c)
-        assert FuncSpec.affine(c, 0).render() == str(Fraction(c))
+        assert FuncSpec(c, 0) == FuncSpec(c)
+        assert FuncSpec(c, 0).render() == str(Fraction(c))
+
+    def test_bare_slope_keeps_its_sign(self):
+        assert parse_funcspec("-2n") == FuncSpec(0, -2)
+        assert parse_funcspec("-2n").render() == "0-2n"
+        assert parse_funcspec("+2n") == FuncSpec(0, 2)
+        assert parse_funcspec("+2n").render() == "0+2n"
+
+    @given(
+        st.one_of(st.none(), SIGNED),
+        st.fractions(min_value=0, max_value=5, max_denominator=6),
+        st.sampled_from(["", "+", "-"]),
+    )
+    def test_typed_affine_specs_read(self, a, b, sign):
+        # typed text, not a render: an optional signed intercept, then a
+        # slope whose sign is optional without one ("2n", "+2n", "-1/2n")
+        sign = sign or ("" if a is None else "+")
+        text = ("" if a is None else str(a)) + sign + str(b) + "n"
+        assert parse_funcspec(text) == FuncSpec(a or 0, -b if sign == "-" else b)
 
     def test_negative_intercept(self):
-        assert parse_funcspec("-1+2n") == FuncSpec.affine(-1, 2)
+        assert parse_funcspec("-1+2n") == FuncSpec(-1, 2)
         assert parse_funcspec("-1/2-3n")(2) == Fraction(-13, 2)
 
     def test_table_takes_no_intercept_or_slope(self):
@@ -116,12 +136,12 @@ class TestHypothesisType:
             RateHypothesis(growth_bound=Fraction(0))
 
     def test_epsilon_below_one_rejected_at_use(self):
-        hyp = RateHypothesis(epsilon=FuncSpec.constant(Fraction(1, 2)))
+        hyp = RateHypothesis(epsilon=FuncSpec(Fraction(1, 2)))
         with pytest.raises(ValueError):
             hyp.epsilon_at(3)
 
     def test_fractional_shift_rejected_at_use(self):
-        hyp = RateHypothesis(shift=FuncSpec.constant(Fraction(1, 2)))
+        hyp = RateHypothesis(shift=FuncSpec(Fraction(1, 2)))
         with pytest.raises(ValueError):
             hyp.shift_at(3)
 
@@ -225,12 +245,12 @@ class TestCheckHypothesis:
 
     def test_free_group_affine_envelope(self):
         # measured ambiguity envelope 1+t with the two-letter connector cost
-        hyp = RateHypothesis(epsilon=FuncSpec.affine(1, 1), shift=FuncSpec.constant(2))
+        hyp = RateHypothesis(epsilon=FuncSpec(1, 1), shift=FuncSpec(2))
         check = check_hypothesis(F2_18, hyp, m_max=8, n_max=8)
         assert check.ok
 
     def test_range_shortfall_raises(self):
-        hyp = RateHypothesis(shift=FuncSpec.constant(2))
+        hyp = RateHypothesis(shift=FuncSpec(2))
         with pytest.raises(ValueError):
             check_hypothesis(free_ball_counts(2, 6), hyp, m_max=4, n_max=4)
 
@@ -272,7 +292,7 @@ class TestFeketeLowerBound:
         assert est.certified_lower == 1.0 and est.empirical_upper == 1.0
 
     def test_free_group_fixed_epsilon(self):
-        est = fekete_lower_bound(F2_14, RateHypothesis(epsilon=FuncSpec.constant(4)))
+        est = fekete_lower_bound(F2_14, RateHypothesis(epsilon=FuncSpec(4)))
         assert est.hypothesis_ok
         assert abs(est.certified_lower - 2.855) < 0.01
         assert est.witness_s == 14
@@ -291,7 +311,7 @@ class TestFeketeLowerBound:
             fekete_lower_bound([1, 2, 4], RateHypothesis(threshold=9))
 
     def test_lower_monotone_in_range(self):
-        hyp = RateHypothesis(epsilon=FuncSpec.constant(4))
+        hyp = RateHypothesis(epsilon=FuncSpec(4))
         lowers = [
             fekete_lower_bound(F2_14[: k + 1], hyp).certified_lower
             for k in range(2, 15)
@@ -299,7 +319,7 @@ class TestFeketeLowerBound:
         assert all(a <= b for a, b in zip(lowers, lowers[1:]))
 
     def test_walk_decomposition(self):
-        est = fekete_lower_bound(F2_14, RateHypothesis(epsilon=FuncSpec.constant(4)))
+        est = fekete_lower_bound(F2_14, RateHypothesis(epsilon=FuncSpec(4)))
         period = est.witness_s + 0
         for row in est.walk:
             assert row.q * period + row.r == row.n
@@ -474,18 +494,18 @@ def funcspecs(draw):
     """Constant, affine or table function specs over VALUES."""
     kind = draw(st.sampled_from(["constant", "affine", "table"]))
     if kind == "constant":
-        return FuncSpec.constant(draw(VALUES))
+        return FuncSpec(draw(VALUES))
     if kind == "affine":
         slope = draw(st.fractions(min_value=-1, max_value=2, max_denominator=4))
-        return FuncSpec.affine(draw(VALUES), slope)
+        return FuncSpec(draw(VALUES), slope)
     return FuncSpec.table(draw(st.lists(VALUES, min_size=6, max_size=18)))
 
 
 SHIFTS = st.one_of(
-    st.integers(0, 3).map(FuncSpec.constant),
+    st.integers(0, 3).map(FuncSpec),
     st.lists(st.integers(0, 2), min_size=6, max_size=18).map(FuncSpec.table),
     st.tuples(st.integers(0, 2), st.sampled_from([Fraction(1, 2), Fraction(1)])).map(
-        lambda ab: FuncSpec.affine(*ab)
+        lambda ab: FuncSpec(*ab)
     ),
 )
 BOUNDS = st.one_of(st.none(), st.integers(0, 8))
@@ -533,7 +553,7 @@ def row_ties(draw):
             delta = draw(st.sampled_from([-1, 0, 1]))
             value = Fraction(counts[m] * counts[n] - delta, counts[m + n + shift])
         eps.append(value)
-    return counts, RateHypothesis(FuncSpec.table(eps), FuncSpec.constant(shift))
+    return counts, RateHypothesis(FuncSpec.table(eps), FuncSpec(shift))
 
 
 class TestAgainstReference:
@@ -571,8 +591,8 @@ class TestAgainstReference:
         if want is ValueError:
             assert got is ValueError
         else:
-            assert got.epsilon == FuncSpec.constant(want)
-            assert got.shift == FuncSpec.constant(c)
+            assert got.epsilon == FuncSpec(want)
+            assert got.shift == FuncSpec(c)
 
     def test_violations_past_the_cap_are_counted_not_kept(self):
         # B = 2 fails at every n >= 1 and epsilon 1 at nearly every pair, so
@@ -622,7 +642,7 @@ class TestAgainstReference:
         if want is ValueError:
             assert got is ValueError
             return
-        assert got.epsilon == FuncSpec.constant(want)
+        assert got.epsilon == FuncSpec(want)
         if len(counts) > c + 1:
             check = check_hypothesis(counts, got)
             reference = reference_check_hypothesis(counts, got)
