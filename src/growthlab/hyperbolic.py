@@ -29,6 +29,8 @@ import numpy as np
 from .cayley import DEFAULT_BUDGET, Ball, enumerate_ball
 from .errors import GroupMismatchError, TupleBudgetError
 from .words import (
+    INVERSE_TABLE,
+    SEP,
     Element,
     GroupDescriptor,
     common_prefix,
@@ -41,6 +43,11 @@ from .words import (
 
 DEFAULT_TUPLE_CAP = 200_000_000
 _TRIAL_CHUNK = 1 << 14  # random-mode trials evaluated per numpy batch
+_BLOCK_WORDS = 1 << 12  # ball words whose conjugates are sized per numpy block
+# a smaller ball takes acyl's per-word loop: the column test's numpy calls
+# cost about 0.25 ms a call, what the loop spends on 170-190 words (2-core
+# Xeon, timed between other CLI runs)
+_LOOP_WORDS = 200
 
 
 def gromov_product(x: Element, y: Element, o: Element) -> float:
@@ -262,6 +269,68 @@ class AcylindricityReport:
         return len(self.witnesses)
 
 
+def _self_overlaps(c: bytes, k: int) -> np.ndarray:
+    """The (k+1, k+1) matrix of lcp(c[i:], c[j:]) for i, j <= k <= len(c).
+
+    Row d of `same` compares c, closed by a zero byte, with c shifted by d
+    letters and padded with 0xff, so nothing matches past either end and
+    the first False at or after i ends the common prefix of c[i:] and
+    c[i+d:]. Past column k only the first False counts, so no int array
+    grows with |c|.
+    """
+    m = len(c)
+    pos = np.arange(k + 1)
+    shifted = np.frombuffer(c + b"\xff" * (k + 1), dtype=np.uint8)
+    same = shifted[pos[:, None] + np.arange(m + 1)] == np.frombuffer(c + b"\0", dtype=np.uint8)
+    stop = np.where(same[:, : k + 1], m, pos)
+    stop[:, k] = k + same[:, k:].argmin(axis=1)
+    run = np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1] - pos
+    return run[abs(np.subtract.outer(pos, pos)), np.minimum.outer(pos, pos)]
+
+
+def _conjugate_lengths(lengths: np.ndarray, cols: np.ndarray, c: bytes, overlaps: np.ndarray) -> np.ndarray:
+    """|c^-1 w c| for the words w of one factor's letter columns.
+
+    With m = |c| and L = |w|, w c cancels b = lcp(w^-1, c) letters, so
+    u = w c is w[:L-b] followed by c[b:], and c^-1 u cancels a = lcp(c, u)
+    letters: |c^-1 w c| = m + |u| - 2a. While q = lcp(w, c) < L - b, a is
+    q and the length is L + 2m - 2(b + q). Otherwise w[:L-b] = c[:L-b],
+    a = L - b + lcp(c[L-b:], c[b:]), read from c's self-overlaps, and the
+    length is 2m - L - 2 lcp(c[L-b:], c[b:]). Only the first
+    k = min(width, m) letters of w or of c can cancel.
+    """
+    m = len(c)
+    k = min(len(cols), m)
+    letters = np.frombuffer(c, dtype=np.uint8)
+    inverses = np.frombuffer(c.translate(INVERSE_TABLE), dtype=np.uint8)
+    q = common_prefix(cols, letters, lengths)
+    # row i: w's letter i from its end; rows i >= L read its first letter,
+    # past the cap at L
+    back = np.maximum(lengths - 1 - np.arange(k)[:, None], 0)
+    b = common_prefix(cols[back, np.arange(len(lengths))], inverses, lengths)
+    head = lengths - b
+    far = lengths + 2 * (m - b - q)
+    # head <= q <= k wherever near is taken; the clip only keeps the lookup in range
+    near = 2 * m - lengths - 2 * overlaps[np.minimum(head, len(overlaps) - 1), b]
+    return np.where(q < head, far, near)
+
+
+def _kept_by_columns(packed: Sequence[bytes], c: bytes, epsilon: int, nf: int) -> list[bytes]:
+    """The words w of packed with |c^-1 w c| <= epsilon, in order, read
+    off their letter columns _BLOCK_WORDS words at a time."""
+    cs = c.split(SEP)
+    overlaps = [_self_overlaps(f, min(epsilon, len(f))) for f in cs]
+    kept = []
+    for lo in range(0, len(packed), _BLOCK_WORDS):
+        block = packed[lo : lo + _BLOCK_WORDS]
+        sizes = sum(
+            _conjugate_lengths(lengths, cols, f, z)
+            for (lengths, cols), f, z in zip(factor_columns(block, nf), cs, overlaps)
+        )
+        kept += [block[i] for i in np.flatnonzero(sizes <= epsilon)]
+    return kept
+
+
 def acylindricity_witnesses(
     group: GroupDescriptor,
     x: Element,
@@ -275,10 +344,14 @@ def acylindricity_witnesses(
     Any such g is x w x^-1 with |w| = d(x, gx) <= epsilon, so the
     epsilon-ball holds every candidate w and the first condition holds by
     construction. Left translation is an isometry, so d(y, gy) =
-    |c^-1 w c| with c = x^-1 y: the second condition is tested on packed
-    words, and only the kept w become elements. The ball is enumerated
-    under an element budget (cayley.DEFAULT_BUDGET when budget is None),
-    so a too-large epsilon raises BallBudgetError before any work.
+    |c^-1 w c| with c = x^-1 y. A ball of _LOOP_WORDS words or more reads
+    that length, a sum over factors, off its letter columns
+    (words.factor_columns), _BLOCK_WORDS words at a time so that the
+    temporaries do not grow with the ball; a smaller ball multiplies its
+    packed words out, which costs less than the column test's numpy
+    calls. Only the kept w become elements. The ball is enumerated under
+    an element budget (cayley.DEFAULT_BUDGET when budget is None), so a
+    too-large epsilon raises BallBudgetError before any work.
     """
     if x.group != group or y.group != group:
         raise GroupMismatchError("basepoints must live in the given group")
@@ -288,12 +361,15 @@ def acylindricity_witnesses(
     ball = enumerate_ball(group, epsilon, budget=DEFAULT_BUDGET if budget is None else budget)
     x_inv = invert_packed(x.packed, nf)
     c = multiply_packed(x_inv, y.packed, nf)
-    c_inv = invert_packed(c, nf)
-    kept = [
-        w
-        for w in ball.packed
-        if packed_length(multiply_packed(c_inv, multiply_packed(w, c, nf), nf), nf) <= epsilon
-    ]
+    if len(ball.packed) >= _LOOP_WORDS:
+        kept = _kept_by_columns(ball.packed, c, epsilon, nf)
+    else:
+        c_inv = invert_packed(c, nf)
+        kept = [
+            w
+            for w in ball.packed
+            if packed_length(multiply_packed(c_inv, multiply_packed(w, c, nf), nf), nf) <= epsilon
+        ]
     found = sorted(
         (multiply_packed(multiply_packed(x.packed, w, nf), x_inv, nf) for w in kept),
         key=lambda g: (len(g), g),

@@ -1454,6 +1454,29 @@ def test_ambiguity_artifact_digest(tmp_path, line, code, digest):
     assert hashlib.sha256((tmp_path / "ambiguity.json").read_bytes()).hexdigest() == digest
 
 
+# SHA-256 and witness count of acyl artifacts whose balls hold thousands
+# to 354,293 words: the benchmark's balls (epsilon 8) and grids (epsilon 9)
+# shapes, the CI memory guard's epsilon 11, and a basepoint pair on one axis.
+ACYL_ARTIFACTS = [
+    ("acyl --group free:2 --x abA --y aabb --epsilon 8", 187,
+     "0945286c1eb1a29d3619a91c845d40ea1f53bd12710a38cb2e7c595a569bee73"),
+    ("acyl --group free:2 --x abA --y aabb --epsilon 9", 565,
+     "9c613fc0d5e12742d9d2fb2798819477413d113f07d3af2a9b40e38772774a72"),
+    ("acyl --group free:2 --x abA --y aabb --epsilon 11", 5101,
+     "7a779401b49d22738cd50e06b6b3996acaa9a61a38b2dd91e0c74590ec7bd25c"),
+    ("acyl --group free:2 --x 1 --y aaaaa --epsilon 10", 1705,
+     "24f45b430900ce081333035a5c5059ee19a3259d43f04ac06c26ecdcadd43c8d"),
+]
+
+
+@pytest.mark.parametrize("line,count,digest", ACYL_ARTIFACTS)
+def test_acyl_artifact_digest(tmp_path, line, count, digest):
+    assert main(shlex.split(line) + ["--out", str(tmp_path)]) == 0
+    body = (tmp_path / "acyl.json").read_bytes()
+    assert json.loads(body)["report"]["count"] == count
+    assert hashlib.sha256(body).hexdigest() == digest
+
+
 def test_product_grid_past_its_envelope_exits_3(tmp_path, capsys):
     # the envelope is fitted on t <= 3; cell (5,4) has max fiber 12 at
     # (aaaaa,aaaaa), above 1 + (8/3)*4, and the default budget admits the

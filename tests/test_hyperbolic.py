@@ -1,6 +1,7 @@
 """Gromov products, four-point delta, acylindricity."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,20 +95,33 @@ def reference_witnesses(group, x, y, epsilon):
     return tuple(sorted(found, key=lambda g: g.sort_key()))
 
 
+def both_paths(group, x, y, epsilon, **kwargs):
+    """acylindricity_witnesses with every ball taking the per-word loop,
+    then with every ball taking the column test; the reports must agree."""
+    reports = []
+    for loop_words in (10**9, 0):
+        with mock.patch.object(hyperbolic, "_LOOP_WORDS", loop_words):
+            reports.append(acylindricity_witnesses(group, x, y, epsilon, **kwargs))
+    assert reports[0] == reports[1]
+    return reports[1]
+
+
 @st.composite
 def acyl_cases(draw):
-    """A free group of rank 1-3 with epsilon <= 4, or a product of up to
-    three factors with epsilon <= 3, and two random basepoints of length
-    at most 6."""
+    """A free group of rank 1 or 2 with epsilon <= 7 or of rank 3 with
+    epsilon <= 5 (no ball past 4,687 words), or a product of up to three
+    factors with epsilon <= 3, and two random basepoints of length at
+    most 12, so that |x^-1 y| can exceed both epsilon and the ball's
+    width."""
     ranks = draw(
         st.sampled_from(
             [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1), (2, 1, 1), (1, 2, 1)]
         )
     )
     group = product_group(*ranks)
-    epsilon = draw(st.integers(0, 4 if len(ranks) == 1 else 3))
+    epsilon = draw(st.integers(0, 3 if len(ranks) > 1 else 5 if ranks == (3,) else 7))
     rng = random.Random(draw(st.integers(0, 10**6)))
-    return group, random_element(rng, group), random_element(rng, group), epsilon
+    return group, random_element(rng, group, 12), random_element(rng, group, 12), epsilon
 
 
 class MatrixSample:
@@ -376,35 +390,35 @@ class TestTreeGeodesics:
 
 class TestAcylindricity:
     def test_translated_basepoint_example(self):
-        rep = acylindricity_witnesses(F2, ONE, el("a") ** 5, 1)
+        rep = both_paths(F2, ONE, el("a") ** 5, 1)
         assert rep.count == 3
         assert {w.render() for w in rep.witnesses} == {"1", "a", "A"}
 
     def test_epsilon_zero(self):
-        rep = acylindricity_witnesses(F2, ONE, el("a") ** 5, 0)
+        rep = both_paths(F2, ONE, el("a") ** 5, 0)
         assert rep.count == 1
         assert rep.witnesses[0].is_identity()
 
     def test_symmetric_generator_case(self):
-        rep = acylindricity_witnesses(F2, ONE, el("b") ** 5, 1)
+        rep = both_paths(F2, ONE, el("b") ** 5, 1)
         assert {w.render() for w in rep.witnesses} == {"1", "b", "B"}
 
     def test_witnesses_satisfy_both_conditions(self):
         x, y = el("ab"), el("ba")
-        rep = acylindricity_witnesses(F2, x, y, 2)
+        rep = both_paths(F2, x, y, 2)
         for g in rep.witnesses:
             assert distance(x, g * x) <= 2
             assert distance(y, g * y) <= 2
 
     def test_count_non_increasing_in_separation(self):
         counts = [
-            acylindricity_witnesses(F2, ONE, el("a") ** k, 2).count
+            both_paths(F2, ONE, el("a") ** k, 2).count
             for k in range(1, 11)
         ]
         assert all(counts[i] >= counts[i + 1] for i in range(len(counts) - 1))
 
     def test_product_group_supported(self):
-        rep = acylindricity_witnesses(
+        rep = both_paths(
             F2xF1, F2xF1.identity(), el("(aaaa,1)", F2xF1), 1
         )
         assert rep.count >= 1
@@ -413,25 +427,70 @@ class TestAcylindricity:
     @given(acyl_cases())
     def test_matches_reference_loop(self, case):
         group, x, y, epsilon = case
-        rep = acylindricity_witnesses(group, x, y, epsilon)
+        rep = both_paths(group, x, y, epsilon)
         assert rep.witnesses == reference_witnesses(group, x, y, epsilon)
         found = set(rep.witnesses)
         assert group.identity() in found
         assert {g.inverse() for g in found} == found
         if epsilon:
-            assert set(acylindricity_witnesses(group, x, y, epsilon - 1).witnesses) <= found
+            assert set(both_paths(group, x, y, epsilon - 1).witnesses) <= found
+
+    @pytest.mark.parametrize(
+        "group,x,epsilon",
+        [(F2, el("abA"), 5), (free_group(3), el("cB", free_group(3)), 3), (F2xF1, el("(bA,a)", F2xF1), 4)],
+    )
+    def test_equal_basepoints_keep_the_whole_ball(self, group, x, epsilon):
+        # c = x^-1 x is trivial, so |c^-1 w c| = |w| <= epsilon for every w
+        rep = both_paths(group, x, x, epsilon)
+        ball = enumerate_ball(group, epsilon)
+        assert rep.count == len(ball)
+        assert rep.witnesses == tuple(sorted((x * w * x.inverse() for w in ball), key=Element.sort_key))
+
+    @pytest.mark.parametrize("y,epsilon", [("ababab", 6), ("aabaab", 6), ("abaaba", 5), ("aaaaa", 7)])
+    def test_witness_head_inside_a_self_overlapping_c(self, y, epsilon):
+        # x = 1, so c = y: a w whose head is a prefix of c leaves u = w c
+        # starting with c's own letters, and how much c^-1 u cancels depends
+        # on how c overlaps itself; the powers of c's period commute with c
+        c = el(y)
+        rep = both_paths(F2, ONE, c, epsilon)
+        assert rep.witnesses == reference_witnesses(F2, ONE, c, epsilon)
+        period = next(p for p in range(1, len(y) + 1) if len(y) % p == 0 and y[:p] * (len(y) // p) == y)
+        root = el(y[:period])
+        for k in range(1, epsilon // period + 1):
+            assert {root**k, root**-k} <= set(rep.witnesses)
+
+    @pytest.mark.parametrize(
+        "group,x,y,epsilon",
+        [
+            (F2xF1, "(ab,a)", "(abA,a)", 4),
+            (F2xF1, "(1,a)", "(1,aaaa)", 4),
+            (product_group(2, 2), "(b,ab)", "(b,aB)", 3),
+            (product_group(1, 2, 1), "(a,ba,1)", "(aa,ba,A)", 3),
+        ],
+    )
+    def test_product_with_c_trivial_in_a_factor(self, group, x, y, epsilon):
+        x, y = el(x, group), el(y, group)
+        rep = both_paths(group, x, y, epsilon)
+        assert rep.witnesses == reference_witnesses(group, x, y, epsilon)
+        # a w that lives in a factor where c is trivial commutes with c
+        c = x.inverse() * y
+        moved = [i for i in range(group.num_factors) if not c.component(i).is_identity()]
+        assert len(moved) < group.num_factors
+        for w in enumerate_ball(group, epsilon):
+            if all(w.component(i).is_identity() for i in moved):
+                assert x * w * x.inverse() in rep.witnesses
 
     @pytest.mark.parametrize("x,y", [(el("(a,1)", F2xF1), el("b")), (el("a"), el("(b,a)", F2xF1))])
     def test_foreign_basepoint_rejected(self, x, y):
         with pytest.raises(GroupMismatchError, match="basepoints must live in the given group"):
-            acylindricity_witnesses(F2, x, y, 1)
+            both_paths(F2, x, y, 1)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon must be nonnegative"):
-            acylindricity_witnesses(F2, ONE, el("a"), -1)
+            both_paths(F2, ONE, el("a"), -1)
 
     def test_budget_refuses_before_enumerating(self):
         with pytest.raises(BallBudgetError) as info:
-            acylindricity_witnesses(F2, el("ab"), el("b"), 13, budget=1000)
+            both_paths(F2, el("ab"), el("b"), 13, budget=1000)
         assert info.value.radius_reached == 5
-        assert acylindricity_witnesses(F2, el("ab"), el("b"), 4, budget=161).count >= 1
+        assert both_paths(F2, el("ab"), el("b"), 4, budget=161).count >= 1
